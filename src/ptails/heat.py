@@ -17,7 +17,10 @@ whose transform is  ik e^{-k^2(1+t)} |k|^{-2^{-n}}
 
 The s-quadrature uses panels sized by three local scales: the oscillation
 wavelength, the diffusion window 1/k^2, and the algebraic factor's 1+s;
-modes are processed in |k| bins sharing one panel set.
+modes are processed in |k| bins sharing one panel set.  For an increasing
+series of times the integral is marched instead of restarted from s = 0:
+the value at t_m is the value at t_{m-1} damped by e^{-k^2 (t_m - t_{m-1})}
+plus the quadrature over [t_{m-1}, t_m] alone.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import special
+from .special import _GL16, _GW16
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -44,7 +48,6 @@ __all__ = [
     "ConvergenceReport",
 ]
 
-_GL16, _GW16 = np.polynomial.legendre.leggauss(16)
 _ALLOWED_SIGMA = (-2, -1, 0, 1, 2)
 
 
@@ -140,10 +143,11 @@ def _numeric_fhat(shape: Callable, half_length: float = 480.0, n_pts: int = 2 **
 
 
 def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,
-                 window_cap: float = 42.0) -> np.ndarray:
-    """Panel boundaries marching down from s = t with local step bounded by
+                 window_cap: float = 42.0, s_floor: float = 0.0) -> np.ndarray:
+    """Panel boundaries marching down from s = t to s_floor, or to the lower
+    end of the diffusion window if that is later, with local step bounded by
     the oscillation, diffusion, and algebraic-factor scales."""
-    s_lo = max(0.0, t - window_cap / max(k_hi * k_hi, 1e-300))
+    s_lo = max(s_floor, t - window_cap / max(k_hi * k_hi, 1e-300))
     edges = [t]
     s = t
     while s > s_lo + 1e-14 * max(1.0, t):
@@ -159,45 +163,77 @@ def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,
     return np.array(edges[::-1])
 
 
-def _duhamel_integral(k: np.ndarray, t: float, power: float, c_osc: float,
-                      fhat_fn: Callable) -> np.ndarray:
-    """int_0^t e^{-k^2(t-s)} e^{i c_osc k s} (1+s)^power fhat(k sqrt(1+s)) ds
-    for an array of k >= 0, binned by magnitude so panels are shared."""
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.size, dtype=complex)
-    if t == 0.0:
-        return out
-    pos = k > 0
-    if not np.any(pos):
-        return out
-    kp = k[pos]
-    res = np.zeros(kp.size, dtype=complex)
-    order = np.argsort(kp)
-    sorted_k = kp[order]
-    # magnitude bins (factor 1.35) sharing one panel set built for the top
+def _ascending_bins(k: np.ndarray):
+    """Indices of the modes k > 0 in ascending order, their values, and the
+    index ranges grouping them by magnitude (factor 1.35); each range shares
+    one panel set built for its top mode."""
+    pos = np.flatnonzero(k > 0)
+    order = pos[np.argsort(k[pos])]
+    sorted_k = k[order]
     bins = []
     i = 0
     while i < sorted_k.size:
-        k_lo = sorted_k[i]
-        j = int(np.searchsorted(sorted_k, k_lo * 1.35, side="right"))
+        j = int(np.searchsorted(sorted_k, sorted_k[i] * 1.35, side="right"))
         bins.append((i, j))
         i = j
-    for i, j in bins:
-        kb = sorted_k[i:j]
-        k_hi = kb[-1]
-        edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi)
-        acc = np.zeros(kb.size, dtype=complex)
-        for a, b in zip(edges[:-1], edges[1:]):
-            s = (b - a) / 2 * _GL16 + (b + a) / 2
-            w = (b - a) / 2 * _GW16
-            damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
-            osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
-            alg = (1.0 + s) ** power
-            fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
-            acc += (damp * osc * alg[None, :] * fh) @ w
-        res[order[i:j]] = acc
-    out[pos] = res
-    return out
+    return order, sorted_k, bins
+
+
+def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
+                  c_osc: float, fhat_fn: Callable) -> np.ndarray:
+    """int_{s_floor}^t of the Duhamel integrand for one magnitude bin."""
+    k_hi = kb[-1]
+    edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor=s_floor)
+    acc = np.zeros(kb.size, dtype=complex)
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = (b - a) / 2 * _GL16 + (b + a) / 2
+        w = (b - a) / 2 * _GW16
+        damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
+        osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
+        alg = (1.0 + s) ** power
+        fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
+        acc += (damp * osc * alg[None, :] * fh) @ w
+    return acc
+
+
+def _duhamel_integral(k: np.ndarray, t, power: float, c_osc: float,
+                      fhat_fn: Callable, k_cut=None) -> np.ndarray:
+    """int_0^t e^{-k^2(t-s)} e^{i c_osc k s} (1+s)^power fhat(k sqrt(1+s)) ds
+    for an array of k >= 0, binned by magnitude so panels are shared.
+
+    A nondecreasing array of times returns one row per time, marched: the
+    row for t_m is the row for t_{m-1} damped by e^{-k^2 (t_m - t_{m-1})}
+    plus the quadrature over [t_{m-1}, t_m] on the same panel rule clipped
+    at t_{m-1}.  A scalar t is the one-time series and returns one value per
+    mode.  k_cut, one nonincreasing value per time, drops a mode from the
+    first time it exceeds the cut; its entries are zero from then on.
+    """
+    k = np.asarray(k, dtype=float)
+    order, sorted_k, bins = _ascending_bins(k)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a nonnegative, nondecreasing 1-d array")
+    if k_cut is None:
+        cut = np.full(times.size, np.inf)
+    else:
+        cut = np.asarray(k_cut, dtype=float)
+        if cut.shape != times.shape or np.any(np.diff(cut) > 0):
+            raise ValueError("k_cut must hold one nonincreasing value per time")
+    rows = np.zeros((times.size, k.size), dtype=complex)
+    acc = [np.zeros(j - i, dtype=complex) for i, j in bins]
+    t_prev = 0.0
+    for m, tm in enumerate(times):
+        n_alive = int(np.searchsorted(sorted_k, cut[m], side="right"))
+        for b, (i, j) in enumerate(bins):
+            j = min(j, n_alive)
+            if j <= i:
+                break
+            kb = sorted_k[i:j]
+            acc[b] = (acc[b][:j - i] * np.exp(-kb * kb * (tm - t_prev))
+                      + _bin_integral(kb, t_prev, tm, power, c_osc, fhat_fn))
+            rows[m, order[i:j]] = acc[b]
+        t_prev = tm
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
 def solve_inhom_modes(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarray:

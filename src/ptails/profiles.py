@@ -385,8 +385,6 @@ class ExpansionModel:
     g0_minus: BurgersProfile
     gn_plus: dict = field(default_factory=dict)    # n -> ProfileSample
     gn_minus: dict = field(default_factory=dict)
-    rn_plus: dict = field(default_factory=dict)
-    rn_minus: dict = field(default_factory=dict)
 
     def interpolants(self):
         interp = {
@@ -407,14 +405,12 @@ def build_expansion_model(coeffs: ExpansionCoefficients, z_grid: np.ndarray,
     g0m = g0_profile(coeffs.alpha_minus, coeffs.c_minus, z_grid)
     model = ExpansionModel(coeffs=coeffs, g0_plus=g0p, g0_minus=g0m)
     for n in range(1, coeffs.N + 1):
-        gp, rp, _ = gn_fixed_point(n, coeffs.alpha_plus, coeffs.c_plus, z_grid,
-                                   tol=tol, max_iter=max_iter, sign="+")
-        gm, rm, _ = gn_fixed_point(n, coeffs.alpha_minus, coeffs.c_minus, z_grid,
-                                   tol=tol, max_iter=max_iter, sign="-")
+        gp, _, _ = gn_fixed_point(n, coeffs.alpha_plus, coeffs.c_plus, z_grid,
+                                  tol=tol, max_iter=max_iter, sign="+")
+        gm, _, _ = gn_fixed_point(n, coeffs.alpha_minus, coeffs.c_minus, z_grid,
+                                  tol=tol, max_iter=max_iter, sign="-")
         model.gn_plus[n] = gp
         model.gn_minus[n] = gm
-        model.rn_plus[n] = rp
-        model.rn_minus[n] = rm
     return model
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "eval_eL0t",
     "mix_S",
     "apply_eLt",
-    "apply_eL0t",
     "kernel_bound_check",
     "intertwining_defect",
     "KernelBoundReport",
@@ -151,19 +150,6 @@ def apply_eLt(state: StateVector, t: float) -> StateVector:
     return StateVector(
         SpectralField(state.grid, na), SpectralField(state.grid, nb), "physical"
     ).symmetrized()
-
-
-def apply_eL0t(state: StateVector, t: float) -> StateVector:
-    """Apply the decoupled propagator to a characteristic-frame state."""
-    if state.frame != "characteristic":
-        raise ValueError("apply_eL0t acts on characteristic-frame states")
-    k = state.grid.k
-    damp = np.exp(-k * k * t)
-    nu = damp * np.exp(1j * k * t) * state.first.coeffs
-    nv = damp * np.exp(-1j * k * t) * state.second.coeffs
-    return StateVector(
-        SpectralField(state.grid, nu), SpectralField(state.grid, nv), "characteristic"
-    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Pseudospectral simulation of the viscous p-system via Duhamel time stepping.
 
-The linear part is applied exactly through the closed-form semigroup symbol;
-only the nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the
-scheme (integrating-factor RK4 by default, ETD-Heun as a cross-check).
+The linear part is applied exactly through the closed-form semigroup symbol,
+whose entries C+kS, iS and C-kS are tabulated once per step size; only the
+nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the scheme
+(integrating-factor RK4 by default, ETD-Heun as a cross-check).
 Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
 symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.
@@ -45,7 +46,6 @@ class SimConfig:
     nonlinearity: str = "default"
     n_snapshots: int = 80
     x_support: float = 15.0            # nominal support radius of the data
-    seed: int = 0
 
     def grid(self) -> Grid:
         return Grid(self.n_points, self.half_length)
@@ -113,8 +113,20 @@ class TrajectoryRecord:
         }
 
 
+def _axpy(x, c: float, y):
+    """x + c y component-wise for state pairs; a component of y that is None
+    stands for zero and is skipped."""
+    return tuple(xi if yi is None else xi + c * yi for xi, yi in zip(x, y))
+
+
 class Stepper:
-    """Precomputed propagator tables and the pseudospectral source term."""
+    """Precomputed propagator tables and the pseudospectral source term.
+
+    The symbol entries ``C+kS``, ``iS`` and ``C-kS`` are built once per step
+    size, and ``ik`` once per grid.  The source forces only the second
+    equation: ``source`` returns ``None`` for its first component, and
+    ``_apply`` and the scheme combinations skip the terms it would zero.
+    """
 
     def __init__(self, grid: Grid, dt: float, nl: Nonlinearity | None,
                  dealias_fraction: float = 2.0 / 3.0,
@@ -126,6 +138,7 @@ class Stepper:
         self.forcing = forcing
         self.linear = linear
         self.k = grid.k
+        self.ik = 1j * self.k
         kmax = float(np.abs(self.k).max())
         self.dealias = np.abs(self.k) <= dealias_fraction * kmax
         self._tables = {}
@@ -133,23 +146,28 @@ class Stepper:
             self._tables[tag] = self._linear_table(tt)
 
     def _linear_table(self, t: float):
+        """(C+kS, iS, C-kS); the heat table (e^{-k^2 t}, None, e^{-k^2 t})
+        is diagonal.  Entries are stored complex: a real factor would be
+        cast to complex, through a buffer, on every multiplication."""
         k = self.k
         if self.linear == "heat":
-            e = np.exp(-k * k * t)
-            return (e, np.zeros_like(e))         # (C, S) with S = 0 decouples
+            e = np.exp(-k * k * t).astype(complex)
+            return (e, None, e)
         C, S = propagator_cs(k, t)
-        return (C, S)
+        return ((C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex))
 
     def _apply(self, pair, tag):
-        C, S = self._tables[tag]
-        k = self.k
+        P, Q, R = self._tables[tag]
         a, b = pair
-        if self.linear == "heat":
-            return (C * a, C * b)
-        return ((C + k * S) * a + 1j * S * b, 1j * S * a + (C - k * S) * b)
+        if Q is None:
+            return (None if a is None else P * a, R * b)
+        if a is None:
+            return (Q * b, R * b)
+        return (P * a + Q * b, Q * a + R * b)
 
     def source(self, pair, t: float):
-        """N(z) = (0, ik h-hat) with 2/3 dealiasing.
+        """N(z) = (0, ik h-hat) with 2/3 dealiasing; the zero first component
+        is returned as None.
 
         The state carries normalized coefficients (FFT / n); physical samples
         are n * ifft(coeffs) and the result is scaled back accordingly.
@@ -158,42 +176,40 @@ class Stepper:
         a = np.fft.ifft(pair[0]).real * n
         b = np.fft.ifft(pair[1]).real * n
         if self.nl is not None:
-            bx = np.fft.ifft(1j * self.k * pair[1]).real * n
+            bx = np.fft.ifft(self.ik * pair[1]).real * n
             h = self.nl.source(a, b, bx)
         else:
             h = np.zeros_like(a)
         if self.forcing is not None:
             h = h + self.forcing(self.grid.x, t)
         hh = np.fft.fft(h) * self.dealias / n
-        return (np.zeros_like(hh), 1j * self.k * hh)
+        return (None, self.ik * hh)
 
     def step_ifrk4(self, pair, t: float):
         dt = self.dt
         k1 = self.source(pair, t)
         e_half = self._apply(pair, "half")
         ek1 = self._apply(k1, "half")
-        k2 = self.source((e_half[0] + dt / 2 * ek1[0], e_half[1] + dt / 2 * ek1[1]),
-                         t + dt / 2)
-        k3 = self.source((e_half[0] + dt / 2 * k2[0], e_half[1] + dt / 2 * k2[1]),
-                         t + dt / 2)
+        k2 = self.source(_axpy(e_half, dt / 2, ek1), t + dt / 2)
+        k3 = self.source(_axpy(e_half, dt / 2, k2), t + dt / 2)
         e_full = self._apply(pair, "full")
         ek3 = self._apply(k3, "half")
-        k4 = self.source((e_full[0] + dt * ek3[0], e_full[1] + dt * ek3[1]), t + dt)
+        k4 = self.source(_axpy(e_full, dt, ek3), t + dt)
         e2k1 = self._apply(k1, "full")
         ek2 = self._apply(k2, "half")
-        a = e_full[0] + dt / 6 * (e2k1[0] + 2 * ek2[0] + 2 * ek3[0] + k4[0])
         b = e_full[1] + dt / 6 * (e2k1[1] + 2 * ek2[1] + 2 * ek3[1] + k4[1])
-        return a, b
+        if e2k1[0] is None:
+            return e_full[0], b
+        return e_full[0] + dt / 6 * (e2k1[0] + 2 * ek2[0] + 2 * ek3[0]), b
 
     def step_etdheun(self, pair, t: float):
         dt = self.dt
         n0 = self.source(pair, t)
         e_full = self._apply(pair, "full")
         en0 = self._apply(n0, "full")
-        pred = (e_full[0] + dt * en0[0], e_full[1] + dt * en0[1])
-        n1 = self.source(pred, t + dt)
-        a = e_full[0] + dt / 2 * (en0[0] + n1[0])
+        n1 = self.source(_axpy(e_full, dt, en0), t + dt)
         b = e_full[1] + dt / 2 * (en0[1] + n1[1])
+        a = e_full[0] if en0[0] is None else e_full[0] + dt / 2 * en0[0]
         return a, b
 
     def step(self, state: StateVector, t: float, scheme: str = "IF-RK4") -> StateVector:

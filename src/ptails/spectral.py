@@ -16,7 +16,6 @@ symmetry re-enforced after multiplier applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -141,10 +140,6 @@ def transform_inverse(fld: SpectralField) -> np.ndarray:
     return fld.samples()
 
 
-def field_from_function(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> SpectralField:
-    return transform_forward(np.asarray(fn(grid.x), dtype=float), grid)
-
-
 def derivative(fld: SpectralField, order: int = 1) -> SpectralField:
     """Spectral derivative: multiply by (ik)^order, Nyquist zeroed for odd orders."""
     if order < 0:
@@ -185,11 +180,6 @@ def mass(fld: SpectralField) -> float:
     return float((2.0 * fld.grid.half_length * fld.coeffs[0]).real)
 
 
-def l2_norm(fld: SpectralField) -> float:
-    """Spectral L2 norm: sqrt(2L sum |c_k|^2) (Parseval)."""
-    return float(np.sqrt(2.0 * fld.grid.half_length * np.sum(np.abs(fld.coeffs) ** 2)))
-
-
 @dataclass(frozen=True)
 class NormReport:
     """Instantaneous norms of a field: Lp of the field and derivatives,
@@ -208,14 +198,14 @@ def norms(fld: SpectralField, t: float = 0.0, max_order: int = 2) -> NormReport:
     g = fld.grid
     dx = g.dx
     lp = {}
+    s0 = fld.samples()
     for m in range(max_order + 1):
-        s = derivative(fld, m).samples() if m else fld.samples()
+        s = derivative(fld, m).samples() if m else s0
         lp[m] = {
             1: float(np.sum(np.abs(s)) * dx),
             2: float(np.sqrt(np.sum(s * s) * dx)),
             "inf": float(np.abs(s).max()),
         }
-    s0 = fld.samples()
     w = g.x ** 2 * s0
     return NormReport(
         t=float(t),
@@ -246,8 +236,3 @@ class StateVector:
 
     def symmetrized(self) -> "StateVector":
         return StateVector(self.first.symmetrized(), self.second.symmetrized(), self.frame)
-
-
-def state_from_samples(grid: Grid, a: np.ndarray, b: np.ndarray,
-                       frame: str = "physical") -> StateVector:
-    return StateVector(transform_forward(a, grid), transform_forward(b, grid), frame)

@@ -1,7 +1,15 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ptails
+from ptails import cli
 from ptails.cli import main
 from ptails.config import ConfigError, parse_config
 
@@ -64,6 +72,15 @@ def test_cli_profiles_subcommand(tmp_path):
     assert code == 0
     assert (tmp_path / "g0.csv").exists()
     assert (tmp_path / "g1p.csv").exists()
+
+
+def test_cli_profiles_defaults_inside_contraction_regime(tmp_path):
+    # `ptails -o out profiles` with no config: the default alpha*gamma must
+    # stay within |alpha*gamma| <= 0.1
+    code = main(["-o", str(tmp_path), "profiles"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest_profiles.json").read_text())
+    assert manifest["verdicts"]["passed"] is True
 
 
 def test_cli_bounds_deterministic(tmp_path):
@@ -130,3 +147,40 @@ def test_cli_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+def test_keep_freed_heap_does_nothing_off_linux(monkeypatch):
+    import ctypes
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("C library loaded off Linux")
+    monkeypatch.setattr(cli.sys, "platform", "win32")
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    cli._keep_freed_heap()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
+def test_keep_freed_heap_reuses_freed_arrays():
+    # after the CLI's heap setting, freeing and reallocating 1 MB arrays
+    # reuses heap memory instead of faulting fresh pages in
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from ptails import cli
+        cli._keep_freed_heap()
+        def churn():
+            a = np.ones(2 ** 16, dtype=complex)
+            b = a * 2.0
+            c = a + b
+            del a, b, c
+        for _ in range(5):
+            churn()
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(100):
+            churn()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(ptails.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60)
+    assert int(out.stdout) < 1000

@@ -133,3 +133,81 @@ def test_numeric_fhat_matches_analytic():
     fh = heat._numeric_fhat(heat.gaussian_shape())
     k = np.linspace(-4, 4, 101)
     assert np.abs(fh(k) - np.exp(-k * k)).max() < 1e-9
+
+
+def _reference_duhamel(k, t, power, c_osc, fhat_fn):
+    """The single-time Duhamel quadrature written out in full, as the
+    reference for the scalar path: magnitude bins of factor 1.35, panels
+    marching down from s = t under the oscillation, diffusion and
+    algebraic-factor scales, clipped to the diffusion window."""
+    gl, gw = np.polynomial.legendre.leggauss(16)
+    out = np.zeros(k.size, dtype=complex)
+    pos = k > 0
+    kp = k[pos]
+    res = np.zeros(kp.size, dtype=complex)
+    order = np.argsort(kp)
+    sorted_k = kp[order]
+    i = 0
+    while i < sorted_k.size:
+        j = int(np.searchsorted(sorted_k, sorted_k[i] * 1.35, side="right"))
+        kb = sorted_k[i:j]
+        k_hi = kb[-1]
+        s_lo = max(0.0, t - 42.0 / max(k_hi * k_hi, 1e-300))
+        edges = [t]
+        s = t
+        while s > s_lo + 1e-14 * max(1.0, t):
+            s -= min(1.2 * np.pi / max(abs(c_osc) * k_hi, 1e-300),
+                     6.0 / max(k_hi * k_hi, 1e-300), 0.4 * (1.0 + s), s - s_lo)
+            edges.append(s)
+        edges[-1] = s_lo
+        edges = edges[::-1]
+        acc = np.zeros(kb.size, dtype=complex)
+        for a, b in zip(edges[:-1], edges[1:]):
+            s = (b - a) / 2 * gl + (b + a) / 2
+            w = (b - a) / 2 * gw
+            damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
+            osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
+            fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
+            acc += (damp * osc * ((1.0 + s) ** power)[None, :] * fh) @ w
+        res[order[i:j]] = acc
+        i = j
+    out[pos] = res
+    return out
+
+
+def test_duhamel_scalar_time_matches_reference_bitwise():
+    k = np.concatenate([[0.0], np.linspace(0.003, 5.0, 700)])[::-1].copy()
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    for t in (0.7, 12.0, 300.0):
+        got = heat._duhamel_integral(k, t, -0.5, -2.0, fh)
+        assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
+
+
+def test_duhamel_marched_matches_per_time_calls():
+    g = Grid(2 ** 13, 600.0)
+    times = np.geomspace(2.5, 50.0, 46)
+    k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
+    k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    rows = heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)
+    assert rows.shape == (times.size, k.size)
+    for m, t in enumerate(times):
+        alive = k <= k_cut[m]
+        ref = heat._duhamel_integral(k[alive], t, -0.5, -2.0, fh)
+        err = np.abs(rows[m, alive] - ref).max() / np.abs(ref).max()
+        assert err <= 1e-9
+        assert np.all(rows[m, ~alive] == 0.0)
+    # without a cut every mode is carried to the last time
+    full = heat._duhamel_integral(k, times[-3:], -0.5, 2.0, fh)
+    ref = heat._duhamel_integral(k, times[-1], -0.5, 2.0, fh)
+    assert np.abs(full[-1] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_duhamel_marched_rejects_bad_times():
+    fh = heat.gaussian_fhat()
+    k = np.array([0.5, 1.0])
+    with pytest.raises(ValueError):
+        heat._duhamel_integral(k, np.array([2.0, 1.0]), -0.5, -2.0, fh)
+    with pytest.raises(ValueError):
+        heat._duhamel_integral(k, np.array([1.0, 2.0]), -0.5, -2.0, fh,
+                               k_cut=np.array([1.0, 2.0]))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
-from ptails.semigroup import apply_eLt
+from ptails.semigroup import apply_eLt, propagator_cs
 from ptails.solver import (SimConfig, Stepper, from_characteristic_frame,
                            gaussian_initial_state, run, to_characteristic_frame)
-from ptails.spectral import Grid, StateVector, mass, transform_forward
+from ptails.spectral import (Grid, SpectralField, StateVector, mass,
+                             transform_forward)
 
 
 def small_state(grid, amp=0.05, frac=0.3):
@@ -188,3 +189,93 @@ def test_weighted_norm_growth_at_most_exponential():
     b_hat = max(rates)
     assert np.isfinite(b_hat)
     assert b_hat <= 1.0
+
+
+class _ReferenceStepper:
+    """The stepper's formulas written out in full: propagator symbols formed
+    on every apply and an explicit zero first source component."""
+
+    def __init__(self, st: Stepper):
+        self.st = st
+        self.tables = {}
+        for tag, tt in (("half", st.dt / 2.0), ("full", st.dt)):
+            if st.linear == "heat":
+                e = np.exp(-st.k * st.k * tt)
+                self.tables[tag] = (e, np.zeros_like(e))
+            else:
+                self.tables[tag] = propagator_cs(st.k, tt)
+
+    def apply(self, pair, tag):
+        C, S = self.tables[tag]
+        k = self.st.k
+        a, b = pair
+        if self.st.linear == "heat":
+            return (C * a, C * b)
+        return ((C + k * S) * a + 1j * S * b, 1j * S * a + (C - k * S) * b)
+
+    def source(self, pair, t):
+        st = self.st
+        n = st.grid.n_points
+        a = np.fft.ifft(pair[0]).real * n
+        b = np.fft.ifft(pair[1]).real * n
+        if st.nl is not None:
+            bx = np.fft.ifft(1j * st.k * pair[1]).real * n
+            h = st.nl.source(a, b, bx)
+        else:
+            h = np.zeros_like(a)
+        if st.forcing is not None:
+            h = h + st.forcing(st.grid.x, t)
+        hh = np.fft.fft(h) * st.dealias / n
+        return (np.zeros_like(hh), 1j * st.k * hh)
+
+    def step(self, state, t, scheme):
+        dt = self.st.dt
+        pair = (state.first.coeffs, state.second.coeffs)
+        if scheme == "IF-RK4":
+            k1 = self.source(pair, t)
+            e_half = self.apply(pair, "half")
+            ek1 = self.apply(k1, "half")
+            k2 = self.source((e_half[0] + dt / 2 * ek1[0],
+                              e_half[1] + dt / 2 * ek1[1]), t + dt / 2)
+            k3 = self.source((e_half[0] + dt / 2 * k2[0],
+                              e_half[1] + dt / 2 * k2[1]), t + dt / 2)
+            e_full = self.apply(pair, "full")
+            ek3 = self.apply(k3, "half")
+            k4 = self.source((e_full[0] + dt * ek3[0], e_full[1] + dt * ek3[1]),
+                             t + dt)
+            e2k1 = self.apply(k1, "full")
+            ek2 = self.apply(k2, "half")
+            a, b = (e_full[c] + dt / 6 * (e2k1[c] + 2 * ek2[c] + 2 * ek3[c] + k4[c])
+                    for c in (0, 1))
+        else:
+            n0 = self.source(pair, t)
+            e_full = self.apply(pair, "full")
+            en0 = self.apply(n0, "full")
+            pred = (e_full[0] + dt * en0[0], e_full[1] + dt * en0[1])
+            n1 = self.source(pred, t + dt)
+            a, b = (e_full[c] + dt / 2 * (en0[c] + n1[c]) for c in (0, 1))
+        g = self.st.grid
+        return StateVector(SpectralField(g, a), SpectralField(g, b),
+                           "physical").symmetrized()
+
+
+@pytest.mark.parametrize("scheme,linear", [("IF-RK4", "psystem"),
+                                           ("ETD-Heun", "psystem"),
+                                           ("IF-RK4", "heat")])
+def test_stepper_matches_reference_formulas_bitwise(scheme, linear):
+    # precomputed symbols and the skipped zero source component change no bit
+    g = Grid(2 ** 12, 400.0)
+    if linear == "heat":
+        st = Stepper(g, 0.05, None, linear="heat",
+                     forcing=lambda x, t: np.exp(-(x - 2 * t) ** 2 / (4 * (1 + t)))
+                     / (1 + t))
+    else:
+        st = Stepper(g, 0.05, default_nonlinearity())
+    ref = _ReferenceStepper(st)
+    s = r = small_state(g, amp=0.2)
+    for i in range(60):
+        s = st.step(s, i * 0.05, scheme)
+        r = ref.step(r, i * 0.05, scheme)
+    assert np.array_equal(s.first.coeffs, r.first.coeffs)
+    assert np.array_equal(s.second.coeffs, r.second.coeffs)
+    assert np.abs(s.second.coeffs).max() > 0.0
