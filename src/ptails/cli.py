@@ -226,6 +226,7 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         "d1_fit": result.d1_fit,
         "d1_analytic": result.d1_analytic,
         "d1_relative_difference": result.d1_relative_difference("+"),
+        "d1_fit_window_fallback": result.d1_fit_window_fallback,
         "mass_error": result.mass_error,
         "tail_ahead_slope": tail.ahead_slope,
         "tail_behind_slope": tail.behind_slope,

@@ -30,6 +30,7 @@ class Nonlinearity:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
     hessian: np.ndarray | None = None   # Hessian of g at the origin, 2x2
+    reads_b: bool = True                # False: g and f ignore b, passed as None
 
     def __post_init__(self):
         if self.hessian is None:
@@ -50,7 +51,8 @@ class Nonlinearity:
         return 0.5 * (H[0, 0] * a * a + 2 * H[0, 1] * a * b + H[1, 1] * b * b)
 
     def source(self, a, b, bx):
-        """h(a, b) = g(a, b) + f(a, b) * db/dx, the Duhamel source density."""
+        """h(a, b) = g(a, b) + f(a, b) * db/dx, the Duhamel source density.
+        ``b`` may be None when ``reads_b`` is False; ``bx`` is always given."""
         return self.g(a, b) + self.f(a, b) * bx
 
     def admissibility(self, scale: float = 1e-2, n_samples: int = 64,
@@ -105,6 +107,7 @@ def default_nonlinearity() -> Nonlinearity:
         f=lambda a, b: a,
         name="default",
         hessian=np.array([[2.0, 0.0], [0.0, 0.0]]),
+        reads_b=False,
     )
 
 
@@ -114,16 +117,26 @@ def zero_nonlinearity() -> Nonlinearity:
         f=lambda a, b: np.zeros_like(np.asarray(a, dtype=float)),
         name="zero",
         hessian=np.zeros((2, 2)),
+        reads_b=False,
     )
 
 
 def quadratic_nonlinearity(gaa: float = 0.0, gab: float = 0.0, gbb: float = 0.0,
                            fa: float = 0.0, fb: float = 0.0,
                            name: str = "quadratic") -> Nonlinearity:
-    """General quadratic g = gaa a^2 + gab a b + gbb b^2 with linear f."""
+    """General quadratic g = gaa a^2 + gab a b + gbb b^2 with linear f.
+    Without b-terms the functions never touch b, so ``reads_b`` is False."""
+    reads_b = bool(gab != 0 or gbb != 0 or fb != 0)
+    if reads_b:
+        g = lambda a, b: gaa * a * a + gab * a * b + gbb * b * b
+        f = lambda a, b: fa * a + fb * b
+    else:
+        g = lambda a, b: gaa * a * a
+        f = lambda a, b: fa * a
     return Nonlinearity(
-        g=lambda a, b: gaa * a * a + gab * a * b + gbb * b * b,
-        f=lambda a, b: fa * a + fb * b,
+        g=g,
+        f=f,
         name=name,
         hessian=np.array([[2 * gaa, gab], [gab, 2 * gbb]]),
+        reads_b=reads_b,
     )

@@ -7,6 +7,11 @@ nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the scheme
 Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
 symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.
+
+One source evaluation costs three transforms: inverse transforms of ``a`` and
+``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
+transformed only for a nonlinearity that reads them (``Nonlinearity.reads_b``),
+and the ``ik`` factor and the dealias mask are one precomputed multiplier.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 
 from .nonlinearity import Nonlinearity
 from .semigroup import propagator_cs
-from .spectral import (Grid, NormReport, SpectralField, StateVector, mass,
-                       norms, transform_forward)
+from .spectral import (Grid, NormReport, SpectralField, StateVector,
+                       coeffs_of, mass, norms, samples_of, transform_forward)
 
 __all__ = [
     "SimConfig",
@@ -123,9 +128,10 @@ class Stepper:
     """Precomputed propagator tables and the pseudospectral source term.
 
     The symbol entries ``C+kS``, ``iS`` and ``C-kS`` are built once per step
-    size, and ``ik`` once per grid.  The source forces only the second
-    equation: ``source`` returns ``None`` for its first component, and
-    ``_apply`` and the scheme combinations skip the terms it would zero.
+    size, and ``ik`` and its dealiased product ``ik * mask`` once per grid.
+    The source forces only the second equation: ``source`` returns ``None``
+    for its first component, and ``_apply`` and the scheme combinations skip
+    the terms it would zero.
     """
 
     def __init__(self, grid: Grid, dt: float, nl: Nonlinearity | None,
@@ -141,6 +147,7 @@ class Stepper:
         self.ik = 1j * self.k
         kmax = float(np.abs(self.k).max())
         self.dealias = np.abs(self.k) <= dealias_fraction * kmax
+        self.ik_dealias = self.ik * self.dealias
         self._tables = {}
         for tag, tt in (("half", dt / 2.0), ("full", dt)):
             self._tables[tag] = self._linear_table(tt)
@@ -169,21 +176,23 @@ class Stepper:
         """N(z) = (0, ik h-hat) with 2/3 dealiasing; the zero first component
         is returned as None.
 
-        The state carries normalized coefficients (FFT / n); physical samples
-        are n * ifft(coeffs) and the result is scaled back accordingly.
+        The samples of b are transformed only if the nonlinearity reads them
+        (b is passed as None otherwise), and neither a nor b is transformed
+        without a nonlinearity.
         """
-        n = self.grid.n_points
-        a = np.fft.ifft(pair[0]).real * n
-        b = np.fft.ifft(pair[1]).real * n
-        if self.nl is not None:
-            bx = np.fft.ifft(self.ik * pair[1]).real * n
-            h = self.nl.source(a, b, bx)
+        nl = self.nl
+        if nl is None:
+            h = np.zeros(self.grid.n_points)
         else:
-            h = np.zeros_like(a)
+            a = samples_of(pair[0]).real
+            b = samples_of(pair[1]).real if nl.reads_b else None
+            bx = samples_of(self.ik * pair[1]).real
+            h = nl.source(a, b, bx)
         if self.forcing is not None:
             h = h + self.forcing(self.grid.x, t)
-        hh = np.fft.fft(h) * self.dealias / n
-        return (None, self.ik * hh)
+        hh = coeffs_of(h)
+        hh *= self.ik_dealias
+        return (None, hh)
 
     def step_ifrk4(self, pair, t: float):
         dt = self.dt

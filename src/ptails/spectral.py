@@ -11,6 +11,15 @@ Conventions used throughout the package:
 
 Real-valued fields are stored as full complex spectra with Hermitian
 symmetry re-enforced after multiplier applications.
+
+Transforms on the simulation grid go through one complex-to-complex pair,
+``coeffs_of`` and ``samples_of`` (``scipy.fft`` with ``norm="forward"``, so
+the 1/n sits on the forward side and the coefficients need no rescaling).
+The forward transform casts its input to complex: scipy's real-input path is
+an r2c transform, which rounds differently.  Because n is a power of two, the
+scalings are exact, and on numpy >= 2 numpy and scipy run the same pocketfft,
+so the pair gives the same bits as ``np.fft.fft(x) / n`` and
+``np.fft.ifft(c * n)``.
 """
 
 from __future__ import annotations
@@ -18,12 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
     "SpectralField",
     "StateVector",
     "NormReport",
+    "coeffs_of",
+    "samples_of",
     "transform_forward",
     "transform_inverse",
     "derivative",
@@ -33,6 +45,20 @@ __all__ = [
     "mass",
     "norms",
 ]
+
+
+def coeffs_of(samples: np.ndarray) -> np.ndarray:
+    """Normalized Fourier coefficients ``FFT(samples) / n`` of a sample array
+    (a new array; the input is left alone).  The transform runs in place on
+    the complex copy, which saves scipy an output buffer and copy."""
+    return scipy.fft.fft(np.asarray(samples).astype(complex), norm="forward",
+                         overwrite_x=True)
+
+
+def samples_of(coeffs: np.ndarray) -> np.ndarray:
+    """Complex physical samples ``n * IFFT(coeffs)``; take ``.real`` for a
+    real field."""
+    return scipy.fft.ifft(coeffs, norm="forward")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -86,10 +112,10 @@ class SpectralField:
 
     def samples(self) -> np.ndarray:
         """Real physical samples (imaginary residue discarded)."""
-        return np.fft.ifft(self.coeffs * self.grid.n_points).real
+        return samples_of(self.coeffs).real
 
     def samples_complex(self) -> np.ndarray:
-        return np.fft.ifft(self.coeffs * self.grid.n_points)
+        return samples_of(self.coeffs)
 
     def fhat(self) -> np.ndarray:
         """Continuum Fourier transform values ``fhat(k_j)``.
@@ -133,7 +159,7 @@ def transform_forward(samples: np.ndarray, grid: Grid) -> SpectralField:
         raise ValueError(
             f"sample array has length {samples.shape}, grid has {grid.n_points} points"
         )
-    return SpectralField(grid, np.fft.fft(samples) / grid.n_points)
+    return SpectralField(grid, coeffs_of(samples))
 
 
 def transform_inverse(fld: SpectralField) -> np.ndarray:

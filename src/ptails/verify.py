@@ -35,7 +35,7 @@ from . import heat, profiles, special
 from .profiles import ExpansionModel
 from .semigroup import propagator_cs
 from .solver import TrajectoryRecord, to_characteristic_frame
-from .spectral import transform_forward
+from .spectral import coeffs_of, samples_of, transform_forward
 
 __all__ = [
     "DecayFitReport",
@@ -334,6 +334,15 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
         yield field_from_continuum_fhat(grid, what).coeffs
 
 
+def _d1_fit_window(t: np.ndarray, window_frac: float = 0.1):
+    """The samples ``fit_d1`` fits, and whether it fell back to all of them
+    because fewer than 5 lie in its window."""
+    sel = t >= window_frac * t[-1]
+    if sel.sum() < 5:
+        return np.ones_like(t, dtype=bool), True
+    return sel, False
+
+
 def fit_d1(times, projections, window_frac: float = 0.1) -> tuple[float, float]:
     """Extrapolated fit of the projection series
 
@@ -343,12 +352,11 @@ def fit_d1(times, projections, window_frac: float = 0.1) -> tuple[float, float]:
     of the residual contamination against the t^{-1/2} signal: t^{-3/4}
     pieces (linear-defect class, the convolution transient's leading term)
     contribute the -1/4 power and t^{-1} pieces the -1/2 power.  The fit is
-    restricted to the last decade (t >= window_frac * t_max)."""
+    restricted to the last decade (t >= window_frac * t_max), or to all
+    samples when fewer than 5 lie there (see ``_d1_fit_window``)."""
     t = np.asarray(times, dtype=float)
     p = np.asarray(projections, dtype=float)
-    sel = t >= window_frac * t[-1]
-    if sel.sum() < 5:
-        sel = np.ones_like(t, dtype=bool)
+    sel, _ = _d1_fit_window(t, window_frac)
     t, p = t[sel], p[sel]
     A = np.vstack([np.ones_like(t), (1.0 + t) ** -0.25, (1.0 + t) ** -0.5]).T
     sol, *_ = np.linalg.lstsq(A, p, rcond=None)
@@ -364,6 +372,7 @@ class PipelineResult:
     series: dict = field(default_factory=dict)        # quantity -> (t, norms)
     mass_error: float = 0.0
     subtract: str = "full"
+    d1_fit_window_fallback: dict = field(default_factory=dict)  # side -> bool
 
     @property
     def all_passed(self) -> bool:
@@ -408,9 +417,7 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
     result = PipelineResult(subtract=subtract)
     result.d1_analytic = {"+": co.d[0][0], "-": co.d[0][1]}
 
-    from .spectral import mass as field_mass
     alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
-    mass_err = 0.0
 
     # identically-zero trajectories have nothing to fit: report trivially
     peak = max(float(np.abs(traj.snapshots[i].first.coeffs).max()
@@ -425,8 +432,25 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
                     t_hi=float(times[-1]), slope=target, residual=0.0,
                     target=target, tolerance=slope_tolerance, two_sided=two))
             result.d1_fit[side] = 0.0
+            result.d1_fit_window_fallback[side] = False
         result.mass_error = 0.0
         return result
+
+    # the characteristic masses are 2L (a_0 +- b_0), read off the zeroth
+    # coefficients, so a drifting run is refused before any transform
+    two_l = 2.0 * grid.half_length
+    mass_err = 0.0
+    for side in sides:
+        for i in idx:
+            a0, b0 = traj.snapshots[i].first.coeffs[0], traj.snapshots[i].second.coeffs[0]
+            c0 = a0 + b0 if side == "+" else a0 - b0
+            mass_err = max(mass_err, abs(two_l * c0.real - alpha[side]))
+    result.mass_error = float(mass_err)
+    if mass_err > mass_tolerance:
+        raise ValueError(
+            f"mass of the characteristic field drifts from the matched value "
+            f"by {mass_err:.3e} (> {mass_tolerance:g})"
+        )
 
     for side in sides:
         g0_key = "g0+" if side == "+" else "g0-"
@@ -439,7 +463,6 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
             snap = traj.snapshots[i]
             u = _char_component(snap, t, side)
             u_samples = u.samples()
-            mass_err = max(mass_err, abs(field_mass(u) - alpha[side]))
             root = np.sqrt(1.0 + t)
             u0 = interp[g0_key](grid.x / root) / root
             r_raw = u_samples - u0
@@ -448,13 +471,14 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
                 r_lin = r_raw
             else:
                 dcoef = _linear_reference_coeffs(traj, t, side, g0_hat)
-                r_lin = r_raw - np.fft.ifft(dcoef * grid.n_points).real
+                r_lin = r_raw - samples_of(dcoef).real
             G = (1.0 + t) ** -0.75 * interp[g1_key](grid.x / root)
             proj.append(float(r_lin @ G) / float(G @ G))
             resid_fields.append((t, r_lin, G))
         proj = np.array(proj)
         d1_hat, _ = fit_d1(times, proj)
         result.d1_fit[side] = d1_hat
+        result.d1_fit_window_fallback[side] = _d1_fit_window(times)[1]
         result.d1_projection_series[side] = (times, proj)
 
         n0_target = -(0.75 - 0.5 ** 2)
@@ -471,12 +495,12 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
             n1_d_norms = []
             sweep = _transient_sweep(coeff, c_osc, qhat, grid, times)
             for (t, r_lin, G), w in zip(resid_fields, sweep):
-                w_samples = np.fft.ifft(w * grid.n_points).real
+                w_samples = samples_of(w).real
                 r_full = r_lin - (w_samples - d1_hat * G)
                 r_n1 = r_lin - w_samples
                 n0_norms.append(np.sqrt(np.sum(r_full ** 2) * dx))
                 n1_norms.append(np.sqrt(np.sum(r_n1 ** 2) * dx))
-                dr = np.fft.ifft(1j * grid.k * np.fft.fft(r_n1)).real
+                dr = samples_of(1j * grid.k * coeffs_of(r_n1)).real
                 n1_d_norms.append(np.sqrt(np.sum(dr ** 2) * dx))
             result.series[f"{side}_N0"] = (times, np.asarray(n0_norms))
             result.series[f"{side}_N1"] = (times, np.asarray(n1_norms))
@@ -498,12 +522,6 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
             result.reports.append(fit_decay(
                 times, n1_norms, f"{side}_N1", n1_target, slope_tolerance,
                 two_sided=False))
-    result.mass_error = float(mass_err)
-    if mass_err > mass_tolerance:
-        raise ValueError(
-            f"mass of the characteristic field drifts from the matched value "
-            f"by {mass_err:.3e} (> {mass_tolerance:g})"
-        )
     return result
 
 

@@ -133,6 +133,8 @@ require_tail = false   # the tail ranking needs later times than this scale
     manifest = json.loads((tmp_path / "manifest_verify.json").read_text())
     quantities = {f["quantity"] for f in manifest["verdicts"]["fits"]}
     assert {"+_N0_raw", "+_N1", "-_N0_raw", "-_N1"} <= quantities
+    # 60 snapshots leave enough samples in the d1 fit's last decade
+    assert manifest["verdicts"]["d1_fit_window_fallback"] == {"+": False, "-": False}
 
 
 def test_cli_semigroup_subcommand(tmp_path):

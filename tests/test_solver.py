@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
+from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
+                                 quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import apply_eLt, propagator_cs
 from ptails.solver import (SimConfig, Stepper, from_characteristic_frame,
                            gaussian_initial_state, run, to_characteristic_frame)
@@ -259,16 +260,24 @@ class _ReferenceStepper:
                            "physical").symmetrized()
 
 
-@pytest.mark.parametrize("scheme,linear", [("IF-RK4", "psystem"),
-                                           ("ETD-Heun", "psystem"),
-                                           ("IF-RK4", "heat")])
-def test_stepper_matches_reference_formulas_bitwise(scheme, linear):
-    # precomputed symbols and the skipped zero source component change no bit
+@pytest.mark.parametrize("scheme,case", [("IF-RK4", "psystem"),
+                                         ("ETD-Heun", "psystem"),
+                                         ("IF-RK4", "heat"),
+                                         ("IF-RK4", "psystem-reads-b"),
+                                         ("ETD-Heun", "psystem-reads-b")])
+def test_stepper_matches_reference_formulas_bitwise(scheme, case):
+    # precomputed symbols, the skipped zero source component, the skipped
+    # transform of an unread b, the scipy transform pair and the folded
+    # ik-dealias multiplier change no bit
     g = Grid(2 ** 12, 400.0)
-    if linear == "heat":
+    if case == "heat":
         st = Stepper(g, 0.05, None, linear="heat",
                      forcing=lambda x, t: np.exp(-(x - 2 * t) ** 2 / (4 * (1 + t)))
                      / (1 + t))
+    elif case == "psystem-reads-b":
+        nl = quadratic_nonlinearity(gaa=1.0, gbb=0.5, fa=1.0, fb=-0.5)
+        assert nl.reads_b
+        st = Stepper(g, 0.05, nl)
     else:
         st = Stepper(g, 0.05, default_nonlinearity())
     ref = _ReferenceStepper(st)
@@ -279,3 +288,23 @@ def test_stepper_matches_reference_formulas_bitwise(scheme, linear):
     assert np.array_equal(s.first.coeffs, r.first.coeffs)
     assert np.array_equal(s.second.coeffs, r.second.coeffs)
     assert np.abs(s.second.coeffs).max() > 0.0
+
+
+def test_factories_declare_whether_b_is_read():
+    assert not default_nonlinearity().reads_b
+    assert not zero_nonlinearity().reads_b
+    assert not quadratic_nonlinearity(gaa=1.0, fa=2.0).reads_b
+    assert quadratic_nonlinearity(gab=1.0).reads_b
+    assert quadratic_nonlinearity(gbb=1.0).reads_b
+    assert quadratic_nonlinearity(fb=1.0).reads_b
+    assert Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a).reads_b
+
+
+def test_source_refuses_a_nonlinearity_that_misdeclares_b(grid):
+    # b is not transformed for reads_b=False, so a g that reads it fails
+    # loudly instead of computing with stale data
+    wrong = Nonlinearity(g=lambda a, b: a * b, f=lambda a, b: a,
+                         hessian=np.array([[0.0, 1.0], [1.0, 0.0]]), reads_b=False)
+    state = small_state(grid)
+    with pytest.raises(TypeError):
+        Stepper(grid, 0.05, wrong).source((state.first.coeffs, state.second.coeffs), 0.0)

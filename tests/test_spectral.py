@@ -3,10 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_real_field
-from ptails.spectral import (Grid, NormReport, SpectralField, derivative,
-                             field_from_continuum_fhat, mass, norms,
-                             project_high, project_low, transform_forward,
-                             transform_inverse, translate)
+from ptails.nonlinearity import default_nonlinearity
+from ptails.solver import SimConfig, run
+from ptails.spectral import (Grid, NormReport, SpectralField, coeffs_of,
+                             derivative, field_from_continuum_fhat, mass,
+                             norms, project_high, project_low, samples_of,
+                             transform_forward, transform_inverse, translate)
 
 
 def test_grid_invariants():
@@ -44,6 +46,27 @@ def test_round_trip_many_sizes(log2n, rng):
     s = f.samples()
     rec = transform_inverse(transform_forward(s, g))
     assert np.abs(rec - s).max() < 1e-12 * max(np.abs(s).max(), 1e-30)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy and scipy share one pocketfft from numpy 2 on")
+def test_transform_pair_is_bytewise_the_numpy_transforms():
+    # the scipy c2c pair gives the bits of the numpy transforms it replaced,
+    # on a nonlinear trajectory snapshot, and leaves its input alone
+    cfg = SimConfig(n_points=2 ** 12, half_length=120.0, t_final=5.0,
+                    n_snapshots=4)
+    snap = run(cfg, nl=default_nonlinearity(), record_norms=False).snapshots[-1]
+    n = cfg.n_points
+    for fld in (snap.first, snap.second):
+        c = fld.coeffs
+        c_before = c.copy()
+        x = samples_of(c).real
+        assert x.tobytes() == np.fft.ifft(c * n).real.tobytes()
+        assert c.tobytes() == c_before.tobytes()
+        h = x * x
+        h_before = h.copy()
+        assert coeffs_of(h).tobytes() == (np.fft.fft(h) / n).tobytes()
+        assert h.tobytes() == h_before.tobytes()
 
 
 def test_length_mismatch_raises():

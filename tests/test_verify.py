@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ptails import verify
+from ptails import heat, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import SimConfig, run
 from ptails.verify import (USED_KERNEL_PARAMS, BoundKernelParams,
@@ -158,6 +160,61 @@ def test_pipeline_linear_run_heat_asymptotics():
     assert res.report("+_N0_raw").slope <= -0.75 + 0.05
     # no quadratic driving: analytic d-coefficients vanish
     assert model.coeffs.d[0] == (0.0, 0.0)
+
+
+def test_pipeline_refuses_mass_drift_before_the_expensive_work(
+        medium_traj, medium_model, monkeypatch):
+    # a drift in one fit-window snapshot's mass is caught from the zeroth
+    # coefficients, before any transform or Duhamel sweep
+    from ptails.spectral import SpectralField, StateVector, mass
+    i = len(medium_traj.times) - 3
+    snap = medium_traj.snapshots[i]
+    bumped = snap.first.coeffs.copy()
+    bumped[0] += 3e-6 / (2.0 * snap.grid.half_length)
+    snapshots = list(medium_traj.snapshots)
+    snapshots[i] = StateVector(SpectralField(snap.grid, bumped), snap.second)
+    drifted = dataclasses.replace(medium_traj, snapshots=snapshots)
+    co = medium_model.coeffs
+    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
+    t_lo = drifted.config.t_final / 20.0
+    expected = max(abs(mass(verify._char_component(s, t, side)) - alpha[side])
+                   for side in "+-"
+                   for s, t in zip(drifted.snapshots, drifted.times)
+                   if t >= t_lo and t > 0)
+    assert expected > 1e-6
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the expensive part of the pipeline")
+
+    monkeypatch.setattr(heat, "_duhamel_integral", unreachable)
+    monkeypatch.setattr(verify, "transform_forward", unreachable)
+    monkeypatch.setattr(verify, "samples_of", unreachable)
+    with pytest.raises(ValueError) as exc:
+        remainder_pipeline(drifted, medium_model, subtract="full")
+    assert str(exc.value) == (
+        "mass of the characteristic field drifts from the matched value "
+        f"by {expected:.3e} (> 1e-06)")
+
+
+def test_d1_fit_window_falls_back_on_short_series():
+    t = np.geomspace(1.0, 1000.0, 8)          # 3 samples in the last decade
+    proj = 0.3 + 0.1 * (1.0 + t) ** -0.25
+    sel, fell_back = verify._d1_fit_window(t)
+    assert fell_back and sel.all()
+    assert fit_d1(t, proj)[0] == pytest.approx(0.3, rel=1e-9)
+    long_t = np.geomspace(1.0, 1000.0, 40)
+    assert not verify._d1_fit_window(long_t)[1]
+
+
+def test_pipeline_reports_d1_fit_window_fallback():
+    # 12 geometric snapshots to t = 150 leave 4 in the d1 fit's last decade
+    cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
+                    epsilon0=0.05, n_snapshots=12)
+    nl = default_nonlinearity()
+    traj = run(cfg, nl=nl, record_norms=False)
+    model = build_model_from_trajectory(traj, nl, N=1)
+    res = remainder_pipeline(traj, model, subtract="linear", window=(1.0, 150.0))
+    assert res.d1_fit_window_fallback == {"+": True, "-": True}
 
 
 def test_tail_precedence_nonlinear(medium_traj):
