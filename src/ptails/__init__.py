@@ -5,23 +5,4 @@ and the exact Fourier semigroup, runs a pseudospectral simulation of the
 full system, and verifies the predicted decay rates and tail exponents.
 """
 
-from .nonlinearity import Nonlinearity, default_nonlinearity, zero_nonlinearity
-from .profiles import (ExpansionCoefficients, ExpansionModel, g0_profile,
-                       gn_fixed_point, graded_grid, hessian_constants)
-from .semigroup import eval_eL0t, eval_eLt, mix_S
-from .solver import SimConfig, run, to_characteristic_frame
-from .spectral import (Grid, SpectralField, StateVector, derivative, mass,
-                       norms, project_low, transform_forward, transform_inverse,
-                       translate)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Grid", "SpectralField", "StateVector", "transform_forward",
-    "transform_inverse", "derivative", "translate", "project_low", "mass",
-    "norms", "eval_eLt", "eval_eL0t", "mix_S", "Nonlinearity",
-    "default_nonlinearity", "zero_nonlinearity", "ExpansionCoefficients",
-    "ExpansionModel", "graded_grid", "g0_profile", "gn_fixed_point",
-    "hessian_constants", "SimConfig", "run", "to_characteristic_frame",
-    "__version__",
-]

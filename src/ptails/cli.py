@@ -67,7 +67,6 @@ def _sim_config(cfg: dict) -> SimConfig:
         b_fraction=get_typed(cfg, "simulate", "b_fraction", float, 0.3),
         scheme=get_typed(cfg, "simulate", "scheme", str, "IF-RK4"),
         dealias_fraction=get_typed(cfg, "simulate", "dealias", float, 2.0 / 3.0),
-        nonlinearity=get_typed(cfg, "nonlinearity", "name", str, "default"),
         n_snapshots=get_typed(cfg, "simulate", "snapshots", int, 80),
     )
 

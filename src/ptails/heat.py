@@ -33,15 +33,13 @@ from scipy.interpolate import CubicSpline
 
 from . import special
 from .special import _GL16, _GW16
-from .spectral import Grid, SpectralField
+from .spectral import Grid
 
 __all__ = [
     "HeatSourceSpec",
     "gaussian_shape",
     "dgaussian_shape",
-    "solve_inhom",
     "solve_inhom_modes",
-    "un_reference",
     "un_reference_hat",
     "convergence_check",
     "pointwise_bound_constant",
@@ -49,6 +47,11 @@ __all__ = [
 ]
 
 _ALLOWED_SIGMA = (-2, -1, 0, 1, 2)
+# dense grid of the sampled-shape transform (k step pi/480)
+_FHAT_HALF_LENGTH = 480.0
+_FHAT_POINTS = 2 ** 17
+_WINDOW_CAP = 42.0     # quadrature stops where e^{-k^2 (t-s)} < e^{-42}
+_NORM_PANELS = 64      # k panels of the continuum remainder norms
 
 
 @dataclass
@@ -84,16 +87,6 @@ class HeatSourceSpec:
     def mass(self) -> float:
         return self._mass
 
-    def gaussian_weight_certificate(self, x_max: float = 12.0, n_pts: int = 4001):
-        """sup of e^{x^2/8} |d^m f| for m = 0..2, by central differences."""
-        x = np.linspace(-x_max, x_max, n_pts)
-        h = x[1] - x[0]
-        f = self.shape(x)
-        d1 = np.gradient(f, h)
-        d2 = np.gradient(d1, h)
-        w = np.exp(x * x / 8.0)
-        return tuple(float(np.abs(w * v).max()) for v in (f, d1, d2))
-
 
 def gaussian_shape():
     return lambda x: np.exp(-x * x / 4.0) / np.sqrt(4.0 * np.pi)
@@ -119,11 +112,11 @@ def make_source(n: int, sigma: int, shape_name: str = "gaussian") -> HeatSourceS
     raise ValueError(f"unknown shape {shape_name!r}")
 
 
-def _numeric_fhat(shape: Callable, half_length: float = 480.0, n_pts: int = 2 ** 17):
+def _numeric_fhat(shape: Callable):
     """Transform of a sampled shape on a dense grid, cubic-spline interpolated
     in k (real and imaginary parts separately).  The k resolution pi/L keeps
     the spline error below ~1e-10 for unit-scale shapes."""
-    g = Grid(n_pts, half_length)
+    g = Grid(_FHAT_POINTS, _FHAT_HALF_LENGTH)
     f = shape(g.x)
     # continuum transform of the samples: fhat(k) = dx sum_j f_j e^{-ik x_j}.
     # numpy, not spectral.coeffs_of: scipy.fft would keep this one-off plan
@@ -145,11 +138,11 @@ def _numeric_fhat(shape: Callable, half_length: float = 480.0, n_pts: int = 2 **
 
 
 def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,
-                 window_cap: float = 42.0, s_floor: float = 0.0) -> np.ndarray:
+                 s_floor: float = 0.0) -> np.ndarray:
     """Panel boundaries marching down from s = t to s_floor, or to the lower
     end of the diffusion window if that is later, with local step bounded by
     the oscillation, diffusion, and algebraic-factor scales."""
-    s_lo = max(s_floor, t - window_cap / max(k_hi * k_hi, 1e-300))
+    s_lo = max(s_floor, t - _WINDOW_CAP / max(k_hi * k_hi, 1e-300))
     edges = [t]
     s = t
     while s > s_lo + 1e-14 * max(1.0, t):
@@ -244,26 +237,6 @@ def solve_inhom_modes(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarr
     return 1j * np.asarray(k, dtype=float) * integral
 
 
-def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]:
-    """Solution fields at the requested times on a periodic grid."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
-        raise ValueError("t_grid must be nonnegative and nondecreasing")
-    from .spectral import field_from_continuum_fhat
-    k = grid.k
-    pos = k >= 0
-    idx = np.arange(grid.n_points)
-    conj_idx = (-idx) % grid.n_points
-    out = []
-    for t in t_grid:
-        uhat = np.zeros(grid.n_points, dtype=complex)
-        uhat[pos] = solve_inhom_modes(spec, k[pos], t)
-        # negative modes by Hermitian symmetry (real field, uhat(-k) = conj)
-        uhat = np.where(pos, uhat, np.conj(uhat[conj_idx]))
-        out.append(field_from_continuum_fhat(grid, uhat).symmetrized())
-    return out
-
-
 def un_reference_hat(n: int, sigma: int, k: np.ndarray, t: float) -> np.ndarray:
     """Transform of the limit profile:
     ik e^{-k^2(1+t)} |k|^{-beta} (theta(-sigma k) J_inf + theta(sigma k) conj(J_inf))."""
@@ -278,46 +251,6 @@ def un_reference_hat(n: int, sigma: int, k: np.ndarray, t: float) -> np.ndarray:
     side = np.where(sigma * kk < 0, jinf, np.conj(jinf))
     out[nz] = 1j * kk * np.exp(-kk * kk * (1.0 + t)) * np.abs(kk) ** (-beta) * side
     return out
-
-
-def un_reference(n: int, sigma: int, grid: Grid, t: float) -> SpectralField:
-    """Physical-space limit profile sampled on the grid via f_n."""
-    if sigma not in (-1, 1):
-        raise ValueError("the reference profile is defined for sigma = +-1")
-    beta = 0.5 ** n
-    root = np.sqrt(1.0 + t)
-    zz = -sigma * grid.x / root
-    vals = np.zeros_like(zz)
-    inside = np.abs(zz) <= 300.0
-    vals[inside] = special.fn_value(n, zz[inside])
-    # beyond the evaluable range the left tail is algebraic, the right Gaussian
-    far_left = zz < -300.0
-    if np.any(far_left):
-        c = -4.0 * np.sqrt(np.pi) * (1.0 - beta)
-        vals[far_left] = c * np.abs(zz[far_left]) ** (beta - 2.0)
-    pref = sigma * (1.0 + t) ** (-(1.0 - 0.5 ** (n + 1))) * 2.0 ** (-1.0 - beta) / np.sqrt(4.0 * np.pi)
-    from .spectral import transform_forward
-    return transform_forward(pref * vals, grid)
-
-
-def un_reference_by_inverse_quadrature(n: int, sigma: int, x: np.ndarray,
-                                       t: float) -> np.ndarray:
-    """Independent route to the limit profile: continuum inverse transform of
-    its closed Fourier form by quadrature.  The |k|^{1-beta} cusp at k = 0 is
-    removed by the substitution k = w^2; the Gaussian factor truncates the
-    k range at k^2 (1+t) ~ 60."""
-    x = np.asarray(x, dtype=float)
-    wmax = np.sqrt(np.sqrt(60.0 / (1.0 + t)) + 1e-9)
-    edges = np.linspace(0.0, wmax, 80 + 1)
-    out = np.zeros_like(x)
-    for a, b in zip(edges[:-1], edges[1:]):
-        w = (b - a) / 2 * _GL16 + (b + a) / 2
-        wt = (b - a) / 2 * _GW16
-        k = w * w
-        uh = un_reference_hat(n, sigma, k, t)
-        ker = uh[None, :] * np.exp(1j * k[None, :] * x[:, None])
-        out += (ker.real * (2.0 * w)[None, :]) @ wt
-    return out / np.pi
 
 
 @dataclass(frozen=True)
@@ -336,11 +269,11 @@ class ConvergenceReport:
         return self.stabilized and np.isfinite(self.weighted_sup)
 
 
-def _continuum_norms(spec: HeatSourceSpec, t: float, n_panels: int = 64):
+def _continuum_norms(spec: HeatSourceSpec, t: float):
     """(||u - M u_n||_2, ||D(...)||_2, measured C) by continuum-k quadrature."""
     kmax = 8.0 / np.sqrt(1.0 + t) + 0.5
     k_resc_max = np.sqrt(500.0 / (1.0 + t))   # beyond this the weight overflows
-    edges = np.linspace(0.0, kmax, n_panels + 1)
+    edges = np.linspace(0.0, kmax, _NORM_PANELS + 1)
     tot0 = 0.0
     tot1 = 0.0
     cmax = 0.0

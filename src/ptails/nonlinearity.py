@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5
+# admissibility() samples its inequalities at _SAMPLE_COUNT seeded uniform
+# points of the square [-_SAMPLE_SCALE, _SAMPLE_SCALE]^2
+_SAMPLE_SCALE = 1e-2
+_SAMPLE_COUNT = 64
+_SAMPLE_SEED = 7
 
 
 @dataclass
@@ -55,10 +60,9 @@ class Nonlinearity:
         ``b`` may be None when ``reads_b`` is False; ``bx`` is always given."""
         return self.g(a, b) + self.f(a, b) * bx
 
-    def admissibility(self, scale: float = 1e-2, n_samples: int = 64,
-                      seed: int = 7) -> "AdmissibilityReport":
-        rng = np.random.default_rng(seed)
-        pts = scale * rng.uniform(-1.0, 1.0, size=(n_samples, 2))
+    def admissibility(self) -> "AdmissibilityReport":
+        rng = np.random.default_rng(_SAMPLE_SEED)
+        pts = _SAMPLE_SCALE * rng.uniform(-1.0, 1.0, size=(_SAMPLE_COUNT, 2))
         r = np.linalg.norm(pts, axis=1)
         gv = self.g(pts[:, 0], pts[:, 1])
         fv = self.f(pts[:, 0], pts[:, 1])

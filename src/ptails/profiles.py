@@ -38,7 +38,7 @@ from scipy.special import erf
 
 from . import special
 from .nonlinearity import Nonlinearity
-from .special import EnvelopeDescriptor, ProfileSample
+from .special import ProfileSample
 
 __all__ = [
     "ExpansionCoefficients",
@@ -50,25 +50,26 @@ __all__ = [
     "g0_profile",
     "hessian_constants",
     "gn_fixed_point",
-    "build_expansion_terms",
     "d_coefficients_analytic",
     "ProfileInterpolant",
 ]
 
 POLE_GUARD = 0.1
 CONTRACTION_LIMIT = 0.1
+MAX_PICARD_ITER = 50
+_GRID_H_MAX = 0.1       # graded_grid: largest spacing
+_GRID_RATIO = 1.03      # graded_grid: growth factor of the spacing
 
 
-def graded_grid(z_max: float = 60.0, h0: float = 1e-3, h_max: float = 0.1,
-                ratio: float = 1.03) -> np.ndarray:
+def graded_grid(z_max: float = 60.0, h0: float = 1e-3) -> np.ndarray:
     """Symmetric grid on [-z_max, z_max], spacing h0 at the origin growing
-    geometrically to h_max; resolves the Gaussian core and the algebraic
+    geometrically to 0.1; resolves the Gaussian core and the algebraic
     tail windows simultaneously."""
     pts = [0.0]
     h = h0
     while pts[-1] < z_max:
         pts.append(pts[-1] + h)
-        h = min(h * ratio, h_max)
+        h = min(h * _GRID_RATIO, _GRID_H_MAX)
     zp = np.array(pts)
     zp[-1] = z_max
     return np.concatenate([-zp[::-1], zp[1:]])
@@ -172,13 +173,8 @@ def g0_profile(alpha: float, gamma: float, z_grid: np.ndarray) -> BurgersProfile
         d2psi = -0.5 * psi - (z / 2.0) * dpsi - 2.0 * psi * dpsi
         d3psi = -dpsi - (z / 2.0) * d2psi - 2.0 * dpsi ** 2 - 2.0 * psi * d2psi
         vals = [psi / gamma, dpsi / gamma, d2psi / gamma, d3psi / gamma]
-    sample = ProfileSample(
-        z_grid=z,
-        values=vals[0],
-        derivs={1: vals[1], 2: vals[2], 3: vals[3]},
-        envelope=EnvelopeDescriptor(0.0, 0.0),
-        metadata={"kind": "g0", "alpha": alpha, "gamma": gamma},
-    )
+    sample = ProfileSample(z_grid=z, values=vals[0],
+                           derivs={1: vals[1], 2: vals[2], 3: vals[3]})
     return BurgersProfile(sample=sample, alpha=alpha, gamma=gamma)
 
 
@@ -191,15 +187,14 @@ def burgers_residual(profile: BurgersProfile) -> float:
     return float(np.abs(res).max())
 
 
-def hessian_constants(nl: Nonlinearity, check_admissible: bool = True
-                      ) -> tuple[float, float, float]:
+def hessian_constants(nl: Nonlinearity) -> tuple[float, float, float]:
     """(c_+, c_-, c_3) from the Hessian H of g at the origin:
     c_+- = +-(1/8) (1, +-1) H (1, +-1)^T, and the mixed coefficient
-    c_3 = (H_11 - H_22) / 4 from matching the (a+b)(a-b) term."""
-    if check_admissible:
-        rep = nl.admissibility()
-        if not rep.admissible:
-            raise ValueError(f"nonlinearity fails the admissibility checks: {rep}")
+    c_3 = (H_11 - H_22) / 4 from matching the (a+b)(a-b) term.  An
+    inadmissible nonlinearity is refused."""
+    rep = nl.admissibility()
+    if not rep.admissible:
+        raise ValueError(f"nonlinearity fails the admissibility checks: {rep}")
     H = nl.hessian
     vp = np.array([1.0, 1.0])
     vm = np.array([1.0, -1.0])
@@ -218,7 +213,7 @@ class FixedPointInfo:
 
 
 def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
-                   tol: float = 1e-10, max_iter: int = 50, sign: str = "+",
+                   tol: float = 1e-10, sign: str = "+",
                    ) -> tuple[ProfileSample, ProfileSample, FixedPointInfo]:
     """Correction profile g_n = f_n(-/+z) + R and its remainder R by Picard
     iteration of the Wronskian-integral map; sign '+' gives the profile with
@@ -264,7 +259,7 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
     Rppp = np.zeros_like(z)
     deltas = []
     converged = gamma == 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_PICARD_ITER):
         if gamma == 0.0:
             break
         q = g0e * g
@@ -303,36 +298,12 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
     )
     if not converged:
         raise RuntimeError(
-            f"fixed point did not converge in {max_iter} iterations "
+            f"fixed point did not converge in {MAX_PICARD_ITER} iterations "
             f"(last delta {info.final_delta:.3e}, contraction ~{contraction:.3f})"
         )
-    gn = ProfileSample(
-        z_grid=z, values=g, derivs={1: gp, 2: gpp, 3: gppp},
-        envelope=EnvelopeDescriptor(beta - 1.0, 2.0 - beta, mirrored=(sign == "-")),
-        metadata={"n": n, "sign": sign, "alpha": alpha, "gamma": gamma,
-                  "tol": tol, "W0": W0},
-    )
-    rn = ProfileSample(
-        z_grid=z, values=R, derivs={1: Rp, 2: Rpp, 3: Rppp},
-        envelope=None,
-        metadata={"n": n, "sign": sign, "kind": "remainder"},
-    )
+    gn = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp, 3: gppp})
+    rn = ProfileSample(z_grid=z, values=R, derivs={1: Rp, 2: Rpp, 3: Rppp})
     return gn, rn, info
-
-
-def rn_envelope_constant(rn: ProfileSample, n: int, order: int = 0,
-                         z_cap: float = 40.0) -> float:
-    """Measured sup of e^{z^2/4} (1+z^2)^{-(1+m-2^{-n})/2} |d^m R_n| (the
-    two-sided Gaussian weight of the remainder estimate), in log space so the
-    weight cannot overflow; restricted to |z| <= z_cap where the product is
-    resolvable in double precision."""
-    beta = 0.5 ** n
-    z = rn.z_grid
-    msk = np.abs(z) <= z_cap
-    v = np.abs(rn.deriv(order)[msk])
-    logw = z[msk] ** 2 / 4.0 - (1.0 + order - beta) / 2.0 * np.log1p(z[msk] ** 2)
-    logv = np.where(v > 0, np.log(np.maximum(v, 1e-300)), -np.inf)
-    return float(np.exp((logw + logv).max()))
 
 
 def gn_equation_residual(gn: ProfileSample, g0: BurgersProfile, n: int,
@@ -398,41 +369,21 @@ class ExpansionModel:
         return interp
 
 
-def build_expansion_model(coeffs: ExpansionCoefficients, z_grid: np.ndarray,
-                          tol: float = 1e-10, max_iter: int = 50) -> ExpansionModel:
-    """Construct g_0 and g_n profiles for both characteristic families."""
+def build_expansion_model(coeffs: ExpansionCoefficients,
+                          z_grid: np.ndarray) -> ExpansionModel:
+    """Construct g_0 and g_n profiles for both characteristic families, the
+    g_n to the default fixed-point tolerance of ``gn_fixed_point``."""
     g0p = g0_profile(coeffs.alpha_plus, coeffs.c_plus, z_grid)
     g0m = g0_profile(coeffs.alpha_minus, coeffs.c_minus, z_grid)
     model = ExpansionModel(coeffs=coeffs, g0_plus=g0p, g0_minus=g0m)
     for n in range(1, coeffs.N + 1):
         gp, _, _ = gn_fixed_point(n, coeffs.alpha_plus, coeffs.c_plus, z_grid,
-                                  tol=tol, max_iter=max_iter, sign="+")
+                                  sign="+")
         gm, _, _ = gn_fixed_point(n, coeffs.alpha_minus, coeffs.c_minus, z_grid,
-                                  tol=tol, max_iter=max_iter, sign="-")
+                                  sign="-")
         model.gn_plus[n] = gp
         model.gn_minus[n] = gm
     return model
-
-
-def build_expansion_terms(model: ExpansionModel, t: float, x: np.ndarray):
-    """Sample (u0, u1, v0, v1) on physical points x at time t by rescaled
-    cubic interpolation with envelope-based tail extrapolation."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    interp = model.interpolants()
-    root = np.sqrt(1.0 + t)
-    zz = np.asarray(x, dtype=float) / root
-    u0 = interp["g0+"](zz) / root
-    v0 = interp["g0-"](zz) / root
-    u1 = np.zeros_like(zz)
-    v1 = np.zeros_like(zz)
-    for idx, (dp, dm) in enumerate(model.coeffs.d, start=1):
-        pref = (1.0 + t) ** (-(1.0 - 0.5 ** (idx + 1)))
-        if idx in model.gn_plus:
-            u1 = u1 + dp * pref * interp[f"g{idx}+"](zz)
-        if idx in model.gn_minus:
-            v1 = v1 + dm * pref * interp[f"g{idx}-"](zz)
-    return u0, u1, v0, v1
 
 
 def profile_mass(sample: ProfileSample) -> float:

@@ -1,4 +1,5 @@
-"""Exact evaluation of the coupled linear semigroup and its decoupled limit.
+"""Exact symbol of the coupled linear semigroup, its envelope bounds and its
+intertwining defect.
 
 The Fourier symbol of the linearized system is the 2x2 matrix generator
 ``L(k) = [[0, ik], [ik, -2k^2]]`` whose exponential has the closed form
@@ -12,9 +13,10 @@ branch window |1 - k^2| < 1e-4 an even Taylor series in (k t D)^2 through
 order 8 is used instead of the direct form, which loses about four digits
 to cancellation there.
 
-The decoupled comparison semigroup is diagonal,
-``e^{L0 t} = diag(e^{-k^2 t + i k t}, e^{-k^2 t - i k t})``, and the mixing
-matrix is ``S_mix = [[1, 1], [1, -1]]``.
+Two measurements are built on the symbol: the smallest constants of its
+parabolic-like envelope bounds on a (k, t) grid, and the weighted defect
+between the mixed coupled semigroup and the pair of translating heat
+semigroups it approaches for |k| <= 1.
 """
 
 from __future__ import annotations
@@ -24,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, StateVector
-
 __all__ = [
     "BRANCH_THRESHOLD",
     "propagator_cs",
-    "eval_eLt",
-    "eval_eL0t",
-    "mix_S",
-    "apply_eLt",
     "kernel_bound_check",
     "intertwining_defect",
     "KernelBoundReport",
@@ -40,6 +36,7 @@ __all__ = [
 ]
 
 BRANCH_THRESHOLD = 1e-4
+KERNEL_C_CAP = 1e6        # envelope constants above this count as a violation
 _SERIES_ORDER = 8
 
 _COS_COEF = np.array([(-1.0) ** m / math.factorial(2 * m) for m in range(_SERIES_ORDER + 1)])
@@ -103,55 +100,6 @@ def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return C, S
 
 
-def _entries_from_cs(k, C, S):
-    return np.array([[C + k * S, 1j * S], [1j * S, C - k * S]])
-
-
-def eval_eLt(k: float, t: float) -> np.ndarray:
-    """2x2 complex matrix e^{L(k) t}."""
-    C, S = propagator_cs(np.array([float(k)]), t)
-    return _entries_from_cs(float(k), C[0], S[0])
-
-
-def eval_eLt_direct(k: float, t: float) -> np.ndarray:
-    """Direct (trig/hyperbolic) form regardless of the branch window; used
-    to test continuity across the series seam."""
-    C, S = _cs_direct(np.array([float(k)]), float(t))
-    return _entries_from_cs(float(k), C[0], S[0])
-
-
-def eval_eLt_series(k: float, t: float) -> np.ndarray:
-    """Series form regardless of the branch window."""
-    C, S = _cs_series(np.array([float(k)]), float(t))
-    return _entries_from_cs(float(k), C[0], S[0])
-
-
-def eval_eL0t(k: float, t: float) -> np.ndarray:
-    """Diagonal decoupled semigroup diag(e^{-k^2 t + ikt}, e^{-k^2 t - ikt})."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    damp = np.exp(-k * k * t)
-    return np.array([[damp * np.exp(1j * k * t), 0.0], [0.0, damp * np.exp(-1j * k * t)]])
-
-
-def mix_S() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def apply_eLt(state: StateVector, t: float) -> StateVector:
-    """Apply the coupled propagator mode-wise to a physical-frame state."""
-    if state.frame != "physical":
-        raise ValueError("apply_eLt acts on physical-frame states")
-    k = state.grid.k
-    C, S = propagator_cs(k, t)
-    a, b = state.first.coeffs, state.second.coeffs
-    na = (C + k * S) * a + 1j * S * b
-    nb = 1j * S * a + (C - k * S) * b
-    return StateVector(
-        SpectralField(state.grid, na), SpectralField(state.grid, nb), "physical"
-    ).symmetrized()
-
-
 @dataclass(frozen=True)
 class KernelBoundReport:
     """Smallest constants realizing the parabolic-like envelope bounds on grids."""
@@ -162,13 +110,8 @@ class KernelBoundReport:
     k_grid: np.ndarray
     t_grid: np.ndarray
 
-    def rows(self):
-        yield ("matrix", self.C_matrix)
-        yield ("derivative_column", self.C_derivative)
 
-
-def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray,
-                       c_cap: float = 1e6) -> KernelBoundReport:
+def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray) -> KernelBoundReport:
     """Measure the smallest C for the entry-wise envelope
 
     |e^{Lt}|_ij <= C e^{-min(k^2,1) t/4} [[1, w],[w, 1]],  w = (1+k^2)^{-1/2}
@@ -198,7 +141,7 @@ def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray,
     return KernelBoundReport(
         C_matrix=float(c_mat),
         C_derivative=float(c_der),
-        violation=bool(max(c_mat, c_der) > c_cap),
+        violation=bool(max(c_mat, c_der) > KERNEL_C_CAP),
         k_grid=k_grid,
         t_grid=t_grid,
     )

@@ -6,7 +6,8 @@ nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the scheme
 (integrating-factor RK4 by default, ETD-Heun as a cross-check).
 Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
 symmetry of the spectra is re-enforced every step, so physical fields stay
-real and both masses are conserved to rounding.
+real and both masses are conserved to rounding.  Snapshots are read in the
+characteristic frame through ``to_characteristic_frame``.
 
 One source evaluation costs three transforms: inverse transforms of ``a`` and
 ``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
@@ -24,7 +25,7 @@ import numpy as np
 
 from .nonlinearity import Nonlinearity
 from .semigroup import propagator_cs
-from .spectral import (Grid, NormReport, SpectralField, StateVector,
+from .spectral import (Grid, SpectralField, StateVector,
                        coeffs_of, mass, norms, samples_of, transform_forward)
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "Stepper",
     "run",
     "to_characteristic_frame",
-    "from_characteristic_frame",
     "gaussian_initial_state",
 ]
 
@@ -48,7 +48,6 @@ class SimConfig:
     b_fraction: float = 0.3
     scheme: str = "IF-RK4"             # or "ETD-Heun"
     dealias_fraction: float = 2.0 / 3.0
-    nonlinearity: str = "default"
     n_snapshots: int = 80
     x_support: float = 15.0            # nominal support radius of the data
 
@@ -83,7 +82,6 @@ class TrajectoryRecord:
     norm_b: list = field(default_factory=list)
     mass_a: list = field(default_factory=list)
     mass_b: list = field(default_factory=list)
-    weighted_sq: list = field(default_factory=list)    # N(t) = 0.5 ||x^2 z||^2... see note
     wall_seconds: float = 0.0
     aborted: bool = False
     abort_reason: str = ""
@@ -131,18 +129,15 @@ class Stepper:
     size, and ``ik`` and its dealiased product ``ik * mask`` once per grid.
     The source forces only the second equation: ``source`` returns ``None``
     for its first component, and ``_apply`` and the scheme combinations skip
-    the terms it would zero.
+    the terms it would zero.  The system is autonomous, so no stage needs
+    the time.
     """
 
-    def __init__(self, grid: Grid, dt: float, nl: Nonlinearity | None,
-                 dealias_fraction: float = 2.0 / 3.0,
-                 linear: str = "psystem",
-                 forcing: Callable[[np.ndarray, float], np.ndarray] | None = None):
+    def __init__(self, grid: Grid, dt: float, nl: Nonlinearity,
+                 dealias_fraction: float = 2.0 / 3.0):
         self.grid = grid
         self.dt = dt
         self.nl = nl
-        self.forcing = forcing
-        self.linear = linear
         self.k = grid.k
         self.ik = 1j * self.k
         kmax = float(np.abs(self.k).max())
@@ -153,80 +148,63 @@ class Stepper:
             self._tables[tag] = self._linear_table(tt)
 
     def _linear_table(self, t: float):
-        """(C+kS, iS, C-kS); the heat table (e^{-k^2 t}, None, e^{-k^2 t})
-        is diagonal.  Entries are stored complex: a real factor would be
-        cast to complex, through a buffer, on every multiplication."""
+        """(C+kS, iS, C-kS), stored complex: a real factor would be cast to
+        complex, through a buffer, on every multiplication."""
         k = self.k
-        if self.linear == "heat":
-            e = np.exp(-k * k * t).astype(complex)
-            return (e, None, e)
         C, S = propagator_cs(k, t)
         return ((C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex))
 
     def _apply(self, pair, tag):
         P, Q, R = self._tables[tag]
         a, b = pair
-        if Q is None:
-            return (None if a is None else P * a, R * b)
         if a is None:
             return (Q * b, R * b)
         return (P * a + Q * b, Q * a + R * b)
 
-    def source(self, pair, t: float):
+    def source(self, pair):
         """N(z) = (0, ik h-hat) with 2/3 dealiasing; the zero first component
-        is returned as None.
-
-        The samples of b are transformed only if the nonlinearity reads them
-        (b is passed as None otherwise), and neither a nor b is transformed
-        without a nonlinearity.
-        """
+        is returned as None.  The samples of b are transformed only if the
+        nonlinearity reads them (b is passed as None otherwise)."""
         nl = self.nl
-        if nl is None:
-            h = np.zeros(self.grid.n_points)
-        else:
-            a = samples_of(pair[0]).real
-            b = samples_of(pair[1]).real if nl.reads_b else None
-            bx = samples_of(self.ik * pair[1]).real
-            h = nl.source(a, b, bx)
-        if self.forcing is not None:
-            h = h + self.forcing(self.grid.x, t)
-        hh = coeffs_of(h)
+        a = samples_of(pair[0]).real
+        b = samples_of(pair[1]).real if nl.reads_b else None
+        bx = samples_of(self.ik * pair[1]).real
+        hh = coeffs_of(nl.source(a, b, bx))
         hh *= self.ik_dealias
         return (None, hh)
 
-    def step_ifrk4(self, pair, t: float):
+    def step_ifrk4(self, pair):
         dt = self.dt
-        k1 = self.source(pair, t)
+        k1 = self.source(pair)
         e_half = self._apply(pair, "half")
         ek1 = self._apply(k1, "half")
-        k2 = self.source(_axpy(e_half, dt / 2, ek1), t + dt / 2)
-        k3 = self.source(_axpy(e_half, dt / 2, k2), t + dt / 2)
+        k2 = self.source(_axpy(e_half, dt / 2, ek1))
+        k3 = self.source(_axpy(e_half, dt / 2, k2))
         e_full = self._apply(pair, "full")
         ek3 = self._apply(k3, "half")
-        k4 = self.source(_axpy(e_full, dt, ek3), t + dt)
+        k4 = self.source(_axpy(e_full, dt, ek3))
         e2k1 = self._apply(k1, "full")
         ek2 = self._apply(k2, "half")
+        a = e_full[0] + dt / 6 * (e2k1[0] + 2 * ek2[0] + 2 * ek3[0])
         b = e_full[1] + dt / 6 * (e2k1[1] + 2 * ek2[1] + 2 * ek3[1] + k4[1])
-        if e2k1[0] is None:
-            return e_full[0], b
-        return e_full[0] + dt / 6 * (e2k1[0] + 2 * ek2[0] + 2 * ek3[0]), b
-
-    def step_etdheun(self, pair, t: float):
-        dt = self.dt
-        n0 = self.source(pair, t)
-        e_full = self._apply(pair, "full")
-        en0 = self._apply(n0, "full")
-        n1 = self.source(_axpy(e_full, dt, en0), t + dt)
-        b = e_full[1] + dt / 2 * (en0[1] + n1[1])
-        a = e_full[0] if en0[0] is None else e_full[0] + dt / 2 * en0[0]
         return a, b
 
-    def step(self, state: StateVector, t: float, scheme: str = "IF-RK4") -> StateVector:
+    def step_etdheun(self, pair):
+        dt = self.dt
+        n0 = self.source(pair)
+        e_full = self._apply(pair, "full")
+        en0 = self._apply(n0, "full")
+        n1 = self.source(_axpy(e_full, dt, en0))
+        a = e_full[0] + dt / 2 * en0[0]
+        b = e_full[1] + dt / 2 * (en0[1] + n1[1])
+        return a, b
+
+    def step(self, state: StateVector, scheme: str = "IF-RK4") -> StateVector:
         pair = (state.first.coeffs, state.second.coeffs)
         if scheme == "IF-RK4":
-            na, nb = self.step_ifrk4(pair, t)
+            na, nb = self.step_ifrk4(pair)
         elif scheme == "ETD-Heun":
-            na, nb = self.step_etdheun(pair, t)
+            na, nb = self.step_etdheun(pair)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         out = StateVector(SpectralField(self.grid, na),
@@ -249,16 +227,13 @@ def _snapshot_steps(n_steps: int, n_snapshots: int) -> set:
     return set(np.unique(np.round(geo).astype(int)))
 
 
-def run(config: SimConfig, initial: StateVector | None = None,
-        nl: Nonlinearity | None = None, record_norms: bool = True,
+def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
+        record_norms: bool = True,
         warn: Callable[[str], None] | None = None) -> TrajectoryRecord:
     """Integrate to t_final, recording geometrically spaced snapshots with
     their diagnostics.  Norm guard: data above the working amplitude only
     warns; the smallness threshold of the asymptotic regime is empirical."""
     config.validate()
-    from .nonlinearity import default_nonlinearity, zero_nonlinearity
-    if nl is None:
-        nl = {"default": default_nonlinearity, "zero": zero_nonlinearity}[config.nonlinearity]()
     grid = config.grid()
     if initial is None:
         initial = gaussian_initial_state(config)
@@ -284,18 +259,14 @@ def run(config: SimConfig, initial: StateVector | None = None,
         rec.mass_a.append(mass(state.first))
         rec.mass_b.append(mass(state.second))
         if record_norms:
-            na = norms(state.first, t)
-            nb = norms(state.second, t)
-            rec.norm_a.append(na)
-            rec.norm_b.append(nb)
-            rec.weighted_sq.append(0.5 * (na.weighted_l2 ** 2 + nb.weighted_l2 ** 2))
+            rec.norm_a.append(norms(state.first, t))
+            rec.norm_b.append(norms(state.second, t))
 
     t0 = time.perf_counter()
     state = initial.symmetrized()
     record(state, 0.0)
-    t = 0.0
     for i in range(1, n_steps + 1):
-        state = stepper.step(state, t, config.scheme)
+        state = stepper.step(state, config.scheme)
         t = i * dt
         if not np.isfinite(state.first.coeffs).all() or not np.isfinite(state.second.coeffs).all():
             rec.aborted = True
@@ -320,18 +291,3 @@ def to_characteristic_frame(state: StateVector, t: float) -> StateVector:
     return StateVector(SpectralField(state.grid, u).symmetrized(),
                        SpectralField(state.grid, v).symmetrized(),
                        "characteristic")
-
-
-def from_characteristic_frame(state: StateVector, t: float) -> StateVector:
-    """Inverse frame change: a = (Tu + T^{-1}v)/2, b = (Tu - T^{-1}v)/2."""
-    if state.frame != "characteristic":
-        raise ValueError("expected a characteristic-frame state")
-    k = state.grid.k
-    u, v = state.first.coeffs, state.second.coeffs
-    tu = np.exp(1j * k * t) * u
-    tv = np.exp(-1j * k * t) * v
-    a = 0.5 * (tu + tv)
-    b = 0.5 * (tu - tv)
-    return StateVector(SpectralField(state.grid, a).symmetrized(),
-                       SpectralField(state.grid, b).symmetrized(),
-                       "physical")

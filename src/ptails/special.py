@@ -18,30 +18,22 @@ Derivatives up to order 3 come from differentiating under the integral;
 order -1 is the antiderivative that vanishes at +inf, used for exact
 truncated-tail mass corrections.
 
-An independent scipy QUADPACK route (QAWS algebraic weight on the singular
-cell) is kept as the cross-check oracle.
+The independent scipy QUADPACK route (QAWS algebraic weight on the singular
+cell) that cross-checks f_n lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma
 
 __all__ = [
     "fn_value",
-    "fn_oracle",
     "fn_mass",
-    "ode_residual",
     "lcal_apply",
-    "EnvelopeDescriptor",
-    "envelope_check",
-    "eval_Jn",
     "Jn_infinity",
-    "Jn_infinity_extrapolated",
     "tail_exponent_fit",
     "ProfileSample",
 ]
@@ -57,8 +49,10 @@ for _m in range(0, 8):
     _POLYS[_m + 1] = _POLYS[_m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * _POLYS[_m]
 
 _GLN24, _GLW24 = np.polynomial.legendre.leggauss(24)
+_GL16, _GW16 = np.polynomial.legendre.leggauss(16)
 _SING_CELL = 2.0          # [0, A] carries the singular weight
 _GRADE_LEVELS = 22        # geometric panels down to A 2^-22 ~ 5e-7
+_MASS_PANEL = 0.5         # panel width of the fn_mass quadrature
 
 
 def _check_n(n: int) -> float:
@@ -81,7 +75,7 @@ def fn_value(n: int, z, order: int = 0, scaled: bool = False) -> np.ndarray:
 
     order = -1 gives the antiderivative F with F' = f_n and F(+inf) = 0.
     scaled=True returns e^{z^2/4} f_n^{(order)}(z) without overflow (z >= 0
-    intended); used by envelope measurements.
+    intended), for weighted-sup (envelope) measurements.
 
     Accuracy: absolute error at the quadrature-roundoff level, which is
     ~2^n * 1e-16; for n <= 8 this is below 1e-10 on |z| <= 30, beyond which
@@ -120,37 +114,17 @@ def fn_value(n: int, z, order: int = 0, scaled: bool = False) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def fn_oracle(n: int, z: float, order: int = 0) -> float:
-    """Independent adaptive-quadrature route (QUADPACK QAWS on the singular
-    cell, plain adaptive quadrature beyond); scalar z."""
-    beta = _check_n(n)
-    P = _POLYS[order]
-    g = lambda xi: P(xi + z) * np.exp(-((xi + z) ** 2) / 4.0)
-    i1, _ = quad(g, 0.0, 1.0, weight="alg", wvar=(beta - 1.0, 0.0),
-                 epsabs=1e-13, epsrel=1e-13, limit=200)
-    hi = max(1.0, -z + 16.0) + 16.0
-    i2, _ = quad(lambda xi: g(xi) * xi ** (beta - 1.0), 1.0, hi,
-                 epsabs=1e-13, epsrel=1e-13, limit=400)
-    return i1 + i2
-
-
-def fn_mass(n: int, z_cut: float = 30.0, panel: float = 0.5) -> float:
+def fn_mass(n: int, z_cut: float = 30.0) -> float:
     """Numerical total mass of f_n: trapezoid-free panel quadrature on
     [-z_cut, z_cut] plus the exact algebraic/Gaussian tail corrections
     F(-z_cut) - F(z_cut) from the antiderivative.  Zero analytically."""
-    edges = np.arange(-z_cut, z_cut + panel / 2, panel)
+    edges = np.arange(-z_cut, z_cut + _MASS_PANEL / 2, _MASS_PANEL)
     tot = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         zz = (b - a) / 2 * _GLN24 + (b + a) / 2
         tot += (b - a) / 2 * float(fn_value(n, zz) @ _GLW24)
     tot += float(fn_value(n, -z_cut, order=-1) - fn_value(n, z_cut, order=-1))
     return tot
-
-
-def fn_zero_value(n: int) -> float:
-    """Closed form f_n(0) = 2^{2^{-n}} Gamma((1 + 2^{-n})/2)."""
-    beta = _check_n(n)
-    return float(2.0 ** beta * gamma((1.0 + beta) / 2.0))
 
 
 def lcal_apply(values, d1, d2, z, n: int):
@@ -167,8 +141,6 @@ class ProfileSample:
     z_grid: np.ndarray
     values: np.ndarray
     derivs: dict = field(default_factory=dict)     # order -> samples
-    envelope: "EnvelopeDescriptor | None" = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.z_grid) <= 0):
@@ -176,116 +148,13 @@ class ProfileSample:
         if self.values.shape != self.z_grid.shape:
             raise ValueError("values/grid shape mismatch")
 
-    def deriv(self, order: int) -> np.ndarray:
-        if order == 0:
-            return self.values
-        if order not in self.derivs:
-            raise KeyError(f"derivative order {order} not sampled")
-        return self.derivs[order]
-
-
-def ode_residual(profile: ProfileSample, n: int) -> float:
-    """sup over the sample grid of |L f| for the order-n operator."""
-    if 1 not in profile.derivs or 2 not in profile.derivs:
-        raise ValueError("profile must carry derivatives up to order 2")
-    res = lcal_apply(profile.values, profile.derivs[1], profile.derivs[2],
-                     profile.z_grid, n)
-    return float(np.abs(res).max())
-
-
-@dataclass(frozen=True)
-class EnvelopeDescriptor:
-    """rho_{p,q}(z) = (1+z^2)^{p/2} e^{z^2/4} for z >= 0, (1+z^2)^{q/2} for z <= 0.
-
-    mirrored=True evaluates rho at -z (for profiles whose Gaussian side is
-    the left one).
-    """
-
-    p: float
-    q: float
-    mirrored: bool = False
-
-    def log_rho(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.mirrored:
-            z = -z
-        right = self.p / 2.0 * np.log1p(z * z) + z * z / 4.0
-        left = self.q / 2.0 * np.log1p(z * z)
-        return np.where(z >= 0, right, left)
-
-    def rho(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_rho(z))
-
-
-def envelope_check(z: np.ndarray, abs_values: np.ndarray | None,
-                   envelope: EnvelopeDescriptor, c_max: float,
-                   log_abs_values: np.ndarray | None = None) -> tuple[bool, float]:
-    """Measured sup of rho(z) |v(z)| over the grid and whether it is <= c_max.
-
-    Pass log_abs_values for quantities whose plain values underflow under the
-    e^{z^2/4} weight; the product is then formed in log space.
-    """
-    if log_abs_values is None:
-        log_abs_values = np.where(abs_values > 0, np.log(np.maximum(abs_values, 1e-300)), -np.inf)
-    tot = envelope.log_rho(z) + log_abs_values
-    measured = float(np.exp(tot.max()))
-    return measured <= c_max, measured
-
-
-_GL16, _GW16 = np.polynomial.legendre.leggauss(16)
-
-
-def eval_Jn(n: int, z: float) -> complex:
-    """J_n(z) = int_0^z e^{2is} s^{2^{-n}-1} ds for z >= 0.
-
-    Singular cell by the same integration-by-parts regularization as f_n;
-    beyond it, oscillation-resolving Gauss-Legendre panels of width <= pi/8.
-    """
-    beta = _check_n(n)
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0 + 0.0j
-    A = min(z, 2.0)
-    b0, b1, b2 = beta, beta + 1.0, beta + 2.0
-    hA = np.exp(2j * A)
-    out = (hA - (2j * hA) * A / b1 + (-4.0 * hA) * A * A / (b1 * b2)) * A ** beta / b0
-    edges = A * 2.0 ** (-np.arange(0.0, float(_GRADE_LEVELS)))
-    acc = 0.0 + 0.0j
-    for a, b in zip(edges[1:], edges[:-1]):
-        s = (b - a) / 2 * _GL16 + (b + a) / 2
-        acc += (b - a) / 2 * np.sum(_GW16 * s ** (beta + 2.0) * np.exp(2j * s))
-    out -= acc * (-8j) / (b0 * b1 * b2)
-    if z > A:
-        nseg = int(np.ceil((z - A) / (np.pi / 8.0)))
-        eg = np.linspace(A, z, nseg + 1)
-        a = eg[:-1][:, None]
-        b = eg[1:][:, None]
-        s = (b - a) / 2 * _GL16[None, :] + (b + a) / 2
-        out += complex(np.sum((b - a) / 2 * _GW16[None, :] * s ** (beta - 1.0) * np.exp(2j * s)))
-    return complex(out)
-
 
 def Jn_infinity(n: int) -> complex:
     """Closed form Gamma(2^{-n}) 2^{-2^{-n}} e^{i pi 2^{-n-1}} for the limit
-    of J_n; validated against quadrature extrapolation, not assumed."""
+    as z -> inf of J_n(z) = int_0^z e^{2is} s^{2^{-n}-1} ds; the tests
+    validate it against quadrature extrapolation."""
     beta = _check_n(n)
     return complex(gamma(beta) * 2.0 ** (-beta) * np.exp(1j * np.pi * beta / 2.0))
-
-
-def Jn_infinity_extrapolated(n: int, z_base: float = 400.0) -> complex:
-    """Oracle for the J_n limit: half-period pair averages kill the leading
-    oscillation, evaluation points are snapped to multiples of pi so the
-    residual oscillatory envelope keeps one phase across doublings, and two
-    Richardson stages remove the z^{beta-2} and z^{beta-3} corrections."""
-    beta = _check_n(n)
-    z0 = np.pi * round(z_base / np.pi)
-    avg = lambda z: 0.5 * (eval_Jn(n, z) + eval_Jn(n, z + np.pi / 2.0))
-    a = [avg(z) for z in (z0, 2.0 * z0, 4.0 * z0)]
-    r1 = 2.0 ** (beta - 2.0)
-    b = [(a[i + 1] - r1 * a[i]) / (1 - r1) for i in range(2)]
-    r2 = 2.0 ** (beta - 3.0)
-    return (b[1] - r2 * b[0]) / (1 - r2)
 
 
 def tail_exponent_fit(z: np.ndarray, values: np.ndarray,
@@ -319,26 +188,3 @@ def tail_exponent_fit(z: np.ndarray, values: np.ndarray,
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
     return float(slope), resid, sign_change
-
-
-def fn_profile(n: int, z_grid: np.ndarray, orders: Iterable[int] = (0, 1, 2, 3),
-               mirrored: bool = False) -> ProfileSample:
-    """Sample f_n (or f_n(-z) with mirrored=True) and derivatives on a grid."""
-    z_grid = np.asarray(z_grid, dtype=float)
-    arg = -z_grid if mirrored else z_grid
-    derivs = {}
-    values = None
-    for m in orders:
-        v = fn_value(n, arg, order=m)
-        if mirrored and m % 2 == 1:
-            v = -v
-        if m == 0:
-            values = v
-        else:
-            derivs[m] = v
-    if values is None:
-        values = fn_value(n, arg)
-    beta = 0.5 ** n
-    env = EnvelopeDescriptor(beta - 1.0, 2.0 - beta, mirrored=mirrored)
-    return ProfileSample(z_grid=z_grid, values=values, derivs=derivs,
-                         envelope=env, metadata={"n": n, "mirrored": mirrored})

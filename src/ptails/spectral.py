@@ -37,11 +37,7 @@ __all__ = [
     "coeffs_of",
     "samples_of",
     "transform_forward",
-    "transform_inverse",
     "derivative",
-    "translate",
-    "project_low",
-    "project_high",
     "mass",
     "norms",
 ]
@@ -114,9 +110,6 @@ class SpectralField:
         """Real physical samples (imaginary residue discarded)."""
         return samples_of(self.coeffs).real
 
-    def samples_complex(self) -> np.ndarray:
-        return samples_of(self.coeffs)
-
     def fhat(self) -> np.ndarray:
         """Continuum Fourier transform values ``fhat(k_j)``.
 
@@ -135,10 +128,6 @@ class SpectralField:
         sym[1:] = 0.5 * (c[1:] + np.conj(c[1:][::-1]))
         sym[n // 2] = sym[n // 2].real
         return SpectralField(self.grid, sym)
-
-    def hermitian_defect(self) -> float:
-        c = self.coeffs
-        return float(np.abs(c[1:] - np.conj(c[1:][::-1])).max(initial=0.0))
 
 
 def _mode_parity(grid: Grid) -> np.ndarray:
@@ -162,10 +151,6 @@ def transform_forward(samples: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, coeffs_of(samples))
 
 
-def transform_inverse(fld: SpectralField) -> np.ndarray:
-    return fld.samples()
-
-
 def derivative(fld: SpectralField, order: int = 1) -> SpectralField:
     """Spectral derivative: multiply by (ik)^order, Nyquist zeroed for odd orders."""
     if order < 0:
@@ -178,27 +163,6 @@ def derivative(fld: SpectralField, order: int = 1) -> SpectralField:
         mult = mult.copy()
         mult[fld.grid.nyquist_index] = 0.0
     return SpectralField(fld.grid, fld.coeffs * mult)
-
-
-def translate(fld: SpectralField, shift: float) -> SpectralField:
-    """Translate: samples of the result at x equal the input at x + shift.
-
-    Pure phase multiplier exp(i k shift); |c_k| are preserved exactly and the
-    mass (k = 0 mode) is unchanged.
-    """
-    return SpectralField(fld.grid, fld.coeffs * np.exp(1j * fld.grid.k * shift)).symmetrized()
-
-
-def project_low(fld: SpectralField) -> SpectralField:
-    """Fourier multiplier with the characteristic function of |k| <= 1."""
-    mask = np.abs(fld.grid.k) <= 1.0
-    return SpectralField(fld.grid, np.where(mask, fld.coeffs, 0.0))
-
-
-def project_high(fld: SpectralField) -> SpectralField:
-    """Complement of project_low: zero all modes with |k| <= 1."""
-    mask = np.abs(fld.grid.k) > 1.0
-    return SpectralField(fld.grid, np.where(mask, fld.coeffs, 0.0))
 
 
 def mass(fld: SpectralField) -> float:
@@ -220,12 +184,15 @@ class NormReport:
         return self.lp[order][2]
 
 
-def norms(fld: SpectralField, t: float = 0.0, max_order: int = 2) -> NormReport:
+NORM_MAX_ORDER = 2   # norms of the field and its first two derivatives
+
+
+def norms(fld: SpectralField, t: float = 0.0) -> NormReport:
     g = fld.grid
     dx = g.dx
     lp = {}
     s0 = fld.samples()
-    for m in range(max_order + 1):
+    for m in range(NORM_MAX_ORDER + 1):
         s = derivative(fld, m).samples() if m else s0
         lp[m] = {
             1: float(np.sum(np.abs(s)) * dx),

@@ -35,7 +35,8 @@ from . import heat, profiles, special
 from .profiles import ExpansionModel
 from .semigroup import propagator_cs
 from .solver import TrajectoryRecord, to_characteristic_frame
-from .spectral import coeffs_of, samples_of, transform_forward
+from .spectral import (coeffs_of, field_from_continuum_fhat, mass, samples_of,
+                       transform_forward)
 
 __all__ = [
     "DecayFitReport",
@@ -54,6 +55,19 @@ __all__ = [
 ]
 
 
+# Fixed settings of the checks below.  Each is a gate or a fit window of a
+# reported verdict, so none of them is a per-call option.
+RESIDUAL_CAP = 0.25            # a slope fit with a larger rms residual fails
+KERNEL_CAP = 1e6               # a bound-kernel constant above this fails
+B0_EXPONENTS = (0.75, 1.25)    # the q of the B0[q] kernels that bound_check measures
+D1_WINDOW_FRAC = 0.1           # fit_d1 fits t >= 0.1 t_max (the last decade)
+MASS_TOLERANCE = 1e-6          # largest characteristic mass drift the pipeline accepts
+TAIL_Z_WINDOW = (7.0, 16.0)    # tail fits over z = x / sqrt(1+t) in this window
+TAIL_EXPONENT = -1.5           # predicted ahead-tail exponent
+TAIL_EXPONENT_TOLERANCE = 0.35
+TAIL_FLOOR = 1e-13             # a side whose median is below this (relative) is flat
+
+
 # --------------------------------------------------------------------------
 # decay-slope fits
 
@@ -68,11 +82,10 @@ class DecayFitReport:
     target: float
     tolerance: float
     two_sided: bool = True
-    residual_cap: float = 0.25
 
     @property
     def passed(self) -> bool:
-        if self.residual > self.residual_cap:
+        if self.residual > RESIDUAL_CAP:
             return False
         if self.two_sided:
             return abs(self.slope - self.target) <= self.tolerance
@@ -88,14 +101,14 @@ class DecayFitReport:
 
 
 def fit_decay(times, values, quantity: str, target: float, tolerance: float,
-              two_sided: bool = True, residual_cap: float = 0.25,
-              require_decade: bool = True) -> DecayFitReport:
-    """Log-log slope of `values` against (1+t) over the supplied samples."""
+              two_sided: bool = True) -> DecayFitReport:
+    """Log-log slope of `values` against (1+t) over the supplied samples,
+    which must span at least one decade in (1+t)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < 4:
         raise ValueError("need at least 4 samples for a slope fit")
-    if require_decade and (1.0 + t[-1]) / (1.0 + t[0]) < 10.0:
+    if (1.0 + t[-1]) / (1.0 + t[0]) < 10.0:
         raise ValueError("fit window shorter than one decade in (1+t)")
     if np.any(v <= 0):
         raise ValueError("slope fit requires positive values")
@@ -105,8 +118,7 @@ def fit_decay(times, values, quantity: str, target: float, tolerance: float,
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
     return DecayFitReport(quantity=quantity, t_lo=float(t[0]), t_hi=float(t[-1]),
                           slope=float(slope), residual=resid, target=target,
-                          tolerance=tolerance, two_sided=two_sided,
-                          residual_cap=residual_cap)
+                          tolerance=tolerance, two_sided=two_sided)
 
 
 # --------------------------------------------------------------------------
@@ -220,24 +232,25 @@ class KernelCheckRow:
     finite: bool
 
 
-def bound_check(params_list=USED_KERNEL_PARAMS, t_grid=None,
-                c_cap: float = 1e6, include_B0=(0.75, 1.25)) -> list[KernelCheckRow]:
-    """Smallest constants making the kernel estimates dominate on a t grid."""
+def bound_check(t_grid=None) -> list[KernelCheckRow]:
+    """Smallest constants making the kernel estimates dominate on a t grid:
+    B0[q] for each q in ``B0_EXPONENTS``, then every ``USED_KERNEL_PARAMS``
+    tuple."""
     if t_grid is None:
         t_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 60)])
     rows = []
-    for q in include_B0:
+    for q in B0_EXPONENTS:
         ratios = [bound_kernel_B0(q, t) * (1.0 + t) ** q for t in t_grid]
         c = float(np.max(ratios))
-        rows.append(KernelCheckRow(f"B0[{q}]", c, c < c_cap))
-    for p in params_list:
+        rows.append(KernelCheckRow(f"B0[{q}]", c, c < KERNEL_CAP))
+    for p in USED_KERNEL_PARAMS:
         ratios = []
         for t in t_grid:
             if t == 0.0:
                 continue
             ratios.append(bound_kernel_B(p, t) / p.envelope(t))
         c = float(np.max(ratios))
-        rows.append(KernelCheckRow(p.name or repr(p), c, c < c_cap))
+        rows.append(KernelCheckRow(p.name or repr(p), c, c < KERNEL_CAP))
     return rows
 
 
@@ -245,12 +258,9 @@ def bound_check(params_list=USED_KERNEL_PARAMS, t_grid=None,
 # remainder pipeline
 
 
-def build_model_from_trajectory(traj: TrajectoryRecord, nl, N: int = 1,
-                                z_grid: np.ndarray | None = None,
-                                tol: float = 1e-10) -> ExpansionModel:
+def build_model_from_trajectory(traj: TrajectoryRecord, nl, N: int = 1) -> ExpansionModel:
     """Mass-match the leading profiles to the trajectory's initial data and
-    construct the correction profiles."""
-    from .spectral import mass
+    construct the correction profiles on ``profiles.graded_grid()``."""
     z0 = traj.initial_state
     alpha_p = mass(z0.first) + mass(z0.second)
     alpha_m = mass(z0.first) - mass(z0.second)
@@ -261,9 +271,7 @@ def build_model_from_trajectory(traj: TrajectoryRecord, nl, N: int = 1,
     if not co.contraction_ok():
         raise ValueError("initial masses put the construction outside the "
                          "contraction regime |alpha*gamma| <= 0.1")
-    if z_grid is None:
-        z_grid = profiles.graded_grid()
-    model = profiles.build_expansion_model(co, z_grid, tol=tol)
+    model = profiles.build_expansion_model(co, profiles.graded_grid())
     co.d = profiles.d_coefficients_analytic(model)
     return model
 
@@ -314,7 +322,6 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     so W minus that term is the finite-time transient.  One marched
     quadrature covers all times; modes beyond k^2 (1+t) ~ 72 are negligible
     and drop out as t grows."""
-    from .spectral import field_from_continuum_fhat
     n = grid.n_points
     if coeff == 0.0 or qhat is None:
         for _ in times:
@@ -334,16 +341,16 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
         yield field_from_continuum_fhat(grid, what).coeffs
 
 
-def _d1_fit_window(t: np.ndarray, window_frac: float = 0.1):
+def _d1_fit_window(t: np.ndarray):
     """The samples ``fit_d1`` fits, and whether it fell back to all of them
     because fewer than 5 lie in its window."""
-    sel = t >= window_frac * t[-1]
+    sel = t >= D1_WINDOW_FRAC * t[-1]
     if sel.sum() < 5:
         return np.ones_like(t, dtype=bool), True
     return sel, False
 
 
-def fit_d1(times, projections, window_frac: float = 0.1) -> tuple[float, float]:
+def fit_d1(times, projections) -> tuple[float, float]:
     """Extrapolated fit of the projection series
 
         d(t) = d1 + b1 (1+t)^{-1/4} + b2 (1+t)^{-1/2},
@@ -352,11 +359,11 @@ def fit_d1(times, projections, window_frac: float = 0.1) -> tuple[float, float]:
     of the residual contamination against the t^{-1/2} signal: t^{-3/4}
     pieces (linear-defect class, the convolution transient's leading term)
     contribute the -1/4 power and t^{-1} pieces the -1/2 power.  The fit is
-    restricted to the last decade (t >= window_frac * t_max), or to all
+    restricted to the last decade (t >= D1_WINDOW_FRAC * t_max), or to all
     samples when fewer than 5 lie there (see ``_d1_fit_window``)."""
     t = np.asarray(times, dtype=float)
     p = np.asarray(projections, dtype=float)
-    sel, _ = _d1_fit_window(t, window_frac)
+    sel, _ = _d1_fit_window(t)
     t, p = t[sel], p[sel]
     A = np.vstack([np.ones_like(t), (1.0 + t) ** -0.25, (1.0 + t) ** -0.5]).T
     sol, *_ = np.linalg.lstsq(A, p, rcond=None)
@@ -368,15 +375,10 @@ class PipelineResult:
     reports: list = field(default_factory=list)       # DecayFitReport
     d1_fit: dict = field(default_factory=dict)        # side -> fitted d1
     d1_analytic: dict = field(default_factory=dict)
-    d1_projection_series: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)        # quantity -> (t, norms)
     mass_error: float = 0.0
     subtract: str = "full"
     d1_fit_window_fallback: dict = field(default_factory=dict)  # side -> bool
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
 
     def report(self, quantity: str) -> DecayFitReport:
         for r in self.reports:
@@ -392,8 +394,7 @@ class PipelineResult:
 
 def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
                        subtract: str = "full", window: tuple | None = None,
-                       sides: str = "+-", slope_tolerance: float = 0.05,
-                       mass_tolerance: float = 1e-6) -> PipelineResult:
+                       sides: str = "+-", slope_tolerance: float = 0.05) -> PipelineResult:
     """Fit the decay of expansion remainders against the predicted exponents.
 
     Produces, per side, reports named '<side>_N0_raw', '<side>_N0', '<side>_N1'
@@ -446,10 +447,10 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
             c0 = a0 + b0 if side == "+" else a0 - b0
             mass_err = max(mass_err, abs(two_l * c0.real - alpha[side]))
     result.mass_error = float(mass_err)
-    if mass_err > mass_tolerance:
+    if mass_err > MASS_TOLERANCE:
         raise ValueError(
             f"mass of the characteristic field drifts from the matched value "
-            f"by {mass_err:.3e} (> {mass_tolerance:g})"
+            f"by {mass_err:.3e} (> {MASS_TOLERANCE:g})"
         )
 
     for side in sides:
@@ -479,7 +480,6 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
         d1_hat, _ = fit_d1(times, proj)
         result.d1_fit[side] = d1_hat
         result.d1_fit_window_fallback[side] = _d1_fit_window(times)[1]
-        result.d1_projection_series[side] = (times, proj)
 
         n0_target = -(0.75 - 0.5 ** 2)
         n1_target = -(0.75 - 0.5 ** 3)
@@ -543,11 +543,7 @@ class TailPrecedenceReport:
         return self.conclusive and self.ahead_is_algebraic and self.behind_is_gaussian
 
 
-def tail_precedence_check(traj: TrajectoryRecord, t_sample: float,
-                          z_window: tuple = (7.0, 16.0),
-                          algebraic_exponent: float = -1.5,
-                          exponent_tolerance: float = 0.35,
-                          floor: float = 1e-13) -> TailPrecedenceReport:
+def tail_precedence_check(traj: TrajectoryRecord, t_sample: float) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
     characteristic at one time.  Ahead should carry the slow algebraic tail
     with the stated exponent; behind should be Gaussian-like (steep or below
@@ -559,20 +555,21 @@ def tail_precedence_check(traj: TrajectoryRecord, t_sample: float,
     samples = u.samples()
     x = u.grid.x
     root = np.sqrt(1.0 + t)
-    lo, hi = z_window[0] * root, z_window[1] * root
+    lo, hi = TAIL_Z_WINDOW[0] * root, TAIL_Z_WINDOW[1] * root
     level = float(np.abs(samples).max())
 
     def side_slope(sign: int):
         msk = (sign * x >= lo) & (sign * x <= hi)
         vals = np.abs(samples[msk])
-        if vals.size < 8 or np.median(vals) < floor * max(level, 1.0):
+        if vals.size < 8 or np.median(vals) < TAIL_FLOOR * max(level, 1.0):
             return None
         sl, _, _ = special.tail_exponent_fit(sign * x[msk], samples[msk], (lo, hi))
         return sl
 
     ahead = side_slope(+1)
     behind = side_slope(-1)
-    ahead_alg = ahead is not None and abs(ahead - algebraic_exponent) <= exponent_tolerance
+    ahead_alg = (ahead is not None
+                 and abs(ahead - TAIL_EXPONENT) <= TAIL_EXPONENT_TOLERANCE)
     behind_gauss = behind is None or behind <= -4.0
     # conclusive only when the ahead side shows a genuine slow decaying tail
     # (not Gaussian-steep, not a non-decaying noise floor)

@@ -1,0 +1,317 @@
+"""Independent routes that the tests check the package against.
+
+Each function here computes a quantity the package also computes, by a
+different method (adaptive QUADPACK quadrature, the 2x2 propagator matrix,
+an inverse transform by quadrature, a time-stepped solution), or samples a
+package result in a form only the tests read.  None of it runs in the
+``ptails`` command.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+from scipy.integrate import quad
+
+from ptails.heat import HeatSourceSpec, solve_inhom_modes, un_reference_hat
+from ptails.profiles import ExpansionModel
+from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
+from ptails.special import (_GL16, _GRADE_LEVELS, _GW16, _POLYS, ProfileSample,
+                            _check_n, fn_value, lcal_apply)
+from ptails.spectral import (Grid, SpectralField, StateVector,
+                             field_from_continuum_fhat)
+
+
+# --------------------------------------------------------------------------
+# special functions
+
+
+def fn_oracle(n: int, z: float, order: int = 0) -> float:
+    """Independent adaptive-quadrature route (QUADPACK QAWS on the singular
+    cell, plain adaptive quadrature beyond); scalar z."""
+    beta = _check_n(n)
+    P = _POLYS[order]
+    g = lambda xi: P(xi + z) * np.exp(-((xi + z) ** 2) / 4.0)
+    i1, _ = quad(g, 0.0, 1.0, weight="alg", wvar=(beta - 1.0, 0.0),
+                 epsabs=1e-13, epsrel=1e-13, limit=200)
+    hi = max(1.0, -z + 16.0) + 16.0
+    i2, _ = quad(lambda xi: g(xi) * xi ** (beta - 1.0), 1.0, hi,
+                 epsabs=1e-13, epsrel=1e-13, limit=400)
+    return i1 + i2
+
+
+def fn_profile(n: int, z_grid: np.ndarray, orders: Iterable[int] = (0, 1, 2, 3),
+               mirrored: bool = False) -> ProfileSample:
+    """Sample f_n (or f_n(-z) with mirrored=True) and derivatives on a grid."""
+    z_grid = np.asarray(z_grid, dtype=float)
+    arg = -z_grid if mirrored else z_grid
+    derivs = {}
+    values = None
+    for m in orders:
+        v = fn_value(n, arg, order=m)
+        if mirrored and m % 2 == 1:
+            v = -v
+        if m == 0:
+            values = v
+        else:
+            derivs[m] = v
+    if values is None:
+        values = fn_value(n, arg)
+    return ProfileSample(z_grid=z_grid, values=values, derivs=derivs)
+
+
+def ode_residual(profile: ProfileSample, n: int) -> float:
+    """sup over the sample grid of |L f| for the order-n operator."""
+    if 1 not in profile.derivs or 2 not in profile.derivs:
+        raise ValueError("profile must carry derivatives up to order 2")
+    res = lcal_apply(profile.values, profile.derivs[1], profile.derivs[2],
+                     profile.z_grid, n)
+    return float(np.abs(res).max())
+
+
+@dataclass(frozen=True)
+class EnvelopeDescriptor:
+    """rho_{p,q}(z) = (1+z^2)^{p/2} e^{z^2/4} for z >= 0, (1+z^2)^{q/2} for z <= 0.
+
+    mirrored=True evaluates rho at -z (for profiles whose Gaussian side is
+    the left one).
+    """
+
+    p: float
+    q: float
+    mirrored: bool = False
+
+    def log_rho(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if self.mirrored:
+            z = -z
+        right = self.p / 2.0 * np.log1p(z * z) + z * z / 4.0
+        left = self.q / 2.0 * np.log1p(z * z)
+        return np.where(z >= 0, right, left)
+
+    def rho(self, z: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_rho(z))
+
+
+def envelope_check(z: np.ndarray, abs_values: np.ndarray | None,
+                   envelope: EnvelopeDescriptor, c_max: float,
+                   log_abs_values: np.ndarray | None = None) -> tuple[bool, float]:
+    """Measured sup of rho(z) |v(z)| over the grid and whether it is <= c_max.
+
+    Pass log_abs_values for quantities whose plain values underflow under the
+    e^{z^2/4} weight; the product is then formed in log space.
+    """
+    if log_abs_values is None:
+        log_abs_values = np.where(abs_values > 0, np.log(np.maximum(abs_values, 1e-300)), -np.inf)
+    tot = envelope.log_rho(z) + log_abs_values
+    measured = float(np.exp(tot.max()))
+    return measured <= c_max, measured
+
+
+def eval_Jn(n: int, z: float) -> complex:
+    """J_n(z) = int_0^z e^{2is} s^{2^{-n}-1} ds for z >= 0.
+
+    Singular cell by the same integration-by-parts regularization as f_n;
+    beyond it, oscillation-resolving Gauss-Legendre panels of width <= pi/8.
+    """
+    beta = _check_n(n)
+    if z < 0:
+        raise ValueError("z must be nonnegative")
+    if z == 0.0:
+        return 0.0 + 0.0j
+    A = min(z, 2.0)
+    b0, b1, b2 = beta, beta + 1.0, beta + 2.0
+    hA = np.exp(2j * A)
+    out = (hA - (2j * hA) * A / b1 + (-4.0 * hA) * A * A / (b1 * b2)) * A ** beta / b0
+    edges = A * 2.0 ** (-np.arange(0.0, float(_GRADE_LEVELS)))
+    acc = 0.0 + 0.0j
+    for a, b in zip(edges[1:], edges[:-1]):
+        s = (b - a) / 2 * _GL16 + (b + a) / 2
+        acc += (b - a) / 2 * np.sum(_GW16 * s ** (beta + 2.0) * np.exp(2j * s))
+    out -= acc * (-8j) / (b0 * b1 * b2)
+    if z > A:
+        nseg = int(np.ceil((z - A) / (np.pi / 8.0)))
+        eg = np.linspace(A, z, nseg + 1)
+        a = eg[:-1][:, None]
+        b = eg[1:][:, None]
+        s = (b - a) / 2 * _GL16[None, :] + (b + a) / 2
+        out += complex(np.sum((b - a) / 2 * _GW16[None, :] * s ** (beta - 1.0) * np.exp(2j * s)))
+    return complex(out)
+
+
+def Jn_infinity_extrapolated(n: int, z_base: float = 400.0) -> complex:
+    """Oracle for the J_n limit: half-period pair averages kill the leading
+    oscillation, evaluation points are snapped to multiples of pi so the
+    residual oscillatory envelope keeps one phase across doublings, and two
+    Richardson stages remove the z^{beta-2} and z^{beta-3} corrections."""
+    beta = _check_n(n)
+    z0 = np.pi * round(z_base / np.pi)
+    avg = lambda z: 0.5 * (eval_Jn(n, z) + eval_Jn(n, z + np.pi / 2.0))
+    a = [avg(z) for z in (z0, 2.0 * z0, 4.0 * z0)]
+    r1 = 2.0 ** (beta - 2.0)
+    b = [(a[i + 1] - r1 * a[i]) / (1 - r1) for i in range(2)]
+    r2 = 2.0 ** (beta - 3.0)
+    return (b[1] - r2 * b[0]) / (1 - r2)
+
+
+# --------------------------------------------------------------------------
+# semigroup
+
+
+def _entries_from_cs(k, C, S):
+    return np.array([[C + k * S, 1j * S], [1j * S, C - k * S]])
+
+
+def eval_eLt(k: float, t: float) -> np.ndarray:
+    """2x2 complex matrix e^{L(k) t}."""
+    C, S = propagator_cs(np.array([float(k)]), t)
+    return _entries_from_cs(float(k), C[0], S[0])
+
+
+def eval_eLt_direct(k: float, t: float) -> np.ndarray:
+    """Direct (trig/hyperbolic) form regardless of the branch window; used
+    to test continuity across the series seam."""
+    C, S = _cs_direct(np.array([float(k)]), float(t))
+    return _entries_from_cs(float(k), C[0], S[0])
+
+
+def eval_eLt_series(k: float, t: float) -> np.ndarray:
+    """Series form regardless of the branch window."""
+    C, S = _cs_series(np.array([float(k)]), float(t))
+    return _entries_from_cs(float(k), C[0], S[0])
+
+
+def apply_eLt(state: StateVector, t: float) -> StateVector:
+    """Apply the coupled propagator mode-wise to a physical-frame state."""
+    if state.frame != "physical":
+        raise ValueError("apply_eLt acts on physical-frame states")
+    k = state.grid.k
+    C, S = propagator_cs(k, t)
+    a, b = state.first.coeffs, state.second.coeffs
+    na = (C + k * S) * a + 1j * S * b
+    nb = 1j * S * a + (C - k * S) * b
+    return StateVector(
+        SpectralField(state.grid, na), SpectralField(state.grid, nb), "physical"
+    ).symmetrized()
+
+
+# --------------------------------------------------------------------------
+# heat
+
+
+def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]:
+    """Solution fields at the requested times on a periodic grid."""
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
+        raise ValueError("t_grid must be nonnegative and nondecreasing")
+    k = grid.k
+    pos = k >= 0
+    idx = np.arange(grid.n_points)
+    conj_idx = (-idx) % grid.n_points
+    out = []
+    for t in t_grid:
+        uhat = np.zeros(grid.n_points, dtype=complex)
+        uhat[pos] = solve_inhom_modes(spec, k[pos], t)
+        # negative modes by Hermitian symmetry (real field, uhat(-k) = conj)
+        uhat = np.where(pos, uhat, np.conj(uhat[conj_idx]))
+        out.append(field_from_continuum_fhat(grid, uhat).symmetrized())
+    return out
+
+
+def un_reference_by_inverse_quadrature(n: int, sigma: int, x: np.ndarray,
+                                       t: float) -> np.ndarray:
+    """Independent route to the limit profile: continuum inverse transform of
+    its closed Fourier form by quadrature.  The |k|^{1-beta} cusp at k = 0 is
+    removed by the substitution k = w^2; the Gaussian factor truncates the
+    k range at k^2 (1+t) ~ 60."""
+    x = np.asarray(x, dtype=float)
+    wmax = np.sqrt(np.sqrt(60.0 / (1.0 + t)) + 1e-9)
+    edges = np.linspace(0.0, wmax, 80 + 1)
+    out = np.zeros_like(x)
+    for a, b in zip(edges[:-1], edges[1:]):
+        w = (b - a) / 2 * _GL16 + (b + a) / 2
+        wt = (b - a) / 2 * _GW16
+        k = w * w
+        uh = un_reference_hat(n, sigma, k, t)
+        ker = uh[None, :] * np.exp(1j * k[None, :] * x[:, None])
+        out += (ker.real * (2.0 * w)[None, :]) @ wt
+    return out / np.pi
+
+
+def heat_ifrk4(grid: Grid, dt: float, n_steps: int, forcing) -> np.ndarray:
+    """Samples at t = n_steps dt of u_t = u_xx + d/dx forcing(x, t), u(0) = 0,
+    by integrating-factor RK4 on the grid with a 2/3-dealiased source: the
+    diagonal heat propagator e^{-k^2 t} in place of the p-system symbol.
+    The source does not depend on u, so the two midpoint stages coincide."""
+    k = grid.k
+    n = grid.n_points
+    dealias = np.abs(k) <= 2.0 / 3.0 * np.abs(k).max()
+    e_half = np.exp(-k * k * dt / 2.0)
+    e_full = np.exp(-k * k * dt)
+
+    def source(t):
+        return 1j * k * np.fft.fft(forcing(grid.x, t)) * dealias / n
+
+    u = np.zeros(n, dtype=complex)
+    for i in range(n_steps):
+        t = i * dt
+        k1, k2, k4 = source(t), source(t + dt / 2), source(t + dt)
+        u = e_full * u + dt / 6 * (e_full * k1 + 4 * e_half * k2 + k4)
+    return np.fft.ifft(u).real * n
+
+
+# --------------------------------------------------------------------------
+# profiles and frames
+
+
+def rn_envelope_constant(rn: ProfileSample, n: int, order: int = 0,
+                         z_cap: float = 40.0) -> float:
+    """Measured sup of e^{z^2/4} (1+z^2)^{-(1+m-2^{-n})/2} |d^m R_n| (the
+    two-sided Gaussian weight of the remainder estimate), in log space so the
+    weight cannot overflow; restricted to |z| <= z_cap where the product is
+    resolvable in double precision."""
+    beta = 0.5 ** n
+    z = rn.z_grid
+    msk = np.abs(z) <= z_cap
+    v = np.abs((rn.derivs[order] if order else rn.values)[msk])
+    logw = z[msk] ** 2 / 4.0 - (1.0 + order - beta) / 2.0 * np.log1p(z[msk] ** 2)
+    logv = np.where(v > 0, np.log(np.maximum(v, 1e-300)), -np.inf)
+    return float(np.exp((logw + logv).max()))
+
+
+def build_expansion_terms(model: ExpansionModel, t: float, x: np.ndarray):
+    """Sample (u0, u1, v0, v1) on physical points x at time t by rescaled
+    cubic interpolation with envelope-based tail extrapolation."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    interp = model.interpolants()
+    root = np.sqrt(1.0 + t)
+    zz = np.asarray(x, dtype=float) / root
+    u0 = interp["g0+"](zz) / root
+    v0 = interp["g0-"](zz) / root
+    u1 = np.zeros_like(zz)
+    v1 = np.zeros_like(zz)
+    for idx, (dp, dm) in enumerate(model.coeffs.d, start=1):
+        pref = (1.0 + t) ** (-(1.0 - 0.5 ** (idx + 1)))
+        if idx in model.gn_plus:
+            u1 = u1 + dp * pref * interp[f"g{idx}+"](zz)
+        if idx in model.gn_minus:
+            v1 = v1 + dm * pref * interp[f"g{idx}-"](zz)
+    return u0, u1, v0, v1
+
+
+def from_characteristic_frame(state: StateVector, t: float) -> StateVector:
+    """Inverse frame change: a = (Tu + T^{-1}v)/2, b = (Tu - T^{-1}v)/2."""
+    if state.frame != "characteristic":
+        raise ValueError("expected a characteristic-frame state")
+    k = state.grid.k
+    u, v = state.first.coeffs, state.second.coeffs
+    tu = np.exp(1j * k * t) * u
+    tv = np.exp(-1j * k * t) * v
+    a = 0.5 * (tu + tv)
+    b = 0.5 * (tu - tv)
+    return StateVector(SpectralField(state.grid, a).symmetrized(),
+                       SpectralField(state.grid, b).symmetrized(),
+                       "physical")

@@ -113,6 +113,35 @@ csv_snapshots = 3
     assert written == set(manifest["outputs"])
 
 
+_TINY_SIMULATION = """
+[grid]
+n_points = 256
+half_length = 60.0
+[simulate]
+t_final = 2.0
+snapshots = 4
+csv_snapshots = 2
+"""
+
+
+def test_cli_simulate_quadratic_nonlinearity_reading_b(tmp_path):
+    # the [nonlinearity] section reaches the solver: a quadratic g with a b^2
+    # term, whose source transforms b
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(_TINY_SIMULATION + "[nonlinearity]\nname = quadratic\ngbb = 0.5\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 0
+    manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+    assert manifest["config"]["nonlinearity"] == {"name": "quadratic", "gbb": "0.5"}
+    assert manifest["verdicts"]["passed"] is True
+
+
+def test_cli_unknown_nonlinearity_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_TINY_SIMULATION + "[nonlinearity]\nname = cubic\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 2
+    assert "unknown nonlinearity 'cubic'" in capsys.readouterr().err
+
+
 def test_cli_verify_subcommand(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("""

@@ -1,0 +1,100 @@
+"""Guards on the shape of the package: no public name that nothing in it
+uses, and every call the benchmark tracer wraps still resolves."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import ptails
+
+PACKAGE = Path(ptails.__file__).resolve().parent
+SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
+
+# Public names kept although nothing in the package calls them, with the reason.
+UNUSED_BY_DESIGN = {
+    # measures the constant C(n) of the pointwise heat-remainder bound, which
+    # acceptance criterion 4b checks for stability under grid refinement
+    "heat.pointwise_bound_constant",
+}
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set:
+    """Names and attribute names read anywhere in the tree, outside the
+    subtree ``skip`` and outside ``__all__``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_is_used_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            used = any(node.name in _references(t, skip=node if m == module else None)
+                       for m, t in trees.items())
+            if not used and f"{module}.{node.name}" not in UNUSED_BY_DESIGN:
+                unused.append(f"{module}.{node.name}")
+    assert unused == [], f"public names nothing in the package uses: {unused}"
+
+
+def _span_targets():
+    if not SPANS.exists():
+        pytest.skip("no perfbench/ next to the package")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def _resolve(modname: str, path: str):
+    mod = importlib.import_module(modname)
+    if "." in path:
+        cls_name, meth = path.split(".")
+        return getattr(mod, cls_name).__dict__[meth]
+    return getattr(mod, path)
+
+
+def test_benchmark_span_targets_resolve():
+    # the traced benchmark wraps these calls by name; a rename or removal
+    # would only show there, as a span that records no calls
+    for name, modname, path, _ in _span_targets():
+        assert callable(_resolve(modname, path)), (name, modname, path)
+
+
+# argument slots the span counters read: (positional index, parameter name)
+_COUNTED_ARGUMENTS = {
+    ("ptails.special", "fn_value"): (1, "z"),
+    ("ptails.heat", "_duhamel_integral"): (0, "k"),
+    ("ptails.verify", "remainder_pipeline"): (0, "traj"),
+    ("ptails.cli", "_write_csv"): (0, "path"),
+    ("ptails.config", "RunManifest.write"): (1, "path"),
+}
+
+
+def test_benchmark_span_counters_find_their_arguments():
+    targets = {(modname, path) for _, modname, path, _ in _span_targets()}
+    for (modname, path), (index, param) in _COUNTED_ARGUMENTS.items():
+        assert (modname, path) in targets
+        params = list(inspect.signature(_resolve(modname, path)).parameters)
+        assert params[index] == param, (modname, path, params)

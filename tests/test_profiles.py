@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import build_expansion_terms, rn_envelope_constant
 from ptails import profiles, special
 from ptails.nonlinearity import (default_nonlinearity, quadratic_nonlinearity,
                                  zero_nonlinearity)
 from ptails.profiles import (ExpansionCoefficients, build_expansion_model,
-                             build_expansion_terms, burgers_residual,
-                             corrected_trapezoid, d_coefficients_analytic,
-                             g0_function, g0_profile, gn_equation_residual,
-                             gn_fixed_point, gn_total_mass, graded_grid,
-                             hessian_constants, profile_mass,
-                             rn_envelope_constant)
+                             burgers_residual, corrected_trapezoid,
+                             d_coefficients_analytic, g0_function, g0_profile,
+                             gn_equation_residual, gn_fixed_point,
+                             gn_total_mass, graded_grid, hessian_constants,
+                             profile_mass)
 
 
 def test_graded_grid_shape(zgrid):

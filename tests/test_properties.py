@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import from_characteristic_frame
 from ptails.semigroup import propagator_cs
-from ptails.solver import from_characteristic_frame, to_characteristic_frame
+from ptails.solver import to_characteristic_frame
 from ptails.spectral import (Grid, SpectralField, StateVector, coeffs_of,
                              samples_of)
 

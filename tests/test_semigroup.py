@@ -3,11 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_real_field
-from ptails.semigroup import (apply_eLt, eval_eL0t, eval_eLt, eval_eLt_direct,
-                              eval_eLt_series, intertwining_defect,
-                              kernel_bound_check, mix_S, propagator_cs,
-                              weighted_defect_entries)
-from ptails.spectral import StateVector
+from oracles import apply_eLt, eval_eLt, eval_eLt_direct, eval_eLt_series
+from ptails.semigroup import (intertwining_defect, kernel_bound_check,
+                              propagator_cs, weighted_defect_entries)
+from ptails.spectral import StateVector, samples_of
 
 
 def generator(k: float) -> np.ndarray:
@@ -85,23 +84,13 @@ def test_no_overflow_large_kt():
     assert np.isfinite(C).all() and np.isfinite(S).all()
 
 
-def test_eL0t_diag_and_mixing():
-    assert np.abs(eval_eL0t(0.7, 0.0) - np.eye(2)).max() < 1e-15
-    S = mix_S()
-    assert np.abs(S @ S - 2 * np.eye(2)).max() == 0.0
-    m = eval_eL0t(0.7, 3.0)
-    assert abs(abs(m[0, 0]) - np.exp(-0.49 * 3.0)) < 1e-14
-    assert abs(abs(m[1, 1]) - np.exp(-0.49 * 3.0)) < 1e-14
-    assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-
-
 def test_apply_preserves_reality(grid_small, rng):
     a = random_real_field(grid_small, rng)
     b = random_real_field(grid_small, rng)
     state = StateVector(a, b, "physical")
     out = apply_eLt(state, 1.7)
-    assert np.abs(out.first.samples_complex().imag).max() < 1e-12
-    assert np.abs(out.second.samples_complex().imag).max() < 1e-12
+    assert np.abs(samples_of(out.first.coeffs).imag).max() < 1e-12
+    assert np.abs(samples_of(out.second.coeffs).imag).max() < 1e-12
 
 
 def test_kernel_bounds_and_refinement():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from oracles import (EnvelopeDescriptor, Jn_infinity_extrapolated,
+                     envelope_check, eval_Jn, fn_oracle, fn_profile,
+                     ode_residual)
 from ptails import special
-from ptails.special import (EnvelopeDescriptor, Jn_infinity,
-                            Jn_infinity_extrapolated, envelope_check, eval_Jn,
-                            fn_mass, fn_oracle, fn_profile, fn_value,
-                            fn_zero_value, lcal_apply, ode_residual,
+from ptails.special import (Jn_infinity, fn_mass, fn_value, lcal_apply,
                             tail_exponent_fit)
 
 

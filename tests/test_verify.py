@@ -152,7 +152,7 @@ def test_pipeline_rejects_bad_subtract(medium_traj, medium_model):
 def test_pipeline_linear_run_heat_asymptotics():
     # with the source off the raw remainder follows pure heat asymptotics
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
-                    epsilon0=0.05, nonlinearity="zero", n_snapshots=60)
+                    epsilon0=0.05, n_snapshots=60)
     traj = run(cfg, nl=zero_nonlinearity())
     model = build_model_from_trajectory(traj, zero_nonlinearity(), N=1)
     assert model.coeffs.c_plus == 0.0
@@ -230,7 +230,7 @@ def test_pipeline_zero_data_trivially_passes():
     traj = run(cfg, nl=default_nonlinearity())
     model = build_model_from_trajectory(traj, default_nonlinearity(), N=1)
     res = remainder_pipeline(traj, model, subtract="full", sides="+")
-    assert res.all_passed
+    assert all(r.passed for r in res.reports)
     assert res.d1_fit["+"] == 0.0
     assert model.coeffs.d[0] == (0.0, 0.0)
     assert res.mass_error == 0.0
@@ -251,7 +251,7 @@ def test_d1_fit_stable_under_discretization_refinement():
 
 def test_tail_precedence_linear_inconclusive():
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
-                    epsilon0=0.05, nonlinearity="zero", n_snapshots=40)
+                    epsilon0=0.05, n_snapshots=40)
     traj = run(cfg, nl=zero_nonlinearity())
     rep = tail_precedence_check(traj, 100.0)
     assert not rep.conclusive        # both sides Gaussian: nothing to fit
