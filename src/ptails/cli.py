@@ -76,7 +76,7 @@ def cmd_special(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     z = np.linspace(lo, hi, args.points)
     n = args.n
     rows = []
-    vals = [special.fn_value(n, z, m) for m in range(4)]
+    vals = special.fn_value(n, z, (0, 1, 2, 3))
     res = special.lcal_apply(vals[0], vals[1], vals[2], z, n)
     for i in range(z.size):
         rows.append((z[i], vals[0][i], vals[1][i], vals[2][i], vals[3][i], res[i]))
@@ -353,14 +353,17 @@ def main(argv=None) -> int:
                            config={s: dict(v) for s, v in cfg.items()})
     try:
         with Stopwatch() as sw:
-            code = _COMMANDS[args.command](args, cfg, out, manifest)
-        manifest.wall_seconds = sw.seconds
+            try:
+                code = _COMMANDS[args.command](args, cfg, out, manifest)
+            except (ValueError, RuntimeError) as exc:
+                # the manifest still lists what was written before the error
+                print(f"error: {exc}", file=sys.stderr)
+                manifest.verdicts.update({"passed": False, "error": str(exc)})
+                code = 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest.wall_seconds = sw.seconds
     manifest_path = out / f"manifest_{args.command}.json"
     manifest.write(manifest_path)
     print(f"wrote {len(manifest.outputs)} output file(s) + {manifest_path}")

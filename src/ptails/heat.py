@@ -17,10 +17,15 @@ whose transform is  ik e^{-k^2(1+t)} |k|^{-2^{-n}}
 
 The s-quadrature uses panels sized by three local scales: the oscillation
 wavelength, the diffusion window 1/k^2, and the algebraic factor's 1+s;
-modes are processed in |k| bins sharing one panel set.  For an increasing
-series of times the integral is marched instead of restarted from s = 0:
-the value at t_m is the value at t_{m-1} damped by e^{-k^2 (t_m - t_{m-1})}
-plus the quadrature over [t_{m-1}, t_m] alone.
+modes are processed in |k| bins sharing one panel set.  A bin's panels are
+evaluated as one array expression per chunk of panels, so its temporaries
+stay below a fixed number of (mode, node) values however many panels it
+has; each panel's node sum is still taken on its own and the sums are
+added in panel order, which gives the same bits as one panel at a time.
+
+For an increasing series of times the integral is marched instead of
+restarted from s = 0: the value at t_m is the value at t_{m-1} damped by
+e^{-k^2 (t_m - t_{m-1})} plus the quadrature over [t_{m-1}, t_m] alone.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ _FHAT_HALF_LENGTH = 480.0
 _FHAT_POINTS = 2 ** 17
 _WINDOW_CAP = 42.0     # quadrature stops where e^{-k^2 (t-s)} < e^{-42}
 _NORM_PANELS = 64      # k panels of the continuum remainder norms
+_CHUNK = 1 << 15       # (mode, node) integrand values evaluated at once
 
 
 @dataclass
@@ -143,16 +149,12 @@ def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,
     end of the diffusion window if that is later, with local step bounded by
     the oscillation, diffusion, and algebraic-factor scales."""
     s_lo = max(s_floor, t - _WINDOW_CAP / max(k_hi * k_hi, 1e-300))
+    osc_step = 1.2 * np.pi / max(osc_rate, 1e-300)
+    diffusion_step = 6.0 / max(k_hi * k_hi, 1e-300)
     edges = [t]
     s = t
     while s > s_lo + 1e-14 * max(1.0, t):
-        step = min(
-            1.2 * np.pi / max(osc_rate, 1e-300),
-            6.0 / max(k_hi * k_hi, 1e-300),
-            power_scale * (1.0 + s),
-            s - s_lo,
-        )
-        s -= step
+        s -= min(osc_step, diffusion_step, power_scale * (1.0 + s), s - s_lo)
         edges.append(s)
     edges[-1] = s_lo
     return np.array(edges[::-1])
@@ -176,18 +178,34 @@ def _ascending_bins(k: np.ndarray):
 
 def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
                   c_osc: float, fhat_fn: Callable) -> np.ndarray:
-    """int_{s_floor}^t of the Duhamel integrand for one magnitude bin."""
+    """int_{s_floor}^t of the Duhamel integrand for one magnitude bin.
+
+    The panels' integrands are evaluated a chunk of panels at a time, at most
+    _CHUNK (mode, node) values per chunk unless one panel alone has more.
+    Each panel's 16-node sum is its own matrix-vector product and the sums
+    are added in panel order, so the result does not depend on the chunk.
+    """
     k_hi = kb[-1]
     edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor=s_floor)
+    a = edges[:-1, None]
+    b = edges[1:, None]
+    s = (b - a) / 2 * _GL16 + (b + a) / 2                       # (panels, 16)
+    w = ((b - a) / 2 * _GW16)[:, :, None].astype(complex)       # (panels, 16, 1)
+    alg = ((1.0 + s) ** power)[:, None, :]
+    root = np.sqrt(1.0 + s)[:, None, :]
+    kk = kb[None, :, None]                                      # (1, modes, 1)
+    neg_k2 = -kk ** 2
+    ick = 1j * c_osc * kk
+    per_chunk = max(1, _CHUNK // (kb.size * _GL16.size))
     acc = np.zeros(kb.size, dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        s = (b - a) / 2 * _GL16 + (b + a) / 2
-        w = (b - a) / 2 * _GW16
-        damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
-        osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
-        alg = (1.0 + s) ** power
-        fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
-        acc += (damp * osc * alg[None, :] * fh) @ w
+    for p in range(0, s.shape[0], per_chunk):
+        sc = s[p:p + per_chunk, None, :]
+        damp = np.exp(neg_k2 * (t - sc))
+        osc = np.exp(ick * sc)
+        fh = fhat_fn(kk * root[p:p + per_chunk])
+        sums = np.matmul(damp * osc * alg[p:p + per_chunk] * fh, w[p:p + per_chunk])
+        for row in sums[:, :, 0]:
+            acc += row
     return acc
 
 
@@ -269,6 +287,14 @@ class ConvergenceReport:
         return self.stabilized and np.isfinite(self.weighted_sup)
 
 
+def _rescaled_excess(k: np.ndarray, diff: np.ndarray, t: float) -> float:
+    """max over k > 0 of (diff e^{k^2 (1+t)} - t^{-1/2}) / k: the smallest C
+    with diff <= (C k + t^{-1/2}) e^{-k^2 (1+t)} on these modes, where diff
+    is |uhat - M uhat_n|."""
+    resc = diff * np.exp(k ** 2 * (1.0 + t))
+    return float(np.max((resc - t ** -0.5) / k))
+
+
 def _continuum_norms(spec: HeatSourceSpec, t: float):
     """(||u - M u_n||_2, ||D(...)||_2, measured C) by continuum-k quadrature."""
     kmax = 8.0 / np.sqrt(1.0 + t) + 0.5
@@ -288,8 +314,7 @@ def _continuum_norms(spec: HeatSourceSpec, t: float):
         if t > 0:
             sel = kk <= k_resc_max
             if np.any(sel):
-                resc = diff[sel] * np.exp(kk[sel] ** 2 * (1.0 + t))
-                cmax = max(cmax, float(np.max((resc - t ** -0.5) / kk[sel])))
+                cmax = max(cmax, _rescaled_excess(kk[sel], diff[sel], t))
     # |uhat(-k)| = |uhat(k)|: integral over R is twice the half line, /(2 pi)
     return np.sqrt(tot0 / np.pi), np.sqrt(tot1 / np.pi), max(cmax, 0.0)
 
@@ -340,6 +365,5 @@ def pointwise_bound_constant(spec: HeatSourceSpec, k_grid, t_grid) -> float:
             continue
         uh = solve_inhom_modes(spec, kk, t)
         unh = spec.mass * un_reference_hat(spec.n, spec.sigma, kk, t)
-        resc = np.abs(uh - unh) * np.exp(kk ** 2 * (1.0 + t))
-        cmax = max(cmax, float(np.max((resc - t ** -0.5) / kk)))
+        cmax = max(cmax, _rescaled_excess(kk, np.abs(uh - unh), t))
     return max(cmax, 0.0)

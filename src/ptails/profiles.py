@@ -235,7 +235,7 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
         raise ValueError("z_grid must be symmetric about 0 (f_n(-z) by reversal)")
     beta = 0.5 ** n
     lam = 1.0 - 0.5 ** (n + 1)
-    F = np.array([special.fn_value(n, z, m) for m in range(4)])
+    F = special.fn_value(n, z, (0, 1, 2, 3))
     Fm = F[:, ::-1].copy()   # f_n^{(m)}(-z); chain-rule signs handled per use
     f0, f1, f2, f3 = F
     f0m, f1m, f2m, f3m = Fm

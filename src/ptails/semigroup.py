@@ -107,8 +107,6 @@ class KernelBoundReport:
     C_matrix: float          # entry-wise bound with the (1+k^2)^{-1/2} off-diagonal weight
     C_derivative: float      # bound on e^{Lt} (0, ik)^T with the sqrt(t) loss
     violation: bool
-    k_grid: np.ndarray
-    t_grid: np.ndarray
 
 
 def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray) -> KernelBoundReport:
@@ -142,8 +140,6 @@ def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray) -> KernelBoundRep
         C_matrix=float(c_mat),
         C_derivative=float(c_der),
         violation=bool(max(c_mat, c_der) > KERNEL_C_CAP),
-        k_grid=k_grid,
-        t_grid=t_grid,
     )
 
 
@@ -152,8 +148,6 @@ class IntertwiningReport:
     """sup over a (k, t) grid of sqrt(1+t) e^{k^2 t / 2} |(P S e^{Lt} - e^{L0 t} S)_ij|."""
 
     sup_entries: np.ndarray   # 2x2 array of measured sups
-    k_grid: np.ndarray
-    t_grid: np.ndarray
 
     @property
     def sup(self) -> float:
@@ -197,4 +191,4 @@ def intertwining_defect(k_grid: np.ndarray, t_grid: np.ndarray) -> IntertwiningR
     sups = np.zeros((2, 2))
     for t in t_grid:
         sups = np.maximum(sups, weighted_defect_entries(k_grid, t).max(axis=2))
-    return IntertwiningReport(sup_entries=sups, k_grid=k_grid, t_grid=t_grid)
+    return IntertwiningReport(sup_entries=sups)

@@ -83,6 +83,21 @@ def test_cli_profiles_defaults_inside_contraction_regime(tmp_path):
     assert manifest["verdicts"]["passed"] is True
 
 
+def test_cli_error_still_writes_manifest(tmp_path, capsys):
+    # |alpha*gamma| = 0.15 is outside the contraction regime: g0 is written,
+    # then the g_1 fixed point refuses to start
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[profiles]\nalpha = 0.5\ngamma = 0.3\nn_max = 1\n")
+    code = main(["-c", str(cfg), "-o", str(tmp_path), "profiles"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "contraction" in err
+    manifest = json.loads((tmp_path / "manifest_profiles.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "g0.csv")]
+    assert manifest["verdicts"]["passed"] is False
+    assert manifest["verdicts"]["error"] == err.strip()[len("error: "):]
+
+
 def test_cli_bounds_deterministic(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

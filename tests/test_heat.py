@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -175,6 +177,43 @@ def test_duhamel_scalar_time_matches_reference_bitwise():
     for t in (0.7, 12.0, 300.0):
         got = heat._duhamel_integral(k, t, -0.5, -2.0, fh)
         assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
+
+
+def test_duhamel_chunking_is_bitwise(monkeypatch):
+    # panel sums are added in panel order whatever the chunk size, so one
+    # panel per chunk, a ragged chunk and the default all give the same bits
+    k = np.concatenate([[0.0], np.linspace(0.003, 5.0, 700)])[::-1].copy()
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    g = Grid(2 ** 13, 600.0)
+    times = np.geomspace(2.5, 50.0, 46)
+    k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
+    km = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
+    marched = heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut)
+    for chunk in (1, 16 * 7 * 3):
+        monkeypatch.setattr(heat, "_CHUNK", chunk)
+        for t in (0.7, 12.0, 300.0):
+            got = heat._duhamel_integral(k, t, -0.5, -2.0, fh)
+            assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
+        assert np.array_equal(
+            heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut), marched)
+
+
+def test_bin_integral_temporaries_bounded_by_chunk():
+    # a flagship-sized bin (2^15 points on [-2500, 2500]: about 1,800 modes
+    # in k in [6.5, 8.8]) takes one panel per chunk; evaluating its 7 panels
+    # at once would hold about 15 MB of temporaries
+    kb = np.arange(6.5, 8.775, 2.0 * np.pi / 5000.0)
+    assert 1700 < kb.size < 1900
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    heat._bin_integral(kb, 0.0, 50.0, -0.5, -2.0, fh)
+    tracemalloc.start()
+    try:
+        heat._bin_integral(kb, 0.0, 50.0, -0.5, -2.0, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # eight complex arrays of one chunk
+    assert peak < 8 * 16 * max(heat._CHUNK, kb.size * heat._GL16.size)
 
 
 def test_duhamel_marched_matches_per_time_calls():

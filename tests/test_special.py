@@ -31,6 +31,23 @@ def test_fn_out_of_range():
         fn_value(1, 301.0)
 
 
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_fn_multi_order_rows_equal_single_order_calls(n):
+    # the orders share each panel's exponential; every row keeps the bits
+    z = np.linspace(-30.0, 30.0, 241)
+    orders = (3, -1, 0, 4, 1, 2)
+    for zz, scaled in ((z, False), (np.abs(z), True), (-2.5, False), (4.0, True)):
+        rows = fn_value(n, zz, orders, scaled=scaled)
+        assert rows.shape == (len(orders),) + np.shape(zz)
+        for row, m in zip(rows, orders):
+            assert row.tobytes() == np.asarray(
+                fn_value(n, zz, m, scaled=scaled)).tobytes()
+    with pytest.raises(ValueError):
+        fn_value(n, z, (0, 1, 5))
+    with pytest.raises(ValueError):
+        fn_value(n, z, (-2, 0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("z", [-25.0, -3.3, 0.0, 0.7, 7.7, 28.0])
 def test_fn_against_adaptive_quadrature_oracle(n, z):
