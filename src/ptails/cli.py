@@ -20,7 +20,7 @@ from . import heat, profiles, special, verify
 from .config import ConfigError, RunManifest, Stopwatch, get_typed, parse_config
 from .nonlinearity import default_nonlinearity, quadratic_nonlinearity, zero_nonlinearity
 from .semigroup import intertwining_defect, kernel_bound_check
-from .solver import SimConfig, run
+from .solver import SimConfig, gaussian_initial_state, run, snapshot_times
 
 _FLOAT_FMT = "%.17g"
 
@@ -193,17 +193,24 @@ def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
 def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     sim_cfg = _sim_config(cfg)
     nl = _nonlinearity_from_config(cfg)
-    # nothing below reads the per-snapshot norms
-    traj = run(sim_cfg, nl=nl, record_norms=False)
-    if traj.aborted:
-        manifest.verdicts["aborted"] = traj.abort_reason
-        return 1
-    model = verify.build_model_from_trajectory(traj, nl, N=1)
     subtract = get_typed(cfg, "verify", "subtract", str, "full")
     tol = get_typed(cfg, "verify", "slope_tolerance", float, 0.05)
     d1_tol = get_typed(cfg, "verify", "d1_tolerance", float, 0.10)
+    t_tail = get_typed(cfg, "verify", "tail_time", float, sim_cfg.t_final / 2.0)
+    require_tail = get_typed(cfg, "verify", "require_tail", bool, True)
+    # the model needs only the initial masses, so the remainders are taken as
+    # the run makes each snapshot, and no snapshot is stored but the tail's
+    times = snapshot_times(sim_cfg)
+    initial = gaussian_initial_state(sim_cfg)
+    model = verify.build_model_from_trajectory(initial, nl, N=1)
+    acc = verify.RemainderAccumulator(model, sim_cfg, times, subtract=subtract,
+                                      tail_time=t_tail)
+    traj = run(sim_cfg, nl=nl, initial=initial, on_snapshot=acc.add)
+    if traj.aborted:
+        manifest.verdicts["aborted"] = traj.abort_reason
+        return 1
     result = verify.remainder_pipeline(traj, model, subtract=subtract,
-                                       slope_tolerance=tol)
+                                       slope_tolerance=tol, fed=acc)
     path = out / "decay_fits.csv"
     _write_csv(path,
                ["quantity", "t_lo", "t_hi", "slope", "residual", "target",
@@ -217,9 +224,7 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         rows.extend((quantity, float(t), float(v)) for t, v in zip(ts, vals))
     _write_csv(path, ["quantity", "t", "l2_norm"], rows)
     manifest.add_output(path)
-    t_tail = get_typed(cfg, "verify", "tail_time", float, sim_cfg.t_final / 2.0)
-    require_tail = get_typed(cfg, "verify", "require_tail", bool, True)
-    tail = verify.tail_precedence_check(traj, t_tail)
+    tail = verify.tail_precedence_check(traj, t_tail, fed=acc)
     manifest.verdicts.update({
         "fits": [r.row() for r in result.reports],
         "d1_fit": result.d1_fit,

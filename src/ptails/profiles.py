@@ -98,7 +98,6 @@ class ExpansionCoefficients:
     alpha_minus: float
     c_plus: float
     c_minus: float
-    c3: float
     d: list = field(default_factory=list)   # [(d_n^+, d_n^-)] for n = 1..N
     N: int = 1
 

@@ -9,6 +9,11 @@ symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.  Snapshots are read in the
 characteristic frame through ``to_characteristic_frame``.
 
+``run`` records snapshots at the times ``snapshot_times`` gives.  It stores
+them, or hands each to an ``on_snapshot(state, t)`` consumer as it is made
+and stores none; ``ptails verify`` takes the second route, so its memory
+does not grow with the snapshot count.
+
 One source evaluation costs three transforms: inverse transforms of ``a`` and
 ``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
 transformed only for a nonlinearity that reads them (``Nonlinearity.reads_b``),
@@ -33,6 +38,7 @@ __all__ = [
     "TrajectoryRecord",
     "Stepper",
     "run",
+    "snapshot_times",
     "to_characteristic_frame",
     "gaussian_initial_state",
 ]
@@ -77,8 +83,10 @@ class SimConfig:
 class TrajectoryRecord:
     config: SimConfig
     times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)      # StateVector (physical frame)
-    norm_a: list = field(default_factory=list)         # NormReport per snapshot
+    # StateVector (physical frame) and NormReports per snapshot; all three
+    # stay empty when run hands the snapshots to an on_snapshot consumer
+    snapshots: list = field(default_factory=list)
+    norm_a: list = field(default_factory=list)
     norm_b: list = field(default_factory=list)
     mass_a: list = field(default_factory=list)
     mass_b: list = field(default_factory=list)
@@ -86,10 +94,6 @@ class TrajectoryRecord:
     aborted: bool = False
     abort_reason: str = ""
     n_steps: int = 0
-
-    @property
-    def initial_state(self) -> StateVector:
-        return self.snapshots[0]
 
     def mass_drift(self) -> float:
         ma = np.asarray(self.mass_a)
@@ -227,13 +231,36 @@ def _snapshot_steps(n_steps: int, n_snapshots: int) -> set:
     return set(np.unique(np.round(geo).astype(int)))
 
 
-def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
-        record_norms: bool = True,
-        warn: Callable[[str], None] | None = None) -> TrajectoryRecord:
-    """Integrate to t_final, recording geometrically spaced snapshots with
-    their diagnostics.  Norm guard: data above the working amplitude only
-    warns; the smallness threshold of the asymptotic regime is empirical."""
+def _schedule(config: SimConfig) -> tuple[float, int, dict]:
+    """(dt, n_steps, {step: time}) for the snapshots after t = 0: the step
+    size is shrunk so that n_steps steps end exactly at t_final."""
     config.validate()
+    n_steps = int(np.ceil(config.t_final / config.resolved_dt() - 1e-12))
+    dt = config.t_final / n_steps
+    steps = sorted(int(i) for i in _snapshot_steps(n_steps, config.n_snapshots))
+    return dt, n_steps, {i: i * dt for i in steps}
+
+
+def snapshot_times(config: SimConfig) -> list:
+    """The times ``run`` records for this configuration, t = 0 first, bit-equal
+    to the ones it records (unless it aborts)."""
+    return [0.0, *_schedule(config)[2].values()]
+
+
+def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
+        on_snapshot: Callable[[StateVector, float], None] | None = None,
+        warn: Callable[[str], None] | None = None) -> TrajectoryRecord:
+    """Integrate to t_final, recording geometrically spaced snapshots (the
+    times of ``snapshot_times``) with their masses.
+
+    Without ``on_snapshot`` the record keeps every snapshot and its norms.
+    With it, ``on_snapshot(state, t)`` is called at every recorded time,
+    t = 0 included, and the record keeps times and masses but no snapshots:
+    memory then does not grow with the snapshot count.  An exception the
+    consumer raises ends the run.  Norm guard: data above the working
+    amplitude only warns; the smallness threshold of the asymptotic regime
+    is empirical."""
+    dt, n_steps, snap_at = _schedule(config)
     grid = config.grid()
     if initial is None:
         initial = gaussian_initial_state(config)
@@ -246,34 +273,31 @@ def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
     if init_norm > 2.0 * config.epsilon0 and warn is not None:
         warn(f"initial amplitude {init_norm:.3g} above the epsilon0 guard "
              f"{config.epsilon0}; continuing")
-    dt = config.resolved_dt()
-    n_steps = int(np.ceil(config.t_final / dt - 1e-12))
-    dt = config.t_final / n_steps
     stepper = Stepper(grid, dt, nl, config.dealias_fraction)
     rec = TrajectoryRecord(config=config)
-    snap_at = _snapshot_steps(n_steps, config.n_snapshots)
 
     def record(state: StateVector, t: float):
         rec.times.append(t)
-        rec.snapshots.append(state)
         rec.mass_a.append(mass(state.first))
         rec.mass_b.append(mass(state.second))
-        if record_norms:
-            rec.norm_a.append(norms(state.first, t))
-            rec.norm_b.append(norms(state.second, t))
+        if on_snapshot is not None:
+            on_snapshot(state, t)
+            return
+        rec.snapshots.append(state)
+        rec.norm_a.append(norms(state.first, t))
+        rec.norm_b.append(norms(state.second, t))
 
     t0 = time.perf_counter()
     state = initial.symmetrized()
     record(state, 0.0)
     for i in range(1, n_steps + 1):
         state = stepper.step(state, config.scheme)
-        t = i * dt
         if not np.isfinite(state.first.coeffs).all() or not np.isfinite(state.second.coeffs).all():
             rec.aborted = True
-            rec.abort_reason = f"non-finite spectrum at step {i} (t = {t:.4g})"
+            rec.abort_reason = f"non-finite spectrum at step {i} (t = {i * dt:.4g})"
             break
         if i in snap_at:
-            record(state, t)
+            record(state, snap_at[i])
     rec.wall_seconds = time.perf_counter() - t0
     rec.n_steps = n_steps
     return rec

@@ -22,6 +22,22 @@ without touching anything that depends on the fitted quantities.  Fit-mode
 d_1 extrapolates the projection series in the basis
 {1, (1+t)^{-1/4}, (1+t)^{-1/2}}, the relative decay rates of the remaining
 contamination classes.
+
+Streaming.  ``RemainderAccumulator`` does the per-snapshot work and keeps
+only scalars, so it can be ``solver.run``'s ``on_snapshot`` consumer and no
+snapshot needs storing: per side and fit-window snapshot, the raw norm,
+<r_lin, G> and ||G||^2 with G = (1+t)^{-3/4} g_1, and for ``full`` also the
+N1 and N1_D norms, ||r_lin - w||^2 and <r_lin - w, G>, where w is the
+transient.  The window and the tail time are known before the run, and the
+model needs only the initial masses.  N0 needs the fitted d_1, so it comes
+afterwards from the identity
+
+    ||r_lin - w + d_1 G||^2 = ||r_lin - w||^2 + 2 d_1 <r_lin - w, G> + d_1^2 ||G||^2,
+
+which agrees with the whole-field norm to a few units of rounding
+(the terms do not cancel at these sizes); the ``linear`` N1 uses the same
+identity with -d_1.  A stored trajectory is fed through the same
+accumulator by ``remainder_pipeline``.
 """
 
 from __future__ import annotations
@@ -35,8 +51,8 @@ from . import heat, profiles, special
 from .profiles import ExpansionModel
 from .semigroup import propagator_cs
 from .solver import TrajectoryRecord, to_characteristic_frame
-from .spectral import (coeffs_of, field_from_continuum_fhat, mass, samples_of,
-                       transform_forward)
+from .spectral import (StateVector, coeffs_of, field_from_continuum_fhat, mass,
+                       samples_of, transform_forward)
 
 __all__ = [
     "DecayFitReport",
@@ -47,6 +63,7 @@ __all__ = [
     "bound_check",
     "USED_KERNEL_PARAMS",
     "remainder_pipeline",
+    "RemainderAccumulator",
     "PipelineResult",
     "tail_precedence_check",
     "TailPrecedenceReport",
@@ -258,16 +275,18 @@ def bound_check(t_grid=None) -> list[KernelCheckRow]:
 # remainder pipeline
 
 
-def build_model_from_trajectory(traj: TrajectoryRecord, nl, N: int = 1) -> ExpansionModel:
-    """Mass-match the leading profiles to the trajectory's initial data and
-    construct the correction profiles on ``profiles.graded_grid()``."""
-    z0 = traj.initial_state
-    alpha_p = mass(z0.first) + mass(z0.second)
-    alpha_m = mass(z0.first) - mass(z0.second)
-    cp, cm, c3 = profiles.hessian_constants(nl)
+def build_model_from_trajectory(initial: StateVector, nl, N: int = 1) -> ExpansionModel:
+    """Mass-match the leading profiles to a trajectory's initial state and
+    construct the correction profiles on ``profiles.graded_grid()``.
+
+    Only the masses of ``initial`` are read, so the state ``solver.run``
+    starts from and its symmetrized t = 0 snapshot give the same model, and
+    the model can be built before the first step."""
+    alpha_p = mass(initial.first) + mass(initial.second)
+    alpha_m = mass(initial.first) - mass(initial.second)
+    cp, cm, _ = profiles.hessian_constants(nl)
     co = profiles.ExpansionCoefficients(
-        alpha_plus=alpha_p, alpha_minus=alpha_m,
-        c_plus=cp, c_minus=cm, c3=c3, N=N)
+        alpha_plus=alpha_p, alpha_minus=alpha_m, c_plus=cp, c_minus=cm, N=N)
     if not co.contraction_ok():
         raise ValueError("initial masses put the construction outside the "
                          "contraction regime |alpha*gamma| <= 0.1")
@@ -281,23 +300,25 @@ def _char_component(snapshot, t: float, side: str):
     return uv.first if side == "+" else uv.second
 
 
-def _linear_reference_coeffs(traj: TrajectoryRecord, t: float, side: str,
-                             g0_hat: np.ndarray) -> np.ndarray:
-    """Coefficients of [linear evolution of z0 in the char frame] minus
-    [decoupled heat evolution of the sampled leading profile]:
-    the sum of the data's intertwining defect and the mass-matched mismatch."""
-    z0 = traj.initial_state
-    g = z0.grid
-    k = g.k
-    a0, b0 = z0.first.coeffs, z0.second.coeffs
+def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict) -> dict:
+    """Per side in ``g0_hat``, the coefficients of [linear evolution of z0 in
+    the char frame] minus [decoupled heat evolution of the sampled leading
+    profile]: the sum of the data's intertwining defect and the mass-matched
+    mismatch.  The propagator and the heat factor are formed once for both
+    sides."""
+    k = initial.grid.k
+    a0, b0 = initial.first.coeffs, initial.second.coeffs
     C, S = propagator_cs(k, t)
-    if side == "+":
-        row = ((C + k * S) + 1j * S) * a0 + (1j * S + (C - k * S)) * b0
-        frame = np.exp(-1j * k * t)
-    else:
-        row = ((C + k * S) - 1j * S) * a0 + (1j * S - (C - k * S)) * b0
-        frame = np.exp(1j * k * t)
-    return frame * row - np.exp(-k * k * t) * g0_hat
+    P, Q, R = C + k * S, 1j * S, C - k * S
+    heat_factor = np.exp(-k * k * t)
+    out = {}
+    if "+" in g0_hat:
+        row = (P + Q) * a0 + (Q + R) * b0
+        out["+"] = np.exp(-1j * k * t) * row - heat_factor * g0_hat["+"]
+    if "-" in g0_hat:
+        row = (P - Q) * a0 + (Q - R) * b0
+        out["-"] = np.exp(1j * k * t) * row - heat_factor * g0_hat["-"]
+    return out
 
 
 def _transient_source_fhat(model: ExpansionModel, side: str):
@@ -332,6 +353,9 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     sel = (k >= 0) & (k <= kcut[0])
     ks = k[sel]
     rows = heat._duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
+    # the source transform (two 2^17-point splines) is not needed past here;
+    # a sweep that lives through a run would otherwise hold it to the end
+    del qhat
     conj_idx = (-np.arange(n)) % n
     neg = k < 0
     for row in rows:
@@ -380,54 +404,194 @@ class PipelineResult:
     subtract: str = "full"
     d1_fit_window_fallback: dict = field(default_factory=dict)  # side -> bool
 
-    def report(self, quantity: str) -> DecayFitReport:
-        for r in self.reports:
-            if r.quantity == quantity:
-                return r
-        raise KeyError(quantity)
-
     def d1_relative_difference(self, side: str = "+") -> float:
         a = self.d1_analytic[side]
         f = self.d1_fit[side]
         return abs(f - a) / max(abs(a), 1e-300)
 
 
+def _fit_window(config, window) -> tuple:
+    """The (t_lo, t_hi) of the fits: by default the last 19/20 of the run."""
+    return (config.t_final / 20.0, config.t_final) if window is None else tuple(window)
+
+
+def _in_window(times, window) -> list:
+    """Per snapshot time, whether it is a fit-window sample (t > 0 always)."""
+    t_lo, t_hi = window
+    sel = [t_lo <= t <= t_hi and t > 0 for t in times]
+    if sum(sel) < 6:
+        raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
+    return sel
+
+
+def _mass_error(state: StateVector, co, sides: str) -> float:
+    """Largest drift of the characteristic masses 2L (a_0 +- b_0) from the
+    matched values ``co.alpha_plus``/``co.alpha_minus``, read off the zeroth
+    coefficients, so it costs no transform."""
+    two_l = 2.0 * state.grid.half_length
+    a0, b0 = state.first.coeffs[0], state.second.coeffs[0]
+    return max(abs(two_l * (a0 + b0).real - co.alpha_plus) if side == "+"
+               else abs(two_l * (a0 - b0).real - co.alpha_minus)
+               for side in sides)
+
+
+def _refuse_drift(mass_err: float) -> None:
+    if mass_err > MASS_TOLERANCE:
+        raise ValueError(
+            f"mass of the characteristic field drifts from the matched value "
+            f"by {mass_err:.3e} (> {MASS_TOLERANCE:g})"
+        )
+
+
+def _nearest(times, t_sample: float) -> int:
+    return int(np.argmin(np.abs(np.asarray(times) - t_sample)))
+
+
+class RemainderAccumulator:
+    """The per-snapshot half of ``remainder_pipeline``.
+
+    Fed every snapshot of a run in time order, either as ``solver.run``'s
+    ``on_snapshot`` or from a stored trajectory, it does the work of each
+    fit-window snapshot once for both sides and keeps only scalars (see the
+    module docstring).  The first snapshot must be the initial state, which
+    the linear reference reads.  With a ``tail_time`` it also keeps the one
+    snapshot nearest that time, for ``tail_precedence_check``.  A window
+    snapshot whose mass drifts is refused before it is transformed.
+    """
+
+    def __init__(self, model: ExpansionModel, config, times, subtract: str = "full",
+                 window: tuple | None = None, sides: str = "+-",
+                 tail_time: float | None = None):
+        if subtract not in ("none", "linear", "full"):
+            raise ValueError("subtract must be 'none', 'linear' or 'full'")
+        self.model, self.subtract, self.sides = model, subtract, sides
+        self.window = _fit_window(config, window)
+        self.snapshot_times = list(times)
+        self._in_window = _in_window(self.snapshot_times, self.window)
+        self.times = np.array([t for t, w in zip(self.snapshot_times, self._in_window) if w])
+        self.kept = {}                 # snapshot index -> state, for the tail check
+        self._tail_index = (None if tail_time is None
+                            else _nearest(self.snapshot_times, tail_time))
+        self.n_fed = 0
+        self._initial = None           # the first snapshot fed
+        self.peak = 0.0                # largest coefficient amplitude in the window
+        self.mass_error = 0.0
+        # side -> name -> one value per window snapshot: raw (the N0_raw
+        # norm), rG = <r_lin, G>, GG = ||G||^2; for full also n1 and n1_d
+        # (norms), rwrw = ||r_lin - w||^2 and rwG = <r_lin - w, G>; for
+        # linear rr = ||r_lin||^2
+        self.scalars = {side: {} for side in sides}
+        self.grid = grid = config.grid()
+        self._ik = 1j * grid.k
+        interp = model.interpolants()
+        self._g0 = {side: interp[f"g0{side}"] for side in sides}
+        self._g1 = {side: interp[f"g1{side}"] for side in sides}
+        self._g0_hat = {side: transform_forward(self._g0[side](grid.x), grid).coeffs
+                        for side in sides}
+        self._sweeps = {}
+        if subtract == "full":
+            # the sources are built here, before a run allocates its arrays
+            self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
+                                                   grid, self.times)
+                            for side in sides}
+
+    def _keep(self, side: str, **values) -> None:
+        row = self.scalars[side]
+        for name, value in values.items():
+            row.setdefault(name, []).append(value)
+
+    def add(self, state: StateVector, t: float) -> None:
+        i = self.n_fed
+        if i >= len(self.snapshot_times) or t != self.snapshot_times[i]:
+            raise ValueError(f"snapshot at t = {t} is not the next expected snapshot")
+        self.n_fed += 1
+        if i == 0:
+            self._initial = state
+        if i == self._tail_index:
+            self.kept[i] = state
+        if not self._in_window[i]:
+            return
+        self.mass_error = max(self.mass_error,
+                              _mass_error(state, self.model.coeffs, self.sides))
+        _refuse_drift(self.mass_error)
+        self.peak = max(self.peak, float(np.abs(state.first.coeffs).max()
+                                         + np.abs(state.second.coeffs).max()))
+        uv = to_characteristic_frame(state, t)
+        if self.subtract != "none":
+            lin = _linear_reference_coeffs(self._initial, t, self._g0_hat)
+        x, dx = self.grid.x, self.grid.dx
+        root = np.sqrt(1.0 + t)
+        for side in self.sides:
+            u = uv.first if side == "+" else uv.second
+            r = u.samples() - self._g0[side](x / root) / root
+            self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
+            if self.subtract != "none":
+                r = r - samples_of(lin[side]).real
+            G = (1.0 + t) ** -0.75 * self._g1[side](x / root)
+            self._keep(side, rG=float(r @ G), GG=float(G @ G))
+            if self.subtract == "full":
+                # r becomes r_lin - w, the N1 remainder
+                r = r - samples_of(next(self._sweeps[side])).real
+                rr = np.sum(r ** 2)
+                dr = samples_of(self._ik * coeffs_of(r)).real
+                self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
+                           rwrw=rr, rwG=float(r @ G))
+            elif self.subtract == "linear":
+                self._keep(side, rr=np.sum(r ** 2))
+
+
+def _feed_stored(traj: TrajectoryRecord, model: ExpansionModel, subtract: str,
+                 window, sides: str) -> RemainderAccumulator:
+    """An accumulator fed the snapshots ``traj`` holds, after the mass of every
+    fit-window snapshot is checked, before any transform."""
+    sel = _in_window(traj.times, _fit_window(traj.config, window))
+    _refuse_drift(max(_mass_error(s, model.coeffs, sides)
+                      for s, w in zip(traj.snapshots, sel) if w))
+    acc = RemainderAccumulator(model, traj.config, traj.times, subtract, window, sides)
+    for state, t in zip(traj.snapshots, traj.times):
+        acc.add(state, t)
+    return acc
+
+
 def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
                        subtract: str = "full", window: tuple | None = None,
-                       sides: str = "+-", slope_tolerance: float = 0.05) -> PipelineResult:
+                       sides: str = "+-", slope_tolerance: float = 0.05,
+                       fed: RemainderAccumulator | None = None) -> PipelineResult:
     """Fit the decay of expansion remainders against the predicted exponents.
 
     Produces, per side, reports named '<side>_N0_raw', '<side>_N0', '<side>_N1'
     and '<side>_N1_D' with targets -(3/4 - 2^{-(N+2)}) for the L2 fits and
     -(5/4 - 2^{-(N+2)}) for the derivative fit.
-    """
-    if subtract not in ("none", "linear", "full"):
-        raise ValueError("subtract must be 'none', 'linear' or 'full'")
-    cfg = traj.config
-    if window is None:
-        window = (cfg.t_final / 20.0, cfg.t_final)
-    t_lo, t_hi = window
-    grid = traj.initial_state.grid
-    dx = grid.dx
-    idx = [i for i, t in enumerate(traj.times) if t_lo <= t <= t_hi and t > 0]
-    if len(idx) < 6:
-        raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
-    times = np.array([traj.times[i] for i in idx])
-    interp = model.interpolants()
-    co = model.coeffs
-    result = PipelineResult(subtract=subtract)
-    result.d1_analytic = {"+": co.d[0][0], "-": co.d[0][1]}
 
-    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
+    A ``traj`` that holds its snapshots is fed through a new accumulator
+    here.  A run made with ``on_snapshot=fed.add`` holds none: pass ``fed``,
+    built with the same model, subtraction, window and sides.
+    """
+    if fed is None:
+        fed = _feed_stored(traj, model, subtract, window, sides)
+    elif (fed.model is not model
+          or (fed.subtract, fed.window, fed.sides)
+          != (subtract, _fit_window(traj.config, window), sides)):
+        raise ValueError("the accumulator was fed for another model, "
+                         "subtraction, window or sides")
+    if fed.n_fed != len(traj.times):
+        raise ValueError(f"the accumulator was fed {fed.n_fed} of "
+                         f"{len(traj.times)} snapshots")
+    times = fed.times
+    dx = fed.grid.dx
+    co = model.coeffs
+    result = PipelineResult(subtract=subtract, mass_error=fed.mass_error)
+    result.d1_analytic = {"+": co.d[0][0], "-": co.d[0][1]}
+    # tag -> (target, two-sided) of each reported fit
+    n0_target = -(0.75 - 0.5 ** 2)
+    targets = {"N0_raw": (n0_target, False), "N0": (n0_target, True),
+               "N1": (-(0.75 - co.epsilon), False),
+               "N1_D": (-(1.25 - co.epsilon), False)}
 
     # identically-zero trajectories have nothing to fit: report trivially
-    peak = max(float(np.abs(traj.snapshots[i].first.coeffs).max()
-                     + np.abs(traj.snapshots[i].second.coeffs).max())
-               for i in idx)
-    if peak < 1e-14:
+    if fed.peak < 1e-14:
         for side in sides:
-            for tag, target, two in (("N0_raw", -0.5, False), ("N0", -0.5, True),
-                                     ("N1", -0.625, False), ("N1_D", -1.125, False)):
+            for tag, (target, two) in targets.items():
                 result.reports.append(DecayFitReport(
                     quantity=f"{side}_{tag}", t_lo=float(times[0]),
                     t_hi=float(times[-1]), slope=target, residual=0.0,
@@ -437,91 +601,28 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
         result.mass_error = 0.0
         return result
 
-    # the characteristic masses are 2L (a_0 +- b_0), read off the zeroth
-    # coefficients, so a drifting run is refused before any transform
-    two_l = 2.0 * grid.half_length
-    mass_err = 0.0
     for side in sides:
-        for i in idx:
-            a0, b0 = traj.snapshots[i].first.coeffs[0], traj.snapshots[i].second.coeffs[0]
-            c0 = a0 + b0 if side == "+" else a0 - b0
-            mass_err = max(mass_err, abs(two_l * c0.real - alpha[side]))
-    result.mass_error = float(mass_err)
-    if mass_err > MASS_TOLERANCE:
-        raise ValueError(
-            f"mass of the characteristic field drifts from the matched value "
-            f"by {mass_err:.3e} (> {MASS_TOLERANCE:g})"
-        )
-
-    for side in sides:
-        g0_key = "g0+" if side == "+" else "g0-"
-        g1_key = "g1+" if side == "+" else "g1-"
-        g0_hat = transform_forward(interp[g0_key](grid.x), grid).coeffs
-        raw_norms = []
-        proj = []
-        resid_fields = []
-        for i, t in zip(idx, times):
-            snap = traj.snapshots[i]
-            u = _char_component(snap, t, side)
-            u_samples = u.samples()
-            root = np.sqrt(1.0 + t)
-            u0 = interp[g0_key](grid.x / root) / root
-            r_raw = u_samples - u0
-            raw_norms.append(np.sqrt(np.sum(r_raw ** 2) * dx))
-            if subtract == "none":
-                r_lin = r_raw
-            else:
-                dcoef = _linear_reference_coeffs(traj, t, side, g0_hat)
-                r_lin = r_raw - samples_of(dcoef).real
-            G = (1.0 + t) ** -0.75 * interp[g1_key](grid.x / root)
-            proj.append(float(r_lin @ G) / float(G @ G))
-            resid_fields.append((t, r_lin, G))
-        proj = np.array(proj)
-        d1_hat, _ = fit_d1(times, proj)
+        s = {name: np.asarray(vals) for name, vals in fed.scalars[side].items()}
+        d1_hat, _ = fit_d1(times, s["rG"] / s["GG"])
         result.d1_fit[side] = d1_hat
         result.d1_fit_window_fallback[side] = _d1_fit_window(times)[1]
-
-        n0_target = -(0.75 - 0.5 ** 2)
-        n1_target = -(0.75 - 0.5 ** 3)
-        n1_d_target = -(1.25 - 0.5 ** 3)
-        result.series[f"{side}_N0_raw"] = (times, np.asarray(raw_norms))
-        result.reports.append(fit_decay(
-            times, raw_norms, f"{side}_N0_raw", n0_target, slope_tolerance,
-            two_sided=False))
+        fits = {"N0_raw": s["raw"]}
         if subtract == "full":
-            coeff, c_osc, qhat = _transient_source_fhat(model, side)
-            n0_norms = []
-            n1_norms = []
-            n1_d_norms = []
-            sweep = _transient_sweep(coeff, c_osc, qhat, grid, times)
-            for (t, r_lin, G), w in zip(resid_fields, sweep):
-                w_samples = samples_of(w).real
-                r_full = r_lin - (w_samples - d1_hat * G)
-                r_n1 = r_lin - w_samples
-                n0_norms.append(np.sqrt(np.sum(r_full ** 2) * dx))
-                n1_norms.append(np.sqrt(np.sum(r_n1 ** 2) * dx))
-                dr = samples_of(1j * grid.k * coeffs_of(r_n1)).real
-                n1_d_norms.append(np.sqrt(np.sum(dr ** 2) * dx))
-            result.series[f"{side}_N0"] = (times, np.asarray(n0_norms))
-            result.series[f"{side}_N1"] = (times, np.asarray(n1_norms))
-            result.series[f"{side}_N1_D"] = (times, np.asarray(n1_d_norms))
-            result.reports.append(fit_decay(
-                times, n0_norms, f"{side}_N0", n0_target, slope_tolerance,
-                two_sided=True))
-            result.reports.append(fit_decay(
-                times, n1_norms, f"{side}_N1", n1_target, slope_tolerance,
-                two_sided=False))
-            result.reports.append(fit_decay(
-                times, n1_d_norms, f"{side}_N1_D", n1_d_target, slope_tolerance,
-                two_sided=False))
+            # ||r_lin - w + d1 G||^2 from the kept inner products
+            fits["N0"] = np.sqrt((s["rwrw"] + 2.0 * d1_hat * s["rwG"]
+                                  + d1_hat ** 2 * s["GG"]) * dx)
+            fits["N1"] = s["n1"]
+            fits["N1_D"] = s["n1_d"]
         elif subtract == "linear":
-            n1_norms = []
-            for t, r_lin, G in resid_fields:
-                r_n1 = r_lin - d1_hat * G
-                n1_norms.append(np.sqrt(np.sum(r_n1 ** 2) * dx))
-            result.reports.append(fit_decay(
-                times, n1_norms, f"{side}_N1", n1_target, slope_tolerance,
-                two_sided=False))
+            # ||r_lin - d1 G||^2, reported but not written as a series
+            fits["N1"] = np.sqrt((s["rr"] - 2.0 * d1_hat * s["rG"]
+                                  + d1_hat ** 2 * s["GG"]) * dx)
+        for tag, values in fits.items():
+            if subtract == "full" or tag == "N0_raw":
+                result.series[f"{side}_{tag}"] = (times, values)
+            target, two = targets[tag]
+            result.reports.append(fit_decay(times, values, f"{side}_{tag}", target,
+                                            slope_tolerance, two_sided=two))
     return result
 
 
@@ -531,7 +632,6 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
 
 @dataclass(frozen=True)
 class TailPrecedenceReport:
-    t_sample: float
     ahead_slope: float | None
     behind_slope: float | None
     ahead_is_algebraic: bool
@@ -543,15 +643,24 @@ class TailPrecedenceReport:
         return self.conclusive and self.ahead_is_algebraic and self.behind_is_gaussian
 
 
-def tail_precedence_check(traj: TrajectoryRecord, t_sample: float) -> TailPrecedenceReport:
+def tail_precedence_check(traj: TrajectoryRecord, t_sample: float,
+                          fed: RemainderAccumulator | None = None) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
-    characteristic at one time.  Ahead should carry the slow algebraic tail
-    with the stated exponent; behind should be Gaussian-like (steep or below
-    the measurement floor).  The window starts beyond z ~ 6.5 where the
-    algebraic tail overtakes the Gaussian shoulder of the leading profile."""
-    i = int(np.argmin(np.abs(np.asarray(traj.times) - t_sample)))
+    characteristic at the snapshot nearest ``t_sample``.  Ahead should carry
+    the slow algebraic tail with the stated exponent; behind should be
+    Gaussian-like (steep or below the measurement floor).  The window starts
+    beyond z ~ 6.5 where the algebraic tail overtakes the Gaussian shoulder
+    of the leading profile.  For a run that kept no snapshots, ``fed`` is
+    the accumulator that kept this one (its ``tail_time`` was ``t_sample``)."""
+    i = _nearest(traj.times, t_sample)
     t = traj.times[i]
-    u = _char_component(traj.snapshots[i], t, "+")
+    if fed is None:
+        snapshot = traj.snapshots[i]
+    elif i in fed.kept:
+        snapshot = fed.kept[i]
+    else:
+        raise ValueError(f"the accumulator kept no snapshot at t = {t}")
+    u = _char_component(snapshot, t, "+")
     samples = u.samples()
     x = u.grid.x
     root = np.sqrt(1.0 + t)
@@ -575,6 +684,6 @@ def tail_precedence_check(traj: TrajectoryRecord, t_sample: float) -> TailPreced
     # (not Gaussian-steep, not a non-decaying noise floor)
     conclusive = ahead is not None and -4.0 < ahead < 0.0
     return TailPrecedenceReport(
-        t_sample=t, ahead_slope=ahead, behind_slope=behind,
+        ahead_slope=ahead, behind_slope=behind,
         ahead_is_algebraic=ahead_alg, behind_is_gaussian=behind_gauss,
         conclusive=conclusive)

@@ -158,7 +158,7 @@ def default_run():
     nl = default_nonlinearity()
     traj = run(cfg, nl=nl)
     assert not traj.aborted
-    model = verify.build_model_from_trajectory(traj, nl, N=1)
+    model = verify.build_model_from_trajectory(traj.snapshots[0], nl, N=1)
     result = verify.remainder_pipeline(traj, model, subtract="full", sides="+")
     return traj, model, result
 
@@ -173,7 +173,7 @@ def test_criterion_5_runtime(default_run):
 
 def test_criterion_5_solution_decay(default_run):
     traj, _, _ = default_run
-    dx = traj.initial_state.grid.dx
+    dx = traj.config.grid().dx
     ts, us = [], []
     for i, t in enumerate(traj.times):
         if 50.0 <= t <= 1000.0:
@@ -195,16 +195,17 @@ def test_criterion_5_solution_decay(default_run):
                           "see decisions ledger")
 def test_criterion_5_n0_slope(default_run):
     _, _, result = default_run
-    rep = result.report("+_N0")
+    fits = {r.quantity: r for r in result.reports}
+    rep = fits["+_N0"]
     _report("5c (N=0 remainder slope)", rep.passed,
             f"slope={rep.slope:.4f} vs -1/2 +- 0.05 "
-            f"(raw u-u0 slope={result.report('+_N0_raw').slope:.4f})")
+            f"(raw u-u0 slope={fits['+_N0_raw'].slope:.4f})")
     assert rep.passed
 
 
 def test_criterion_5_n1_slope(default_run):
     _, _, result = default_run
-    rep = result.report("+_N1")
+    rep = {r.quantity: r for r in result.reports}["+_N1"]
     ok = rep.slope <= -0.625 + 0.05
     _report("5d (N=1 remainder slope)", ok,
             f"slope={rep.slope:.4f} vs <= -0.575")

@@ -181,6 +181,33 @@ require_tail = false   # the tail ranking needs later times than this scale
     assert manifest["verdicts"]["d1_fit_window_fallback"] == {"+": False, "-": False}
 
 
+def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):
+    # a window snapshot whose mass drifts stops the run inside the consumer;
+    # the command exits 1 with the reason in its manifest
+    from ptails import solver
+    from ptails.spectral import SpectralField, StateVector
+
+    def drifting_run(config, nl, initial=None, on_snapshot=None, warn=None):
+        def feed(state, t):
+            if t >= config.t_final / 2.0:
+                bumped = state.first.coeffs.copy()
+                bumped[0] += 3e-6 / (2.0 * state.grid.half_length)
+                state = StateVector(SpectralField(state.grid, bumped), state.second)
+            on_snapshot(state, t)
+        return solver.run(config, nl, initial=initial, on_snapshot=feed, warn=warn)
+
+    monkeypatch.setattr(cli, "run", drifting_run)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[grid]\nn_points = 2048\nhalf_length = 450.0\n"
+                   "[simulate]\nt_final = 150.0\nsnapshots = 40\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "verify"]) == 1
+    verdicts = json.loads((tmp_path / "manifest_verify.json").read_text())["verdicts"]
+    assert verdicts["passed"] is False
+    assert verdicts["error"].startswith(
+        "mass of the characteristic field drifts from the matched value by ")
+    assert not (tmp_path / "decay_fits.csv").exists()
+
+
 def test_cli_semigroup_subcommand(tmp_path):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("[semigroup]\nn_k = 201\n")

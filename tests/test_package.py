@@ -1,10 +1,12 @@
-"""Guards on the shape of the package: no public name that nothing in it
-uses, and every call the benchmark tracer wraps still resolves."""
+"""Guards on the shape of the package: no public name, method or dataclass
+field that nothing in it uses, and every call the benchmark tracer wraps
+still resolves."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,11 +16,21 @@ import ptails
 PACKAGE = Path(ptails.__file__).resolve().parent
 SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 
-# Public names kept although nothing in the package calls them, with the reason.
+# Public names, methods and fields kept although nothing in the package
+# calls or reads them, with the reason.
 UNUSED_BY_DESIGN = {
     # measures the constant C(n) of the pointwise heat-remainder bound, which
     # acceptance criterion 4b checks for stability under grid refinement
     "heat.pointwise_bound_constant",
+    # the fixed point's diagnostics, which the profile tests and acceptance
+    # criterion 2 read (a construction that does not converge raises, so
+    # `converged` is true on return)
+    "profiles.FixedPointInfo.contraction_factor",
+    "profiles.FixedPointInfo.converged",
+    # the report's time stamp, and the x^2-weighted norm of the growth bound
+    # that test_solver checks along a trajectory
+    "spectral.NormReport.t",
+    "spectral.NormReport.weighted_l2",
 }
 
 
@@ -56,6 +68,52 @@ def test_every_public_name_is_used_in_the_package():
             if not used and f"{module}.{node.name}" not in UNUSED_BY_DESIGN:
                 unused.append(f"{module}.{node.name}")
     assert unused == [], f"public names nothing in the package uses: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _public_members(cls: ast.ClassDef):
+    """Public methods and properties of a class, and its fields if it is a
+    dataclass, as (name, node) pairs."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                and _is_dataclass(cls):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_public_member_is_read_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((_attribute_reads(t) for t in trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for name, node in _public_members(cls):
+                # reads inside the member itself (recursion) do not count
+                if reads[name] - _attribute_reads(node)[name] > 0:
+                    continue
+                qualified = f"{module}.{cls.name}.{name}"
+                if qualified not in UNUSED_BY_DESIGN:
+                    unread.append(qualified)
+    assert unread == [], f"public methods and fields nothing in the package reads: {unread}"
 
 
 def _span_targets():

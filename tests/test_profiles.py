@@ -166,7 +166,7 @@ def test_gn_mirror_symmetry(zgrid):
 
 def _default_model(N=1):
     co = ExpansionCoefficients(alpha_plus=0.23, alpha_minus=0.124,
-                               c_plus=0.25, c_minus=-0.25, c3=0.5, N=N)
+                               c_plus=0.25, c_minus=-0.25, N=N)
     z = graded_grid()
     model = build_expansion_model(co, z)
     co.d = d_coefficients_analytic(model)
@@ -217,7 +217,7 @@ def test_expansion_u1_term_scaling_slope():
 
 def test_d_coefficients_zero_sources():
     co = ExpansionCoefficients(alpha_plus=0.2, alpha_minus=0.1,
-                               c_plus=0.25, c_minus=0.0, c3=0.0, N=2)
+                               c_plus=0.25, c_minus=0.0, N=2)
     model = build_expansion_model(co, graded_grid())
     d = d_coefficients_analytic(model)
     assert d[0][0] == 0.0 and d[1][0] == 0.0      # no driving source for u
@@ -236,5 +236,5 @@ def test_d1_analytic_magnitude():
 
 
 def test_epsilon_consistency():
-    co = ExpansionCoefficients(0.1, 0.1, 0.25, -0.25, 0.5, N=3)
+    co = ExpansionCoefficients(0.1, 0.1, 0.25, -0.25, N=3)
     assert co.epsilon == 0.5 ** 5

@@ -54,7 +54,7 @@ def test_transform_pair_is_bytewise_the_numpy_transforms():
     # on a nonlinear trajectory snapshot, and leaves its input alone
     cfg = SimConfig(n_points=2 ** 12, half_length=120.0, t_final=5.0,
                     n_snapshots=4)
-    snap = run(cfg, nl=default_nonlinearity(), record_norms=False).snapshots[-1]
+    snap = run(cfg, nl=default_nonlinearity()).snapshots[-1]
     n = cfg.n_points
     for fld in (snap.first, snap.second):
         c = fld.coeffs

@@ -1,16 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import full_remainder_norms
 from ptails import heat, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
-from ptails.solver import SimConfig, run
+from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
+from ptails.spectral import SpectralField, StateVector, mass
 from ptails.verify import (USED_KERNEL_PARAMS, BoundKernelParams,
-                           DecayFitReport, bound_check, bound_kernel_B,
-                           bound_kernel_B0, build_model_from_trajectory,
-                           fit_d1, fit_decay, remainder_pipeline,
-                           tail_precedence_check)
+                           DecayFitReport, RemainderAccumulator, bound_check,
+                           bound_kernel_B, bound_kernel_B0,
+                           build_model_from_trajectory, fit_d1, fit_decay,
+                           remainder_pipeline, tail_precedence_check)
 
 
 # ------------------------------------------------------------------ fits
@@ -112,6 +115,10 @@ def test_bound_check_all_used_tuples_finite():
 
 # ---------------------------------------------------------- the pipeline
 
+def _fit(result, quantity: str) -> DecayFitReport:
+    return {r.quantity: r for r in result.reports}[quantity]
+
+
 @pytest.fixture(scope="module")
 def medium_traj():
     cfg = SimConfig(n_points=2 ** 13, half_length=800.0, t_final=300.0,
@@ -121,7 +128,8 @@ def medium_traj():
 
 @pytest.fixture(scope="module")
 def medium_model(medium_traj):
-    return build_model_from_trajectory(medium_traj, default_nonlinearity(), N=1)
+    return build_model_from_trajectory(medium_traj.snapshots[0],
+                                       default_nonlinearity(), N=1)
 
 
 def test_pipeline_reports_and_d1(medium_traj, medium_model):
@@ -130,9 +138,9 @@ def test_pipeline_reports_and_d1(medium_traj, medium_model):
     names = {r.quantity for r in res.reports}
     assert {"+_N0_raw", "+_N0", "+_N1", "+_N1_D"} <= names
     # raw remainder decays at least at the N = 1 target rate
-    assert res.report("+_N0_raw").slope <= -0.625 + 0.05
+    assert _fit(res, "+_N0_raw").slope <= -0.625 + 0.05
     # transient-subtracted N1 remainder beats its target
-    assert res.report("+_N1").passed
+    assert _fit(res, "+_N1").passed
     # fitted d1 within 25 percent of the analytic recursion at this size
     assert res.d1_relative_difference("+") <= 0.25
     assert res.mass_error < 1e-6
@@ -141,7 +149,7 @@ def test_pipeline_reports_and_d1(medium_traj, medium_model):
 def test_pipeline_monotone_improvement(medium_traj, medium_model):
     res = remainder_pipeline(medium_traj, medium_model, subtract="full",
                              sides="+")
-    assert res.report("+_N1").slope <= res.report("+_N0").slope + 0.02
+    assert _fit(res, "+_N1").slope <= _fit(res, "+_N0").slope + 0.02
 
 
 def test_pipeline_rejects_bad_subtract(medium_traj, medium_model):
@@ -154,10 +162,10 @@ def test_pipeline_linear_run_heat_asymptotics():
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=60)
     traj = run(cfg, nl=zero_nonlinearity())
-    model = build_model_from_trajectory(traj, zero_nonlinearity(), N=1)
+    model = build_model_from_trajectory(traj.snapshots[0], zero_nonlinearity(), N=1)
     assert model.coeffs.c_plus == 0.0
     res = remainder_pipeline(traj, model, subtract="none", sides="+")
-    assert res.report("+_N0_raw").slope <= -0.75 + 0.05
+    assert _fit(res, "+_N0_raw").slope <= -0.75 + 0.05
     # no quadratic driving: analytic d-coefficients vanish
     assert model.coeffs.d[0] == (0.0, 0.0)
 
@@ -196,6 +204,114 @@ def test_pipeline_refuses_mass_drift_before_the_expensive_work(
         f"by {expected:.3e} (> 1e-06)")
 
 
+def _drifted(snap: StateVector) -> StateVector:
+    """The snapshot with 3e-6 added to the mass of its first component."""
+    bumped = snap.first.coeffs.copy()
+    bumped[0] += 3e-6 / (2.0 * snap.grid.half_length)
+    return StateVector(SpectralField(snap.grid, bumped), snap.second)
+
+
+def test_streamed_pipeline_equals_stored(medium_traj, medium_model):
+    # one run feeds a full and a linear accumulator as it goes and keeps no
+    # snapshot; only the N0 norms, which come from kept inner products, may
+    # differ from the stored route, by rounding
+    cfg = medium_traj.config
+    assert snapshot_times(cfg) == medium_traj.times
+    accs = {sub: RemainderAccumulator(medium_model, cfg, snapshot_times(cfg),
+                                      subtract=sub, tail_time=150.0)
+            for sub in ("full", "linear")}
+
+    def feed(state, t):
+        for acc in accs.values():
+            acc.add(state, t)
+
+    traj = run(cfg, nl=default_nonlinearity(), on_snapshot=feed)
+    assert traj.snapshots == [] and traj.times == medium_traj.times
+    assert traj.mass_a == medium_traj.mass_a and traj.mass_b == medium_traj.mass_b
+    for sub, acc in accs.items():
+        streamed = remainder_pipeline(traj, medium_model, subtract=sub, fed=acc)
+        stored = remainder_pipeline(medium_traj, medium_model, subtract=sub)
+        assert streamed.d1_fit == stored.d1_fit
+        assert streamed.mass_error == stored.mass_error
+        assert streamed.series.keys() == stored.series.keys()
+        for quantity, (t, values) in stored.series.items():
+            t_s, values_s = streamed.series[quantity]
+            assert np.array_equal(t_s, t)
+            if quantity.endswith("_N0"):
+                np.testing.assert_allclose(values_s, values, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(values_s, values), quantity
+        assert [r.quantity for r in streamed.reports] == [r.quantity for r in stored.reports]
+        for a, b in zip(streamed.reports, stored.reports):
+            assert a.slope == pytest.approx(b.slope, abs=1e-12), a.quantity
+            assert a.passed == b.passed
+    assert (tail_precedence_check(traj, 150.0, fed=accs["full"])
+            == tail_precedence_check(medium_traj, 150.0))
+    with pytest.raises(ValueError):
+        remainder_pipeline(traj, medium_model, subtract="linear", fed=accs["full"])
+
+
+def test_n0_from_inner_products_matches_whole_fields(medium_traj, medium_model):
+    res = remainder_pipeline(medium_traj, medium_model, subtract="full")
+    window = (medium_traj.config.t_final / 20.0, medium_traj.config.t_final)
+    for side in "+-":
+        times, n0 = full_remainder_norms(medium_traj, medium_model, side, window)
+        t, values = res.series[f"{side}_N0"]
+        assert np.array_equal(t, times)
+        np.testing.assert_allclose(values, n0, rtol=1e-12, atol=0)
+
+
+def test_streamed_memory_does_not_grow_with_snapshots():
+    # the consumer route keeps scalars per snapshot: ten times the snapshots
+    # must not cost the ~23 MB that storing them does
+    nl = default_nonlinearity()
+    base = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=100.0,
+                     epsilon0=0.05)
+    initial = gaussian_initial_state(base)
+    model = build_model_from_trajectory(initial, nl, N=1)
+    peaks = {}
+    for n_snapshots in (20, 200):
+        cfg = dataclasses.replace(base, n_snapshots=n_snapshots)
+        tracemalloc.start()
+        try:
+            acc = RemainderAccumulator(model, cfg, snapshot_times(cfg))
+            traj = run(cfg, nl=nl, initial=initial, on_snapshot=acc.add)
+            remainder_pipeline(traj, model, fed=acc)
+            peaks[n_snapshots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.snapshots == []
+    assert abs(peaks[200] - peaks[20]) < 2e6, peaks
+
+
+def test_streamed_mass_check_refuses_before_transforming(
+        medium_traj, medium_model, monkeypatch):
+    # the consumer checks each window snapshot's mass from its zeroth
+    # coefficients and refuses a drifted one before any transform of it
+    acc = RemainderAccumulator(medium_model, medium_traj.config, medium_traj.times)
+    i = len(medium_traj.times) - 3
+    for snap, t in zip(medium_traj.snapshots[:i], medium_traj.times[:i]):
+        acc.add(snap, t)
+    drifted, t = _drifted(medium_traj.snapshots[i]), medium_traj.times[i]
+    co = medium_model.coeffs
+    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
+    expected = max(abs(mass(verify._char_component(drifted, t, side)) - alpha[side])
+                   for side in "+-")
+    assert expected > 1e-6
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("transformed a snapshot whose mass drifted")
+
+    monkeypatch.setattr(verify, "to_characteristic_frame", unreachable)
+    monkeypatch.setattr(verify, "samples_of", unreachable)
+    monkeypatch.setattr(verify, "coeffs_of", unreachable)
+    with pytest.raises(ValueError) as exc:
+        acc.add(drifted, t)
+    assert str(exc.value) == (
+        "mass of the characteristic field drifts from the matched value "
+        f"by {expected:.3e} (> 1e-06)")
+
+
 def test_d1_fit_window_falls_back_on_short_series():
     t = np.geomspace(1.0, 1000.0, 8)          # 3 samples in the last decade
     proj = 0.3 + 0.1 * (1.0 + t) ** -0.25
@@ -211,8 +327,8 @@ def test_pipeline_reports_d1_fit_window_fallback():
     cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=12)
     nl = default_nonlinearity()
-    traj = run(cfg, nl=nl, record_norms=False)
-    model = build_model_from_trajectory(traj, nl, N=1)
+    traj = run(cfg, nl=nl)
+    model = build_model_from_trajectory(traj.snapshots[0], nl, N=1)
     res = remainder_pipeline(traj, model, subtract="linear", window=(1.0, 150.0))
     assert res.d1_fit_window_fallback == {"+": True, "-": True}
 
@@ -228,7 +344,8 @@ def test_pipeline_zero_data_trivially_passes():
     cfg = SimConfig(n_points=2 ** 10, half_length=450.0, t_final=150.0,
                     epsilon0=0.0, n_snapshots=40)
     traj = run(cfg, nl=default_nonlinearity())
-    model = build_model_from_trajectory(traj, default_nonlinearity(), N=1)
+    model = build_model_from_trajectory(traj.snapshots[0], default_nonlinearity(),
+                                        N=1)
     res = remainder_pipeline(traj, model, subtract="full", sides="+")
     assert all(r.passed for r in res.reports)
     assert res.d1_fit["+"] == 0.0
@@ -243,7 +360,7 @@ def test_d1_fit_stable_under_discretization_refinement():
         cfg = SimConfig(n_points=n_pts, half_length=800.0, t_final=200.0,
                         dt=dt, epsilon0=0.05, b_fraction=0.3, n_snapshots=80)
         traj = run(cfg, nl=nl)
-        model = build_model_from_trajectory(traj, nl, N=1)
+        model = build_model_from_trajectory(traj.snapshots[0], nl, N=1)
         res = remainder_pipeline(traj, model, subtract="full", sides="+")
         fits[tag] = res.d1_fit["+"]
     assert fits["fine"] == pytest.approx(fits["coarse"], rel=0.02)
