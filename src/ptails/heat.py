@@ -52,9 +52,11 @@ __all__ = [
 ]
 
 _ALLOWED_SIGMA = (-2, -1, 0, 1, 2)
-# dense grid of the sampled-shape transform (k step pi/480)
+# grid of the sampled-shape transform (k step pi/480) and its sizing rule
 _FHAT_HALF_LENGTH = 480.0
+_FHAT_MIN_POINTS = 2 ** 12
 _FHAT_POINTS = 2 ** 17
+_FHAT_TAIL = 1e-15
 _WINDOW_CAP = 42.0     # quadrature stops where e^{-k^2 (t-s)} < e^{-42}
 _NORM_PANELS = 64      # k panels of the continuum remainder norms
 _CHUNK = 1 << 15       # (mode, node) integrand values evaluated at once
@@ -65,7 +67,9 @@ class HeatSourceSpec:
     """Source specification: order n, translation index sigma, and the shape f.
 
     fhat must be the exact transform when supplied; otherwise it is built
-    from dense samples of `shape` by spline interpolation of the transform.
+    from samples of `shape` by spline interpolation of the transform, on as
+    many points (2^12 to 2^17) as the shape's spectrum needs to fall below
+    1e-15 of its peak in the top half of the band (see _numeric_fhat).
     """
 
     n: int
@@ -119,15 +123,29 @@ def make_source(n: int, sigma: int, shape_name: str = "gaussian") -> HeatSourceS
 
 
 def _numeric_fhat(shape: Callable):
-    """Transform of a sampled shape on a dense grid, cubic-spline interpolated
-    in k (real and imaginary parts separately).  The k resolution pi/L keeps
-    the spline error below ~1e-10 for unit-scale shapes."""
-    g = Grid(_FHAT_POINTS, _FHAT_HALF_LENGTH)
-    f = shape(g.x)
-    # continuum transform of the samples: fhat(k) = dx sum_j f_j e^{-ik x_j}.
-    # numpy, not spectral.coeffs_of: scipy.fft would keep this one-off plan
-    # (4 MB at 2^17 points) cached for the rest of the process
-    fh = np.fft.fft(f) * g.dx * np.exp(-1j * g.k * g.x[0])
+    """Transform of a sampled shape, cubic-spline interpolated in k (real and
+    imaginary parts separately), zero beyond the sampled band.
+
+    The samples cover [-480, 480), so the k step is pi/480 whatever the point
+    count; the spline error stays below ~1e-10 for unit-scale shapes.  The
+    point count follows the shape's spectrum: it starts at 2^12 and doubles
+    while the largest |fhat| in the top half of the band (|k| above half the
+    Nyquist wavenumber) exceeds 1e-15 of the peak, up to _FHAT_POINTS.  Below
+    that level the cut-off band and the aliasing it causes are lost in
+    rounding, so the spline matches the one on the largest grid."""
+    n = _FHAT_MIN_POINTS
+    while True:
+        g = Grid(n, _FHAT_HALF_LENGTH)
+        f = shape(g.x)
+        # continuum transform of the samples: fhat(k) = dx sum_j f_j e^{-ik x_j}.
+        # numpy, not spectral.coeffs_of: scipy.fft would keep this one-off
+        # plan cached for the rest of the process
+        fh = np.fft.fft(f) * g.dx * np.exp(-1j * g.k * g.x[0])
+        size = np.abs(fh)
+        top = np.abs(g.k) > np.pi / (2.0 * g.dx)
+        if n >= _FHAT_POINTS or size[top].max() <= _FHAT_TAIL * size.max():
+            break
+        n *= 2
     order = np.argsort(g.k)
     ks = g.k[order]
     re = CubicSpline(ks, fh[order].real)

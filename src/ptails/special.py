@@ -134,10 +134,14 @@ def fn_mass(n: int, z_cut: float = 30.0) -> float:
     [-z_cut, z_cut] plus the exact algebraic/Gaussian tail corrections
     F(-z_cut) - F(z_cut) from the antiderivative.  Zero analytically."""
     edges = np.arange(-z_cut, z_cut + _MASS_PANEL / 2, _MASS_PANEL)
+    a, b = edges[:-1, None], edges[1:, None]
+    zz = (b - a) / 2 * _GLN24 + (b + a) / 2                    # (panels, 24)
+    # one evaluation of every node; each panel is then weighted on its own
+    # and added in panel order
+    values = fn_value(n, zz.ravel()).reshape(zz.shape)
     tot = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        zz = (b - a) / 2 * _GLN24 + (b + a) / 2
-        tot += (b - a) / 2 * float(fn_value(n, zz) @ _GLW24)
+    for half, row in zip((b - a)[:, 0] / 2, values):
+        tot += half * float(row @ _GLW24)
     tot += float(fn_value(n, -z_cut, order=-1) - fn_value(n, z_cut, order=-1))
     return tot
 

@@ -353,9 +353,7 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     sel = (k >= 0) & (k <= kcut[0])
     ks = k[sel]
     rows = heat._duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
-    # the source transform (two 2^17-point splines) is not needed past here;
-    # a sweep that lives through a run would otherwise hold it to the end
-    del qhat
+    del qhat    # the sweep lives through the run; the splines need not
     conj_idx = (-np.arange(n)) % n
     neg = k < 0
     for row in rows:
@@ -490,7 +488,6 @@ class RemainderAccumulator:
                         for side in sides}
         self._sweeps = {}
         if subtract == "full":
-            # the sources are built here, before a run allocates its arrays
             self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
                                                    grid, self.times)
                             for side in sides}
@@ -614,12 +611,11 @@ def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
             fits["N1"] = s["n1"]
             fits["N1_D"] = s["n1_d"]
         elif subtract == "linear":
-            # ||r_lin - d1 G||^2, reported but not written as a series
+            # ||r_lin - d1 G||^2 from the kept inner products
             fits["N1"] = np.sqrt((s["rr"] - 2.0 * d1_hat * s["rG"]
                                   + d1_hat ** 2 * s["GG"]) * dx)
         for tag, values in fits.items():
-            if subtract == "full" or tag == "N0_raw":
-                result.series[f"{side}_{tag}"] = (times, values)
+            result.series[f"{side}_{tag}"] = (times, values)
             target, two = targets[tag]
             result.reports.append(fit_decay(times, values, f"{side}_{tag}", target,
                                             slope_tolerance, two_sided=two))

@@ -14,12 +14,14 @@ from typing import Iterable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from ptails.heat import HeatSourceSpec, solve_inhom_modes, un_reference_hat
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
-from ptails.special import (_GL16, _GRADE_LEVELS, _GW16, _POLYS, ProfileSample,
-                            _check_n, fn_value, lcal_apply)
+from ptails.special import (_GL16, _GLN24, _GLW24, _GRADE_LEVELS, _GW16,
+                            _MASS_PANEL, _POLYS, ProfileSample, _check_n,
+                            fn_value, lcal_apply)
 from ptails.spectral import (Grid, SpectralField, StateVector,
                              field_from_continuum_fhat)
 
@@ -40,6 +42,17 @@ def fn_oracle(n: int, z: float, order: int = 0) -> float:
     i2, _ = quad(lambda xi: g(xi) * xi ** (beta - 1.0), 1.0, hi,
                  epsabs=1e-13, epsrel=1e-13, limit=400)
     return i1 + i2
+
+
+def fn_mass_per_panel(n: int, z_cut: float = 30.0) -> float:
+    """``special.fn_mass`` with one ``fn_value`` call per 24-node panel."""
+    edges = np.arange(-z_cut, z_cut + _MASS_PANEL / 2, _MASS_PANEL)
+    tot = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        zz = (b - a) / 2 * _GLN24 + (b + a) / 2
+        tot += (b - a) / 2 * float(fn_value(n, zz) @ _GLW24)
+    tot += float(fn_value(n, -z_cut, order=-1) - fn_value(n, z_cut, order=-1))
+    return tot
 
 
 def fn_profile(n: int, z_grid: np.ndarray, orders: Iterable[int] = (0, 1, 2, 3),
@@ -199,6 +212,26 @@ def apply_eLt(state: StateVector, t: float) -> StateVector:
 
 # --------------------------------------------------------------------------
 # heat
+
+
+def fhat_on_largest_grid(shape):
+    """The sampled-shape transform on a fixed 2^17 points of [-480, 480),
+    cubic-spline interpolated in k: the largest grid ``heat._numeric_fhat``
+    may choose, which it reaches only for shapes whose spectrum needs it."""
+    g = Grid(2 ** 17, 480.0)
+    fh = np.fft.fft(shape(g.x)) * g.dx * np.exp(-1j * g.k * g.x[0])
+    order = np.argsort(g.k)
+    ks = g.k[order]
+    re = CubicSpline(ks, fh[order].real)
+    im = CubicSpline(ks, fh[order].imag)
+    kmax = ks[-1]
+
+    def fhat(k):
+        k = np.asarray(k, dtype=float)
+        kk = np.clip(k, ks[0], kmax)
+        return np.where(np.abs(k) <= kmax, re(kk) + 1j * im(kk), 0.0)
+
+    return fhat
 
 
 def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -6,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptails
@@ -179,6 +181,28 @@ require_tail = false   # the tail ranking needs later times than this scale
     assert {"+_N0_raw", "+_N1", "-_N0_raw", "-_N1"} <= quantities
     # 60 snapshots leave enough samples in the d1 fit's last decade
     assert manifest["verdicts"]["d1_fit_window_fallback"] == {"+": False, "-": False}
+
+
+def test_cli_verify_linear_writes_the_n1_series(tmp_path):
+    # every fitted series is written, the linear subtraction's N1 too, and
+    # the slope in decay_fits.csv is the fit of the values written
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[grid]\nn_points = 2048\nhalf_length = 450.0\n"
+                   "[simulate]\nt_final = 150.0\nsnapshots = 40\n"
+                   "[verify]\nsubtract = linear\nd1_tolerance = 10.0\n"
+                   "require_tail = false\n")
+    main(["-c", str(cfg), "-o", str(tmp_path), "verify"])
+    with open(tmp_path / "remainder_norms.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "decay_fits.csv") as fh:
+        fits = {r["quantity"]: float(r["slope"]) for r in csv.DictReader(fh)}
+    written = {r["quantity"] for r in rows}
+    assert written == {"+_N0_raw", "+_N1", "-_N0_raw", "-_N1"} == set(fits)
+    for quantity in written:
+        t = np.array([float(r["t"]) for r in rows if r["quantity"] == quantity])
+        v = np.array([float(r["l2_norm"]) for r in rows if r["quantity"] == quantity])
+        slope = np.polyfit(np.log(1.0 + t), np.log(v), 1)[0]
+        assert slope == fits[quantity], quantity
 
 
 def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import heat_ifrk4, solve_inhom, un_reference_by_inverse_quadrature
+from oracles import (fhat_on_largest_grid, heat_ifrk4, solve_inhom,
+                     un_reference_by_inverse_quadrature)
 from ptails import heat, special
 from ptails.heat import (HeatSourceSpec, convergence_check, make_source,
                          solve_inhom_modes, un_reference_hat)
@@ -129,6 +130,43 @@ def test_numeric_fhat_matches_analytic():
     fh = heat._numeric_fhat(heat.gaussian_shape())
     k = np.linspace(-4, 4, 101)
     assert np.abs(fh(k) - np.exp(-k * k)).max() < 1e-9
+
+
+def _sized_fhat(shape, monkeypatch):
+    """heat._numeric_fhat(shape) and the point counts of the grids it tried."""
+    tried = []
+
+    def recording_grid(n_points, half_length):
+        tried.append(n_points)
+        return Grid(n_points, half_length)
+
+    monkeypatch.setattr(heat, "Grid", recording_grid)
+    return heat._numeric_fhat(shape), tried
+
+
+def _difference_from_largest_grid(fhat, shape) -> float:
+    """Largest |fhat - oracle| over 0 <= k <= 18, relative to the peak: 18 is
+    the largest argument of the t_final = 1000 transient sweep."""
+    k = np.linspace(0.0, 18.0, 3601)
+    ref = fhat_on_largest_grid(shape)(k)
+    return float(np.abs(fhat(k) - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["gaussian", "dgaussian"])
+def test_numeric_fhat_sized_by_spectrum_matches_largest_grid(name, monkeypatch):
+    shape = getattr(heat, f"{name}_shape")()
+    fh, tried = _sized_fhat(shape, monkeypatch)
+    assert tried == [2 ** 12]
+    assert _difference_from_largest_grid(fh, shape) <= 1e-15
+
+
+def test_numeric_fhat_doubles_for_a_narrow_shape(monkeypatch):
+    # width 0.05: |fhat| reaches 1e-15 of its peak only near k = 166
+    shape = lambda x: np.exp(-x * x / (2.0 * 0.05 ** 2))
+    fh, tried = _sized_fhat(shape, monkeypatch)
+    assert tried[-1] > 2 ** 13
+    assert tried == [2 ** 12 * 2 ** i for i in range(len(tried))]
+    assert _difference_from_largest_grid(fh, shape) <= 1e-15
 
 
 def _reference_duhamel(k, t, power, c_osc, fhat_fn):

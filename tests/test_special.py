@@ -3,8 +3,8 @@ import pytest
 from scipy.special import gamma
 
 from oracles import (EnvelopeDescriptor, Jn_infinity_extrapolated,
-                     envelope_check, eval_Jn, fn_oracle, fn_profile,
-                     ode_residual)
+                     envelope_check, eval_Jn, fn_mass_per_panel, fn_oracle,
+                     fn_profile, ode_residual)
 from ptails import special
 from ptails.special import (Jn_infinity, fn_mass, fn_value, lcal_apply,
                             tail_exponent_fit)
@@ -83,6 +83,14 @@ def test_fn_mass_tail_refinement():
     a = fn_mass(1, z_cut=25.0)
     b = fn_mass(1, z_cut=35.0)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 20])
+def test_fn_mass_one_call_equals_per_panel_calls(n):
+    # the nodes beyond a panel's own regular-region extent add terms far
+    # below one ulp of its values, and the panels are summed in the same order
+    assert fn_mass(n) == fn_mass_per_panel(n)
+    assert fn_mass(n, z_cut=25.0) == fn_mass_per_panel(n, z_cut=25.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

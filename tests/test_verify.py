@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import full_remainder_norms
-from ptails import heat, verify
+from oracles import fhat_on_largest_grid, full_remainder_norms
+from ptails import heat, profiles, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
 from ptails.spectral import SpectralField, StateVector, mass
@@ -282,6 +282,41 @@ def test_streamed_memory_does_not_grow_with_snapshots():
             tracemalloc.stop()
         assert traj.snapshots == []
     assert abs(peaks[200] - peaks[20]) < 2e6, peaks
+
+
+@pytest.fixture(scope="module")
+def flagship_model():
+    # the flagship grid with the physical parameters of benchmark seed 1001
+    cfg = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=50.0,
+                    epsilon0=0.055933, b_fraction=0.211725)
+    return build_model_from_trajectory(gaussian_initial_state(cfg),
+                                       default_nonlinearity(), N=1)
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_transient_source_matches_largest_grid(flagship_model, side):
+    # the squared leading profile of the other side, on the points its
+    # spectrum needs, against the same transform on 2^17 points, over the
+    # k <= 18 that the t_final = 1000 sweep reads
+    _, _, fhat = verify._transient_source_fhat(flagship_model, side)
+    base = flagship_model.g0_minus if side == "+" else flagship_model.g0_plus
+    g0 = profiles.g0_function(base.alpha, base.gamma)
+    shape = lambda x: g0(x) ** 2
+    k = np.linspace(0.0, 18.0, 3601)
+    ref = fhat_on_largest_grid(shape)(k)
+    assert np.abs(fhat(k) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_transient_source_memory_is_small(flagship_model):
+    verify._transient_source_fhat(flagship_model, "+")
+    tracemalloc.start()
+    try:
+        verify._transient_source_fhat(flagship_model, "+")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^13 points; a fixed 2^17-point build peaked at about 29 MB
+    assert peak < 3e6, peak
 
 
 def test_streamed_mass_check_refuses_before_transforming(
