@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .config import ConfigError, RunManifest, Stopwatch, get_typed, parse_config
 from .nonlinearity import default_nonlinearity, quadratic_nonlinearity, zero_nonlinearity
 from .semigroup import intertwining_defect, kernel_bound_check
 from .solver import SimConfig, gaussian_initial_state, run, snapshot_times
+from .spectral import norms
 
 _FLOAT_FMT = "%.17g"
 
@@ -129,25 +131,41 @@ def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
 def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     sim_cfg = _sim_config(cfg)
     nl = _nonlinearity_from_config(cfg)
-    traj = run(sim_cfg, nl=nl, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+    # the run is streamed: per snapshot the consumer keeps its unweighted
+    # norms, and the state only for the csv_snapshots it writes
+    n_snap = get_typed(cfg, "simulate", "csv_snapshots", int, 5)
+    last = len(snapshot_times(sim_cfg)) - 1
+    pick = set(np.round(np.linspace(0, last, n_snap)).astype(int).tolist())
+    rows, kept = [], []
+
+    def consume(state, t):
+        if len(rows) in pick:
+            kept.append((state, t))
+        na, nb = norms(state.first, t), norms(state.second, t)
+        rows.append((max(na.sup_fourier, nb.sup_fourier), np.hypot(na.l2(0), nb.l2(0)),
+                     np.hypot(na.l2(1), nb.l2(1)), nb.l2(2)))
+
+    traj = run(sim_cfg, nl, consume)
     if traj.aborted:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1
-    series = traj.composite_norm_series()
+    t = np.asarray(traj.times)
+    sup_f, l2, dl2, d2b = (np.array(col) for col in zip(*rows))
+    series = {
+        "times": t,
+        "sup_fourier": sup_f,
+        "l2_weighted": (1.0 + t) ** 0.25 * l2,
+        "dl2_weighted": (1.0 + t) ** 0.75 * dl2,
+        "d2b_weighted_star": (1.0 + t) ** 1.25 / np.log(2.0 + t) * d2b,
+    }
     path = out / "norms.csv"
     _write_csv(path,
                ["t", "sup_fourier", "l2_weighted", "dl2_weighted",
                 "d2b_weighted_star", "mass_a", "mass_b"],
-               zip(series["times"], series["sup_fourier"], series["l2_weighted"],
-                   series["dl2_weighted"], series["d2b_weighted_star"],
-                   traj.mass_a, traj.mass_b))
+               zip(*series.values(), traj.mass_a, traj.mass_b))
     manifest.add_output(path)
-    n_snap = get_typed(cfg, "simulate", "csv_snapshots", int, 5)
-    pick = np.unique(np.round(np.linspace(0, len(traj.times) - 1, n_snap)).astype(int))
-    for i in pick:
-        t = traj.times[i]
-        snap = traj.snapshots[i]
-        path = out / f"snapshot_t{t:.6g}.csv"
+    for snap, t_snap in kept:
+        path = out / f"snapshot_t{t_snap:.6g}.csv"
         _write_csv(path, ["x", "a", "b"],
                    zip(snap.grid.x, snap.first.samples(), snap.second.samples()))
         manifest.add_output(path)
@@ -200,17 +218,14 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     require_tail = get_typed(cfg, "verify", "require_tail", bool, True)
     # the model needs only the initial masses, so the remainders are taken as
     # the run makes each snapshot, and no snapshot is stored but the tail's
-    times = snapshot_times(sim_cfg)
     initial = gaussian_initial_state(sim_cfg)
     model = verify.build_model_from_trajectory(initial, nl, N=1)
-    acc = verify.RemainderAccumulator(model, sim_cfg, times, subtract=subtract,
-                                      tail_time=t_tail)
-    traj = run(sim_cfg, nl=nl, initial=initial, on_snapshot=acc.add)
+    acc = verify.RemainderAccumulator(model, sim_cfg, subtract=subtract, tail_time=t_tail)
+    traj = run(sim_cfg, nl, acc.add, initial)
     if traj.aborted:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1
-    result = verify.remainder_pipeline(traj, model, subtract=subtract,
-                                       slope_tolerance=tol, fed=acc)
+    result = verify.remainder_pipeline(traj, acc, slope_tolerance=tol)
     path = out / "decay_fits.csv"
     _write_csv(path,
                ["quantity", "t_lo", "t_hi", "slope", "residual", "target",
@@ -224,7 +239,7 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         rows.extend((quantity, float(t), float(v)) for t, v in zip(ts, vals))
     _write_csv(path, ["quantity", "t", "l2_norm"], rows)
     manifest.add_output(path)
-    tail = verify.tail_precedence_check(traj, t_tail, fed=acc)
+    tail = verify.tail_precedence_check(acc)
     manifest.verdicts.update({
         "fits": [r.row() for r in result.reports],
         "d1_fit": result.d1_fit,
@@ -356,8 +371,16 @@ def main(argv=None) -> int:
     out = _outdir(args)
     manifest = RunManifest(subcommand=args.command,
                            config={s: dict(v) for s, v in cfg.items()})
+
+    def record_warning(message, *_):
+        print(f"warning: {message}", file=sys.stderr)
+        manifest.warnings.append(str(message))
+
     try:
-        with Stopwatch() as sw:
+        with Stopwatch() as sw, warnings.catch_warnings():
+            # every warning the subcommand raises reaches stderr and the manifest
+            warnings.simplefilter("always")
+            warnings.showwarning = record_warning
             try:
                 code = _COMMANDS[args.command](args, cfg, out, manifest)
             except (ValueError, RuntimeError) as exc:

@@ -73,6 +73,7 @@ class RunManifest:
     config: dict
     outputs: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)     # messages, in the order raised
     wall_seconds: float = 0.0
     artifact_version: str = ARTIFACT_VERSION
     schema_version: int = MANIFEST_SCHEMA_VERSION
@@ -88,6 +89,7 @@ class RunManifest:
             "config": self.config,
             "outputs": sorted(self.outputs),
             "verdicts": self.verdicts,
+            "warnings": self.warnings,
             "wall_seconds": round(self.wall_seconds, 3),
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -9,10 +9,11 @@ symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.  Snapshots are read in the
 characteristic frame through ``to_characteristic_frame``.
 
-``run`` records snapshots at the times ``snapshot_times`` gives.  It stores
-them, or hands each to an ``on_snapshot(state, t)`` consumer as it is made
-and stores none; ``ptails verify`` takes the second route, so its memory
-does not grow with the snapshot count.
+``run`` records snapshots at the times ``snapshot_times`` gives and hands
+each to an ``on_snapshot(state, t)`` consumer as it is made.  It stores
+none, so memory does not grow with the snapshot count: the consumer keeps
+what it needs (``verify.RemainderAccumulator`` for ``ptails verify``, a
+series of norms and a few states for ``ptails simulate``).
 
 One source evaluation costs three transforms: inverse transforms of ``a`` and
 ``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
@@ -23,6 +24,7 @@ and the ``ik`` factor and the dealias mask are one precomputed multiplier.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +45,8 @@ __all__ = [
     "gaussian_initial_state",
 ]
 
+X_SUPPORT = 15.0    # nominal support radius of the initial data
+
 
 @dataclass
 class SimConfig:
@@ -55,7 +59,6 @@ class SimConfig:
     scheme: str = "IF-RK4"             # or "ETD-Heun"
     dealias_fraction: float = 2.0 / 3.0
     n_snapshots: int = 80
-    x_support: float = 15.0            # nominal support radius of the data
 
     def grid(self) -> Grid:
         return Grid(self.n_points, self.half_length)
@@ -68,7 +71,7 @@ class SimConfig:
         return dt
 
     def validate(self):
-        required = self.x_support + 2.0 * self.t_final + 10.0 * np.sqrt(self.t_final)
+        required = X_SUPPORT + 2.0 * self.t_final + 10.0 * np.sqrt(self.t_final)
         if self.half_length < required:
             raise ValueError(
                 f"domain rule violated: need L >= {required:.1f} "
@@ -83,11 +86,6 @@ class SimConfig:
 class TrajectoryRecord:
     config: SimConfig
     times: list = field(default_factory=list)
-    # StateVector (physical frame) and NormReports per snapshot; all three
-    # stay empty when run hands the snapshots to an on_snapshot consumer
-    snapshots: list = field(default_factory=list)
-    norm_a: list = field(default_factory=list)
-    norm_b: list = field(default_factory=list)
     mass_a: list = field(default_factory=list)
     mass_b: list = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -99,25 +97,6 @@ class TrajectoryRecord:
         ma = np.asarray(self.mass_a)
         mb = np.asarray(self.mass_b)
         return float(max(np.abs(ma - ma[0]).max(), np.abs(mb - mb[0]).max()))
-
-    def composite_norm_series(self):
-        """Time-weighted components of the solution norm: returns dict of
-        arrays keyed by component name, evaluated at snapshot times."""
-        t = np.asarray(self.times)
-        sup_f = np.array([max(na.sup_fourier, nb.sup_fourier)
-                          for na, nb in zip(self.norm_a, self.norm_b)])
-        l2 = np.array([np.hypot(na.l2(0), nb.l2(0))
-                       for na, nb in zip(self.norm_a, self.norm_b)])
-        dl2 = np.array([np.hypot(na.l2(1), nb.l2(1))
-                        for na, nb in zip(self.norm_a, self.norm_b)])
-        d2b = np.array([nb.l2(2) for nb in self.norm_b])
-        return {
-            "times": t,
-            "sup_fourier": sup_f,
-            "l2_weighted": (1.0 + t) ** 0.25 * l2,
-            "dl2_weighted": (1.0 + t) ** 0.75 * dl2,
-            "d2b_weighted_star": (1.0 + t) ** 1.25 / np.log(2.0 + t) * d2b,
-        }
 
 
 def _axpy(x, c: float, y):
@@ -247,19 +226,17 @@ def snapshot_times(config: SimConfig) -> list:
     return [0.0, *_schedule(config)[2].values()]
 
 
-def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
-        on_snapshot: Callable[[StateVector, float], None] | None = None,
-        warn: Callable[[str], None] | None = None) -> TrajectoryRecord:
-    """Integrate to t_final, recording geometrically spaced snapshots (the
-    times of ``snapshot_times``) with their masses.
+def run(config: SimConfig, nl: Nonlinearity,
+        on_snapshot: Callable[[StateVector, float], None],
+        initial: StateVector | None = None) -> TrajectoryRecord:
+    """Integrate to t_final and call ``on_snapshot(state, t)`` at every
+    recorded time (those of ``snapshot_times``, t = 0 included).
 
-    Without ``on_snapshot`` the record keeps every snapshot and its norms.
-    With it, ``on_snapshot(state, t)`` is called at every recorded time,
-    t = 0 included, and the record keeps times and masses but no snapshots:
-    memory then does not grow with the snapshot count.  An exception the
-    consumer raises ends the run.  Norm guard: data above the working
-    amplitude only warns; the smallness threshold of the asymptotic regime
-    is empirical."""
+    The record keeps the times and masses but no snapshot, so memory does
+    not grow with the snapshot count.  An exception the consumer raises ends
+    the run.  Norm guard: data above the working amplitude only warns
+    (``warnings.warn``); the smallness threshold of the asymptotic regime is
+    empirical."""
     dt, n_steps, snap_at = _schedule(config)
     grid = config.grid()
     if initial is None:
@@ -270,9 +247,9 @@ def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
     if not adm.admissible:
         raise ValueError(f"nonlinearity fails admissibility sampling: {adm}")
     init_norm = norms(initial.first).lp[0]["inf"]
-    if init_norm > 2.0 * config.epsilon0 and warn is not None:
-        warn(f"initial amplitude {init_norm:.3g} above the epsilon0 guard "
-             f"{config.epsilon0}; continuing")
+    if init_norm > 2.0 * config.epsilon0:
+        warnings.warn(f"initial amplitude {init_norm:.3g} above the epsilon0 guard "
+                      f"{config.epsilon0}; continuing", stacklevel=2)
     stepper = Stepper(grid, dt, nl, config.dealias_fraction)
     rec = TrajectoryRecord(config=config)
 
@@ -280,12 +257,7 @@ def run(config: SimConfig, nl: Nonlinearity, initial: StateVector | None = None,
         rec.times.append(t)
         rec.mass_a.append(mass(state.first))
         rec.mass_b.append(mass(state.second))
-        if on_snapshot is not None:
-            on_snapshot(state, t)
-            return
-        rec.snapshots.append(state)
-        rec.norm_a.append(norms(state.first, t))
-        rec.norm_b.append(norms(state.second, t))
+        on_snapshot(state, t)
 
     t0 = time.perf_counter()
     state = initial.symmetrized()

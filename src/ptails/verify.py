@@ -24,20 +24,20 @@ d_1 extrapolates the projection series in the basis
 contamination classes.
 
 Streaming.  ``RemainderAccumulator`` does the per-snapshot work and keeps
-only scalars, so it can be ``solver.run``'s ``on_snapshot`` consumer and no
-snapshot needs storing: per side and fit-window snapshot, the raw norm,
-<r_lin, G> and ||G||^2 with G = (1+t)^{-3/4} g_1, and for ``full`` also the
-N1 and N1_D norms, ||r_lin - w||^2 and <r_lin - w, G>, where w is the
-transient.  The window and the tail time are known before the run, and the
-model needs only the initial masses.  N0 needs the fitted d_1, so it comes
-afterwards from the identity
+only scalars; it is ``solver.run``'s ``on_snapshot`` consumer, the one
+route by which the pipeline sees a run, so no snapshot is stored: per side
+and fit-window snapshot, the raw norm, <r_lin, G> and ||G||^2 with
+G = (1+t)^{-3/4} g_1, and for ``full`` also the N1 and N1_D norms,
+||r_lin - w||^2 and <r_lin - w, G>, where w is the transient.  The snapshot
+times, the window and the tail time are known before the run, and the model
+needs only the initial masses.  N0 needs the fitted d_1, so it comes
+afterwards, in ``remainder_pipeline``, from the identity
 
     ||r_lin - w + d_1 G||^2 = ||r_lin - w||^2 + 2 d_1 <r_lin - w, G> + d_1^2 ||G||^2,
 
 which agrees with the whole-field norm to a few units of rounding
 (the terms do not cancel at these sizes); the ``linear`` N1 uses the same
-identity with -d_1.  A stored trajectory is fed through the same
-accumulator by ``remainder_pipeline``.
+identity with -d_1.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from scipy.integrate import quad
 from . import heat, profiles, special
 from .profiles import ExpansionModel
 from .semigroup import propagator_cs
-from .solver import TrajectoryRecord, to_characteristic_frame
+from .solver import TrajectoryRecord, snapshot_times, to_characteristic_frame
 from .spectral import (StateVector, coeffs_of, field_from_continuum_fhat, mass,
                        samples_of, transform_forward)
 
@@ -408,20 +408,6 @@ class PipelineResult:
         return abs(f - a) / max(abs(a), 1e-300)
 
 
-def _fit_window(config, window) -> tuple:
-    """The (t_lo, t_hi) of the fits: by default the last 19/20 of the run."""
-    return (config.t_final / 20.0, config.t_final) if window is None else tuple(window)
-
-
-def _in_window(times, window) -> list:
-    """Per snapshot time, whether it is a fit-window sample (t > 0 always)."""
-    t_lo, t_hi = window
-    sel = [t_lo <= t <= t_hi and t > 0 for t in times]
-    if sum(sel) < 6:
-        raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
-    return sel
-
-
 def _mass_error(state: StateVector, co, sides: str) -> float:
     """Largest drift of the characteristic masses 2L (a_0 +- b_0) from the
     matched values ``co.alpha_plus``/``co.alpha_minus``, read off the zeroth
@@ -433,43 +419,35 @@ def _mass_error(state: StateVector, co, sides: str) -> float:
                for side in sides)
 
 
-def _refuse_drift(mass_err: float) -> None:
-    if mass_err > MASS_TOLERANCE:
-        raise ValueError(
-            f"mass of the characteristic field drifts from the matched value "
-            f"by {mass_err:.3e} (> {MASS_TOLERANCE:g})"
-        )
-
-
-def _nearest(times, t_sample: float) -> int:
-    return int(np.argmin(np.abs(np.asarray(times) - t_sample)))
-
-
 class RemainderAccumulator:
     """The per-snapshot half of ``remainder_pipeline``.
 
-    Fed every snapshot of a run in time order, either as ``solver.run``'s
-    ``on_snapshot`` or from a stored trajectory, it does the work of each
-    fit-window snapshot once for both sides and keeps only scalars (see the
-    module docstring).  The first snapshot must be the initial state, which
-    the linear reference reads.  With a ``tail_time`` it also keeps the one
-    snapshot nearest that time, for ``tail_precedence_check``.  A window
-    snapshot whose mass drifts is refused before it is transformed.
+    Passed as ``solver.run``'s ``on_snapshot``, it is fed every snapshot of
+    the run in time order, at the times ``snapshot_times(config)`` gives.  It
+    does the work of each fit-window snapshot once for both sides and keeps
+    only scalars (see the module docstring).  The first snapshot is the
+    initial state, which the linear reference reads.  With a ``tail_time``
+    it also keeps the one snapshot nearest that time, for
+    ``tail_precedence_check``.  A window snapshot whose mass drifts is
+    refused before it is transformed, which ends the run.
     """
 
-    def __init__(self, model: ExpansionModel, config, times, subtract: str = "full",
+    def __init__(self, model: ExpansionModel, config, subtract: str = "full",
                  window: tuple | None = None, sides: str = "+-",
                  tail_time: float | None = None):
         if subtract not in ("none", "linear", "full"):
             raise ValueError("subtract must be 'none', 'linear' or 'full'")
         self.model, self.subtract, self.sides = model, subtract, sides
-        self.window = _fit_window(config, window)
-        self.snapshot_times = list(times)
-        self._in_window = _in_window(self.snapshot_times, self.window)
+        # the fits' (t_lo, t_hi): by default the last 19/20 of the run
+        t_lo, t_hi = (config.t_final / 20.0, config.t_final) if window is None else window
+        self.snapshot_times = snapshot_times(config)
+        self._in_window = [t_lo <= t <= t_hi and t > 0 for t in self.snapshot_times]
+        if sum(self._in_window) < 6:
+            raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
         self.times = np.array([t for t, w in zip(self.snapshot_times, self._in_window) if w])
-        self.kept = {}                 # snapshot index -> state, for the tail check
-        self._tail_index = (None if tail_time is None
-                            else _nearest(self.snapshot_times, tail_time))
+        self.tail = None               # (state, t) for the tail check
+        self._tail_index = (None if tail_time is None else int(np.argmin(
+            np.abs(np.asarray(self.snapshot_times) - tail_time))))
         self.n_fed = 0
         self._initial = None           # the first snapshot fed
         self.peak = 0.0                # largest coefficient amplitude in the window
@@ -505,12 +483,16 @@ class RemainderAccumulator:
         if i == 0:
             self._initial = state
         if i == self._tail_index:
-            self.kept[i] = state
+            self.tail = (state, t)
         if not self._in_window[i]:
             return
         self.mass_error = max(self.mass_error,
                               _mass_error(state, self.model.coeffs, self.sides))
-        _refuse_drift(self.mass_error)
+        if self.mass_error > MASS_TOLERANCE:
+            raise ValueError(
+                f"mass of the characteristic field drifts from the matched value "
+                f"by {self.mass_error:.3e} (> {MASS_TOLERANCE:g})"
+            )
         self.peak = max(self.peak, float(np.abs(state.first.coeffs).max()
                                          + np.abs(state.second.coeffs).max()))
         uv = to_characteristic_frame(state, t)
@@ -537,46 +519,23 @@ class RemainderAccumulator:
                 self._keep(side, rr=np.sum(r ** 2))
 
 
-def _feed_stored(traj: TrajectoryRecord, model: ExpansionModel, subtract: str,
-                 window, sides: str) -> RemainderAccumulator:
-    """An accumulator fed the snapshots ``traj`` holds, after the mass of every
-    fit-window snapshot is checked, before any transform."""
-    sel = _in_window(traj.times, _fit_window(traj.config, window))
-    _refuse_drift(max(_mass_error(s, model.coeffs, sides)
-                      for s, w in zip(traj.snapshots, sel) if w))
-    acc = RemainderAccumulator(model, traj.config, traj.times, subtract, window, sides)
-    for state, t in zip(traj.snapshots, traj.times):
-        acc.add(state, t)
-    return acc
-
-
-def remainder_pipeline(traj: TrajectoryRecord, model: ExpansionModel,
-                       subtract: str = "full", window: tuple | None = None,
-                       sides: str = "+-", slope_tolerance: float = 0.05,
-                       fed: RemainderAccumulator | None = None) -> PipelineResult:
+def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator,
+                       slope_tolerance: float = 0.05) -> PipelineResult:
     """Fit the decay of expansion remainders against the predicted exponents.
 
-    Produces, per side, reports named '<side>_N0_raw', '<side>_N0', '<side>_N1'
-    and '<side>_N1_D' with targets -(3/4 - 2^{-(N+2)}) for the L2 fits and
-    -(5/4 - 2^{-(N+2)}) for the derivative fit.
-
-    A ``traj`` that holds its snapshots is fed through a new accumulator
-    here.  A run made with ``on_snapshot=fed.add`` holds none: pass ``fed``,
-    built with the same model, subtraction, window and sides.
+    ``fed`` is the accumulator that was the ``on_snapshot`` consumer of the
+    run ``traj`` records; its model, subtraction, window and sides are the
+    pipeline's.  Produces, per side, reports named '<side>_N0_raw',
+    '<side>_N0', '<side>_N1' and '<side>_N1_D' with targets
+    -(3/4 - 2^{-(N+2)}) for the L2 fits and -(5/4 - 2^{-(N+2)}) for the
+    derivative fit.
     """
-    if fed is None:
-        fed = _feed_stored(traj, model, subtract, window, sides)
-    elif (fed.model is not model
-          or (fed.subtract, fed.window, fed.sides)
-          != (subtract, _fit_window(traj.config, window), sides)):
-        raise ValueError("the accumulator was fed for another model, "
-                         "subtraction, window or sides")
     if fed.n_fed != len(traj.times):
         raise ValueError(f"the accumulator was fed {fed.n_fed} of "
                          f"{len(traj.times)} snapshots")
-    times = fed.times
+    times, subtract, sides = fed.times, fed.subtract, fed.sides
     dx = fed.grid.dx
-    co = model.coeffs
+    co = fed.model.coeffs
     result = PipelineResult(subtract=subtract, mass_error=fed.mass_error)
     result.d1_analytic = {"+": co.d[0][0], "-": co.d[0][1]}
     # tag -> (target, two-sided) of each reported fit
@@ -639,23 +598,16 @@ class TailPrecedenceReport:
         return self.conclusive and self.ahead_is_algebraic and self.behind_is_gaussian
 
 
-def tail_precedence_check(traj: TrajectoryRecord, t_sample: float,
-                          fed: RemainderAccumulator | None = None) -> TailPrecedenceReport:
+def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
-    characteristic at the snapshot nearest ``t_sample``.  Ahead should carry
-    the slow algebraic tail with the stated exponent; behind should be
-    Gaussian-like (steep or below the measurement floor).  The window starts
-    beyond z ~ 6.5 where the algebraic tail overtakes the Gaussian shoulder
-    of the leading profile.  For a run that kept no snapshots, ``fed`` is
-    the accumulator that kept this one (its ``tail_time`` was ``t_sample``)."""
-    i = _nearest(traj.times, t_sample)
-    t = traj.times[i]
-    if fed is None:
-        snapshot = traj.snapshots[i]
-    elif i in fed.kept:
-        snapshot = fed.kept[i]
-    else:
-        raise ValueError(f"the accumulator kept no snapshot at t = {t}")
+    characteristic at the snapshot ``fed`` kept, the one nearest its
+    ``tail_time``.  Ahead should carry the slow algebraic tail with the
+    stated exponent; behind should be Gaussian-like (steep or below the
+    measurement floor).  The window starts beyond z ~ 6.5 where the
+    algebraic tail overtakes the Gaussian shoulder of the leading profile."""
+    if fed.tail is None:
+        raise ValueError("the accumulator kept no snapshot for the tail check")
+    snapshot, t = fed.tail
     u = _char_component(snapshot, t, "+")
     samples = u.samples()
     x = u.grid.x

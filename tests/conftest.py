@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptails import profiles
+from ptails.solver import run
 from ptails.spectral import Grid
 
 
@@ -28,3 +29,11 @@ def random_real_field(grid: Grid, rng, decay: float = 2.0):
     coeffs = mag * np.exp(1j * phase)
     from ptails.spectral import SpectralField
     return SpectralField(grid, coeffs).symmetrized()
+
+
+def run_collecting(config, nl, initial=None):
+    """``solver.run`` with a consumer that keeps every snapshot: the record
+    and the list of states, in the order of ``record.times``."""
+    snapshots = []
+    traj = run(config, nl, lambda state, t: snapshots.append(state), initial)
+    return traj, snapshots

@@ -354,29 +354,30 @@ def from_characteristic_frame(state: StateVector, t: float) -> StateVector:
 # remainder pipeline
 
 
-def full_remainder_norms(traj, model: ExpansionModel, side: str,
+def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
                          window: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(fit-window times, N0 norms) of one side with the full subtraction,
-    each norm taken of the whole remainder field r_lin - (w - d_1 G) with
-    the d_1 the pipeline fits: the direct evaluation that the pipeline
-    replaces by kept inner products."""
+    from a run's collected snapshots and their times, each norm taken of the
+    whole remainder field r_lin - (w - d_1 G) with the d_1 the pipeline
+    fits: the direct evaluation that the pipeline replaces by kept inner
+    products."""
     from ptails import verify
     from ptails.spectral import samples_of, transform_forward
 
-    grid = traj.snapshots[0].grid
+    grid = snapshots[0].grid
     x, dx = grid.x, grid.dx
     interp = model.interpolants()
     g0, g1 = interp[f"g0{side}"], interp[f"g1{side}"]
     g0_hat = {side: transform_forward(g0(x), grid).coeffs}
     t_lo, t_hi = window
-    picked = [(s, t) for s, t in zip(traj.snapshots, traj.times)
+    picked = [(s, t) for s, t in zip(snapshots, times)
               if t_lo <= t <= t_hi and t > 0]
     times = np.array([t for _, t in picked])
     fields = []
     for snap, t in picked:
         root = np.sqrt(1.0 + t)
         u = verify._char_component(snap, t, side).samples()
-        lin = verify._linear_reference_coeffs(traj.snapshots[0], t, g0_hat)[side]
+        lin = verify._linear_reference_coeffs(snapshots[0], t, g0_hat)[side]
         r_lin = u - g0(x / root) / root - samples_of(lin).real
         fields.append((r_lin, (1.0 + t) ** -0.75 * g1(x / root)))
     d1, _ = verify.fit_d1(times, [float(r @ G) / float(G @ G) for r, G in fields])

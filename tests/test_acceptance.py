@@ -11,6 +11,7 @@ reachable scale).
 
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from oracles import (eval_eLt, eval_eLt_direct, eval_eLt_series, fn_profile,
 from ptails import heat, profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity
 from ptails.semigroup import intertwining_defect
-from ptails.solver import SimConfig, Stepper, run, to_characteristic_frame
+from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
+                           to_characteristic_frame)
 from ptails.spectral import Grid, StateVector, transform_forward
 
 _REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
@@ -153,18 +155,32 @@ def test_criterion_4_heat_bound_and_stability(heat_results):
 
 @pytest.fixture(scope="session")
 def default_run():
+    # streamed: the accumulator keeps the remainder scalars and the tail
+    # snapshot, and a second consumer the ||u|| series of criterion 5b
     cfg = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=1000.0,
                     epsilon0=0.05, b_fraction=0.3, n_snapshots=100)
     nl = default_nonlinearity()
-    traj = run(cfg, nl=nl)
+    initial = gaussian_initial_state(cfg)
+    model = verify.build_model_from_trajectory(initial, nl, N=1)
+    acc = verify.RemainderAccumulator(model, cfg, subtract="full", sides="+",
+                                      tail_time=500.0)
+    dx = cfg.grid().dx
+    u_norms = []
+
+    def consume(state, t):
+        acc.add(state, t)
+        if 50.0 <= t <= 1000.0:
+            u = to_characteristic_frame(state, t).first.samples()
+            u_norms.append((t, np.sqrt(np.sum(u * u) * dx)))
+
+    traj = run(cfg, nl, consume, initial)
     assert not traj.aborted
-    model = verify.build_model_from_trajectory(traj.snapshots[0], nl, N=1)
-    result = verify.remainder_pipeline(traj, model, subtract="full", sides="+")
-    return traj, model, result
+    return SimpleNamespace(traj=traj, acc=acc, u_norms=u_norms,
+                           result=verify.remainder_pipeline(traj, acc))
 
 
 def test_criterion_5_runtime(default_run):
-    traj, _, _ = default_run
+    traj = default_run.traj
     ok = traj.wall_seconds < 1200.0
     _report("5a (desk-scale runtime)", ok,
             f"simulation wall={traj.wall_seconds:.0f}s < 1200s")
@@ -172,14 +188,7 @@ def test_criterion_5_runtime(default_run):
 
 
 def test_criterion_5_solution_decay(default_run):
-    traj, _, _ = default_run
-    dx = traj.config.grid().dx
-    ts, us = [], []
-    for i, t in enumerate(traj.times):
-        if 50.0 <= t <= 1000.0:
-            u = to_characteristic_frame(traj.snapshots[i], t).first.samples()
-            ts.append(t)
-            us.append(np.sqrt(np.sum(u * u) * dx))
+    ts, us = zip(*default_run.u_norms)
     slope = np.polyfit(np.log(1 + np.array(ts)), np.log(us), 1)[0]
     ok = abs(slope + 0.25) <= 0.03
     _report("5b (||u|| decay)", ok, f"slope={slope:.4f} vs -1/4 +- 0.03")
@@ -194,7 +203,7 @@ def test_criterion_5_solution_decay(default_run):
                           "remainder slope reads ~-0.7, not -1/2 +- 0.05; "
                           "see decisions ledger")
 def test_criterion_5_n0_slope(default_run):
-    _, _, result = default_run
+    result = default_run.result
     fits = {r.quantity: r for r in result.reports}
     rep = fits["+_N0"]
     _report("5c (N=0 remainder slope)", rep.passed,
@@ -204,7 +213,7 @@ def test_criterion_5_n0_slope(default_run):
 
 
 def test_criterion_5_n1_slope(default_run):
-    _, _, result = default_run
+    result = default_run.result
     rep = {r.quantity: r for r in result.reports}["+_N1"]
     ok = rep.slope <= -0.625 + 0.05
     _report("5d (N=1 remainder slope)", ok,
@@ -213,7 +222,7 @@ def test_criterion_5_n1_slope(default_run):
 
 
 def test_criterion_5_d1_agreement(default_run):
-    _, _, result = default_run
+    result = default_run.result
     rel = result.d1_relative_difference("+")
     ok = rel <= 0.10
     _report("5e (analytic vs fit d1)", ok,
@@ -225,8 +234,7 @@ def test_criterion_5_d1_agreement(default_run):
 # --------------------------------------------------------------- criterion 6
 
 def test_criterion_6_tail_precedence(default_run):
-    traj, _, _ = default_run
-    rep = verify.tail_precedence_check(traj, 500.0)
+    rep = verify.tail_precedence_check(default_run.acc)
     ok = rep.passed
     _report("6 (tail precedence)", ok,
             f"ahead slope={rep.ahead_slope} (target ~-1.5), "
@@ -250,7 +258,7 @@ def test_criterion_7_bound_kernels():
 # --------------------------------------------------------------- criterion 8
 
 def test_criterion_8_mass_and_convergence(default_run):
-    traj, _, _ = default_run
+    traj = default_run.traj
     drift_per_1k = traj.mass_drift() / max(traj.n_steps / 1000.0, 1.0)
     g = Grid(2 ** 10, 80.0)
     a0 = 0.4 * np.exp(-g.x ** 2 / 4)

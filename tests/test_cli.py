@@ -5,15 +5,21 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ptails
+from conftest import run_collecting
 from ptails import cli
 from ptails.cli import main
 from ptails.config import ConfigError, parse_config
+from ptails.nonlinearity import default_nonlinearity
+from ptails.solver import SimConfig
+from ptails.spectral import mass, norms
 
 
 def test_parse_config_roundtrip(tmp_path):
@@ -128,6 +134,74 @@ csv_snapshots = 3
     manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
     written = {str(p) for p in tmp_path.glob("*.csv")}
     assert written == set(manifest["outputs"])
+    assert manifest["warnings"] == []
+
+
+def test_cli_simulate_norms_equal_collected_snapshot_norms(tmp_path):
+    # norms.csv, written by the CLI's streaming consumer, against
+    # spectral.norms of the snapshots a list consumer keeps in a separate run
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_TINY_SIMULATION)
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 0
+    with open(tmp_path / "norms.csv") as fh:
+        columns = {key: np.array([float(v) for v in col])
+                   for key, *col in zip(*csv.reader(fh))}
+    sim = SimConfig(n_points=256, half_length=60.0, t_final=2.0, n_snapshots=4)
+    traj, snapshots = run_collecting(sim, default_nonlinearity())
+    t = np.array(traj.times)
+    na = [norms(s.first, ti) for s, ti in zip(snapshots, t)]
+    nb = [norms(s.second, ti) for s, ti in zip(snapshots, t)]
+    expected = {
+        "t": t,
+        "sup_fourier": np.array([max(a.sup_fourier, b.sup_fourier) for a, b in zip(na, nb)]),
+        "l2_weighted": (1.0 + t) ** 0.25 * np.array([np.hypot(a.l2(0), b.l2(0))
+                                                     for a, b in zip(na, nb)]),
+        "dl2_weighted": (1.0 + t) ** 0.75 * np.array([np.hypot(a.l2(1), b.l2(1))
+                                                      for a, b in zip(na, nb)]),
+        "d2b_weighted_star": (1.0 + t) ** 1.25 / np.log(2.0 + t) * np.array(
+            [b.l2(2) for b in nb]),
+        "mass_a": np.array([mass(s.first) for s in snapshots]),
+        "mass_b": np.array([mass(s.second) for s in snapshots]),
+    }
+    assert columns.keys() == expected.keys()
+    for key, values in expected.items():
+        assert np.array_equal(columns[key], values), key
+
+
+def test_cli_simulate_memory_does_not_grow_with_snapshots(tmp_path):
+    # simulate keeps the norms of each snapshot and the csv_snapshots states
+    # it writes: ten times the snapshots must not cost the ~7 MB that
+    # storing them did
+    peaks = {}
+    for n_snapshots in (20, 200):
+        cfg = tmp_path / f"s{n_snapshots}.cfg"
+        cfg.write_text("[grid]\nn_points = 2048\nhalf_length = 250.0\n"
+                       f"[simulate]\nt_final = 50.0\nsnapshots = {n_snapshots}\n")
+        tracemalloc.start()
+        try:
+            assert main(["-c", str(cfg), "-o", str(tmp_path / cfg.stem), "simulate"]) == 0
+            peaks[n_snapshots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[200] - peaks[20]) < 2e6, peaks
+
+
+def test_cli_records_warnings_in_the_manifest(tmp_path, monkeypatch, capsys):
+    # a warning raised inside a subcommand reaches stderr and the manifest
+    from ptails import solver
+
+    def warning_run(config, nl, on_snapshot, initial=None):
+        warnings.warn("initial amplitude above the guard")
+        return solver.run(config, nl, on_snapshot, initial)
+
+    monkeypatch.setattr(cli, "run", warning_run)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_TINY_SIMULATION)
+    for _ in range(2):          # a repeated warning is recorded every time
+        assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 0
+        manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+        assert manifest["warnings"] == ["initial amplitude above the guard"]
+        assert "warning: initial amplitude above the guard\n" in capsys.readouterr().err
 
 
 _TINY_SIMULATION = """
@@ -211,14 +285,14 @@ def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):
     from ptails import solver
     from ptails.spectral import SpectralField, StateVector
 
-    def drifting_run(config, nl, initial=None, on_snapshot=None, warn=None):
+    def drifting_run(config, nl, on_snapshot, initial=None):
         def feed(state, t):
             if t >= config.t_final / 2.0:
                 bumped = state.first.coeffs.copy()
                 bumped[0] += 3e-6 / (2.0 * state.grid.half_length)
                 state = StateVector(SpectralField(state.grid, bumped), state.second)
             on_snapshot(state, t)
-        return solver.run(config, nl, initial=initial, on_snapshot=feed, warn=warn)
+        return solver.run(config, nl, feed, initial)
 
     monkeypatch.setattr(cli, "run", drifting_run)
     cfg = tmp_path / "v.cfg"

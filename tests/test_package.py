@@ -1,6 +1,6 @@
 """Guards on the shape of the package: no public name, method or dataclass
-field that nothing in it uses, and every call the benchmark tracer wraps
-still resolves."""
+field that nothing in it uses, no more settable values than today, and
+every call the benchmark tracer wraps still resolves."""
 
 import ast
 import importlib
@@ -114,6 +114,31 @@ def test_every_public_member_is_read_in_the_package():
                 if qualified not in UNUSED_BY_DESIGN:
                     unread.append(qualified)
     assert unread == [], f"public methods and fields nothing in the package reads: {unread}"
+
+
+# Parameters with a default plus dataclass fields with a default, in the
+# whole package.  Raise it only with a new value that a caller needs.
+SETTABLE_VALUES = 85
+
+
+def _settable_values() -> int:
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                             for stmt in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    count = _settable_values()
+    assert count <= SETTABLE_VALUES, (
+        f"{count} settable values, more than the {SETTABLE_VALUES} allowed: "
+        "a new parameter default or dataclass field default")
 
 
 def _span_targets():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import random_real_field, run_collecting
 from oracles import apply_eLt, from_characteristic_frame
 from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import propagator_cs
-from ptails.solver import SimConfig, Stepper, run, to_characteristic_frame
-from ptails.spectral import (Grid, SpectralField, StateVector, mass,
+from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
+                           snapshot_times, to_characteristic_frame)
+from ptails.spectral import (Grid, SpectralField, StateVector, mass, norms,
                              samples_of, transform_forward)
 
 
@@ -169,23 +170,37 @@ def test_rightward_pulse_stationary_in_u():
 def test_run_records_and_conserves():
     cfg = SimConfig(n_points=2 ** 10, half_length=120.0, t_final=20.0,
                     n_snapshots=12)
-    traj = run(cfg, nl=default_nonlinearity())
+    traj, snapshots = run_collecting(cfg, default_nonlinearity())
     assert not traj.aborted
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(20.0)
+    assert traj.times == snapshot_times(cfg)
     assert traj.mass_drift() < 1e-10
-    series = traj.composite_norm_series()
-    assert np.isfinite(series["l2_weighted"]).all()
-    assert len(traj.snapshots) == len(traj.times)
+    assert len(snapshots) == len(traj.times)
+    assert traj.mass_a == [mass(s.first) for s in snapshots]
+    assert traj.mass_b == [mass(s.second) for s in snapshots]
+    assert all(np.isfinite(norms(s.first).l2(0)) and np.isfinite(norms(s.second).l2(0))
+               for s in snapshots)
+
+
+def test_run_warns_on_data_above_the_amplitude_guard():
+    cfg = SimConfig(n_points=2 ** 10, half_length=120.0, t_final=1.0,
+                    epsilon0=0.05, n_snapshots=2)
+    big = gaussian_initial_state(SimConfig(n_points=2 ** 10, half_length=120.0,
+                                           epsilon0=0.15))
+    with pytest.warns(UserWarning, match="initial amplitude 0.15 above the "
+                                         "epsilon0 guard 0.05; continuing"):
+        traj = run(cfg, default_nonlinearity(), lambda state, t: None, big)
+    assert not traj.aborted
 
 
 def test_weighted_l2_component_bounded():
     # (1+t)^{1/4} ||z||_2 stays bounded and stops growing past the transient
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     n_snapshots=40)
-    traj = run(cfg, nl=default_nonlinearity())
-    series = traj.composite_norm_series()
-    t = series["times"]
-    w = series["l2_weighted"]
+    traj, snapshots = run_collecting(cfg, default_nonlinearity())
+    t = np.asarray(traj.times)
+    w = (1.0 + t) ** 0.25 * np.array([np.hypot(norms(s.first).l2(0), norms(s.second).l2(0))
+                                      for s in snapshots])
     assert np.isfinite(w).all()
     late = w[t >= 10.0]
     assert late.max() <= w.max() * (1 + 1e-9)
@@ -195,8 +210,7 @@ def test_weighted_l2_component_bounded():
 def test_run_zero_data_stays_zero():
     cfg = SimConfig(n_points=2 ** 10, half_length=120.0, t_final=10.0,
                     epsilon0=0.0)
-    traj = run(cfg, nl=default_nonlinearity())
-    final = traj.snapshots[-1]
+    final = run_collecting(cfg, default_nonlinearity())[1][-1]
     assert np.abs(final.first.coeffs).max() == 0.0
     assert np.abs(final.second.coeffs).max() == 0.0
 
@@ -207,10 +221,10 @@ def test_weighted_norm_growth_at_most_exponential():
     # once the transient has passed
     cfg = SimConfig(n_points=2 ** 11, half_length=150.0, t_final=30.0,
                     n_snapshots=20)
-    traj = run(cfg, nl=default_nonlinearity())
+    traj, snapshots = run_collecting(cfg, default_nonlinearity())
     t = np.asarray(traj.times)
-    logN = np.log([0.5 * (na.weighted_l2 ** 2 + nb.weighted_l2 ** 2)
-                   for na, nb in zip(traj.norm_a, traj.norm_b)])
+    logN = np.log([0.5 * (norms(s.first).weighted_l2 ** 2 + norms(s.second).weighted_l2 ** 2)
+                   for s in snapshots])
     sel = t >= 5.0
     ts, ln = t[sel], logN[sel]
     rates = [(ln[j] - ln[i]) / (ts[j] - ts[i])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_real_field
+from conftest import random_real_field, run_collecting
 from ptails.nonlinearity import default_nonlinearity
-from ptails.solver import SimConfig, run
+from ptails.solver import SimConfig
 from ptails.spectral import (Grid, NormReport, SpectralField, coeffs_of,
                              derivative, field_from_continuum_fhat, mass,
                              norms, samples_of, transform_forward)
@@ -54,7 +54,7 @@ def test_transform_pair_is_bytewise_the_numpy_transforms():
     # on a nonlinear trajectory snapshot, and leaves its input alone
     cfg = SimConfig(n_points=2 ** 12, half_length=120.0, t_final=5.0,
                     n_snapshots=4)
-    snap = run(cfg, nl=default_nonlinearity()).snapshots[-1]
+    snap = run_collecting(cfg, default_nonlinearity())[1][-1]
     n = cfg.n_points
     for fld in (snap.first, snap.second):
         c = fld.coeffs

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import run_collecting
 from oracles import fhat_on_largest_grid, full_remainder_norms
-from ptails import heat, profiles, verify
+from ptails import profiles, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
 from ptails.spectral import SpectralField, StateVector, mass
@@ -119,22 +120,45 @@ def _fit(result, quantity: str) -> DecayFitReport:
     return {r.quantity: r for r in result.reports}[quantity]
 
 
+def _fed(run_and_snapshots, model, **kwargs) -> RemainderAccumulator:
+    """An accumulator fed a run's collected snapshots in order."""
+    traj, snapshots = run_and_snapshots
+    acc = RemainderAccumulator(model, traj.config, **kwargs)
+    for state, t in zip(snapshots, traj.times):
+        acc.add(state, t)
+    return acc
+
+
+def _stream(cfg, nl, **kwargs):
+    """The library route: the model from the initial masses, an accumulator
+    as the run's consumer; returns the model, the accumulator and the run's
+    record."""
+    initial = gaussian_initial_state(cfg)
+    model = build_model_from_trajectory(initial, nl, N=1)
+    acc = RemainderAccumulator(model, cfg, **kwargs)
+    return model, acc, run(cfg, nl, acc.add, initial)
+
+
 @pytest.fixture(scope="module")
-def medium_traj():
+def medium_run():
     cfg = SimConfig(n_points=2 ** 13, half_length=800.0, t_final=300.0,
                     epsilon0=0.05, b_fraction=0.3, n_snapshots=90)
-    return run(cfg, nl=default_nonlinearity())
+    return run_collecting(cfg, default_nonlinearity())
 
 
 @pytest.fixture(scope="module")
-def medium_model(medium_traj):
-    return build_model_from_trajectory(medium_traj.snapshots[0],
-                                       default_nonlinearity(), N=1)
+def medium_model(medium_run):
+    return build_model_from_trajectory(medium_run[1][0], default_nonlinearity(), N=1)
 
 
-def test_pipeline_reports_and_d1(medium_traj, medium_model):
-    res = remainder_pipeline(medium_traj, medium_model, subtract="full",
-                             sides="+")
+@pytest.fixture(scope="module")
+def medium_fed(medium_run, medium_model):
+    return {"full": _fed(medium_run, medium_model, subtract="full", tail_time=150.0),
+            "linear": _fed(medium_run, medium_model, subtract="linear")}
+
+
+def test_pipeline_reports_and_d1(medium_run, medium_fed):
+    res = remainder_pipeline(medium_run[0], medium_fed["full"])
     names = {r.quantity for r in res.reports}
     assert {"+_N0_raw", "+_N0", "+_N1", "+_N1_D"} <= names
     # raw remainder decays at least at the N = 1 target rate
@@ -146,62 +170,26 @@ def test_pipeline_reports_and_d1(medium_traj, medium_model):
     assert res.mass_error < 1e-6
 
 
-def test_pipeline_monotone_improvement(medium_traj, medium_model):
-    res = remainder_pipeline(medium_traj, medium_model, subtract="full",
-                             sides="+")
+def test_pipeline_monotone_improvement(medium_run, medium_fed):
+    res = remainder_pipeline(medium_run[0], medium_fed["full"])
     assert _fit(res, "+_N1").slope <= _fit(res, "+_N0").slope + 0.02
 
 
-def test_pipeline_rejects_bad_subtract(medium_traj, medium_model):
+def test_pipeline_rejects_bad_subtract(medium_run, medium_model):
     with pytest.raises(ValueError):
-        remainder_pipeline(medium_traj, medium_model, subtract="everything")
+        RemainderAccumulator(medium_model, medium_run[0].config, subtract="everything")
 
 
 def test_pipeline_linear_run_heat_asymptotics():
     # with the source off the raw remainder follows pure heat asymptotics
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=60)
-    traj = run(cfg, nl=zero_nonlinearity())
-    model = build_model_from_trajectory(traj.snapshots[0], zero_nonlinearity(), N=1)
+    model, acc, traj = _stream(cfg, zero_nonlinearity(), subtract="none", sides="+")
     assert model.coeffs.c_plus == 0.0
-    res = remainder_pipeline(traj, model, subtract="none", sides="+")
+    res = remainder_pipeline(traj, acc)
     assert _fit(res, "+_N0_raw").slope <= -0.75 + 0.05
     # no quadratic driving: analytic d-coefficients vanish
     assert model.coeffs.d[0] == (0.0, 0.0)
-
-
-def test_pipeline_refuses_mass_drift_before_the_expensive_work(
-        medium_traj, medium_model, monkeypatch):
-    # a drift in one fit-window snapshot's mass is caught from the zeroth
-    # coefficients, before any transform or Duhamel sweep
-    from ptails.spectral import SpectralField, StateVector, mass
-    i = len(medium_traj.times) - 3
-    snap = medium_traj.snapshots[i]
-    bumped = snap.first.coeffs.copy()
-    bumped[0] += 3e-6 / (2.0 * snap.grid.half_length)
-    snapshots = list(medium_traj.snapshots)
-    snapshots[i] = StateVector(SpectralField(snap.grid, bumped), snap.second)
-    drifted = dataclasses.replace(medium_traj, snapshots=snapshots)
-    co = medium_model.coeffs
-    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
-    t_lo = drifted.config.t_final / 20.0
-    expected = max(abs(mass(verify._char_component(s, t, side)) - alpha[side])
-                   for side in "+-"
-                   for s, t in zip(drifted.snapshots, drifted.times)
-                   if t >= t_lo and t > 0)
-    assert expected > 1e-6
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("reached the expensive part of the pipeline")
-
-    monkeypatch.setattr(heat, "_duhamel_integral", unreachable)
-    monkeypatch.setattr(verify, "transform_forward", unreachable)
-    monkeypatch.setattr(verify, "samples_of", unreachable)
-    with pytest.raises(ValueError) as exc:
-        remainder_pipeline(drifted, medium_model, subtract="full")
-    assert str(exc.value) == (
-        "mass of the characteristic field drifts from the matched value "
-        f"by {expected:.3e} (> 1e-06)")
 
 
 def _drifted(snap: StateVector) -> StateVector:
@@ -211,51 +199,86 @@ def _drifted(snap: StateVector) -> StateVector:
     return StateVector(SpectralField(snap.grid, bumped), snap.second)
 
 
-def test_streamed_pipeline_equals_stored(medium_traj, medium_model):
+def _drift_message(snap: StateVector, t: float, model) -> str:
+    co = model.coeffs
+    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
+    drift = max(abs(mass(verify._char_component(snap, t, side)) - alpha[side])
+                for side in "+-")
+    assert drift > 1e-6
+    return ("mass of the characteristic field drifts from the matched value "
+            f"by {drift:.3e} (> 1e-06)")
+
+
+def test_pipeline_refuses_mass_drift_before_the_expensive_work():
+    # a library run with an accumulator as its consumer ends at the first
+    # window snapshot whose mass drifts: that snapshot gets no transient row,
+    # and the run makes no later snapshot
+    cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
+                    epsilon0=0.05, n_snapshots=40)
+    nl = default_nonlinearity()
+    initial = gaussian_initial_state(cfg)
+    model = build_model_from_trajectory(initial, nl, N=1)
+    acc = RemainderAccumulator(model, cfg)
+    times = snapshot_times(cfg)
+    i = len(times) - 3
+    seen, expected = [], []
+
+    def drifting(state, t):
+        seen.append(t)
+        if t == times[i]:
+            state = _drifted(state)
+            expected.append(_drift_message(state, t, model))
+        acc.add(state, t)
+
+    with pytest.raises(ValueError) as exc:
+        run(cfg, nl, drifting, initial)
+    assert str(exc.value) == expected[0]
+    assert seen == times[:i + 1]
+    window_before = sum(t >= cfg.t_final / 20.0 for t in times[:i])
+    assert [len(acc.scalars[side]["n1"]) for side in "+-"] == [window_before] * 2
+
+
+def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
     # one run feeds a full and a linear accumulator as it goes and keeps no
-    # snapshot; only the N0 norms, which come from kept inner products, may
-    # differ from the stored route, by rounding
-    cfg = medium_traj.config
-    assert snapshot_times(cfg) == medium_traj.times
-    accs = {sub: RemainderAccumulator(medium_model, cfg, snapshot_times(cfg),
-                                      subtract=sub, tail_time=150.0)
+    # snapshot; a separate run's snapshots, stored by a list consumer and fed
+    # afterwards, give the same bits: the run hands out each snapshot as
+    # recorded and never changes it afterwards
+    stored_traj = medium_run[0]
+    cfg = stored_traj.config
+    accs = {sub: RemainderAccumulator(medium_model, cfg, subtract=sub,
+                                      tail_time=150.0 if sub == "full" else None)
             for sub in ("full", "linear")}
 
     def feed(state, t):
         for acc in accs.values():
             acc.add(state, t)
 
-    traj = run(cfg, nl=default_nonlinearity(), on_snapshot=feed)
-    assert traj.snapshots == [] and traj.times == medium_traj.times
-    assert traj.mass_a == medium_traj.mass_a and traj.mass_b == medium_traj.mass_b
+    traj = run(cfg, default_nonlinearity(), feed)
+    assert traj.times == stored_traj.times == snapshot_times(cfg)
+    assert traj.mass_a == stored_traj.mass_a and traj.mass_b == stored_traj.mass_b
     for sub, acc in accs.items():
-        streamed = remainder_pipeline(traj, medium_model, subtract=sub, fed=acc)
-        stored = remainder_pipeline(medium_traj, medium_model, subtract=sub)
+        streamed = remainder_pipeline(traj, acc)
+        stored = remainder_pipeline(stored_traj, medium_fed[sub])
+        assert streamed.subtract == stored.subtract == sub
         assert streamed.d1_fit == stored.d1_fit
         assert streamed.mass_error == stored.mass_error
         assert streamed.series.keys() == stored.series.keys()
         for quantity, (t, values) in stored.series.items():
             t_s, values_s = streamed.series[quantity]
             assert np.array_equal(t_s, t)
-            if quantity.endswith("_N0"):
-                np.testing.assert_allclose(values_s, values, rtol=1e-12, atol=0)
-            else:
-                assert np.array_equal(values_s, values), quantity
-        assert [r.quantity for r in streamed.reports] == [r.quantity for r in stored.reports]
-        for a, b in zip(streamed.reports, stored.reports):
-            assert a.slope == pytest.approx(b.slope, abs=1e-12), a.quantity
-            assert a.passed == b.passed
-    assert (tail_precedence_check(traj, 150.0, fed=accs["full"])
-            == tail_precedence_check(medium_traj, 150.0))
+            assert np.array_equal(values_s, values), quantity
+        assert streamed.reports == stored.reports
+    assert tail_precedence_check(accs["full"]) == tail_precedence_check(medium_fed["full"])
     with pytest.raises(ValueError):
-        remainder_pipeline(traj, medium_model, subtract="linear", fed=accs["full"])
+        tail_precedence_check(accs["linear"])        # it kept no tail snapshot
 
 
-def test_n0_from_inner_products_matches_whole_fields(medium_traj, medium_model):
-    res = remainder_pipeline(medium_traj, medium_model, subtract="full")
-    window = (medium_traj.config.t_final / 20.0, medium_traj.config.t_final)
+def test_n0_from_inner_products_matches_whole_fields(medium_run, medium_model, medium_fed):
+    traj, snapshots = medium_run
+    res = remainder_pipeline(traj, medium_fed["full"])
+    window = (traj.config.t_final / 20.0, traj.config.t_final)
     for side in "+-":
-        times, n0 = full_remainder_norms(medium_traj, medium_model, side, window)
+        times, n0 = full_remainder_norms(snapshots, traj.times, medium_model, side, window)
         t, values = res.series[f"{side}_N0"]
         assert np.array_equal(t, times)
         np.testing.assert_allclose(values, n0, rtol=1e-12, atol=0)
@@ -274,13 +297,12 @@ def test_streamed_memory_does_not_grow_with_snapshots():
         cfg = dataclasses.replace(base, n_snapshots=n_snapshots)
         tracemalloc.start()
         try:
-            acc = RemainderAccumulator(model, cfg, snapshot_times(cfg))
-            traj = run(cfg, nl=nl, initial=initial, on_snapshot=acc.add)
-            remainder_pipeline(traj, model, fed=acc)
+            acc = RemainderAccumulator(model, cfg)
+            traj = run(cfg, nl, acc.add, initial)
+            remainder_pipeline(traj, acc)
             peaks[n_snapshots] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.snapshots == []
     assert abs(peaks[200] - peaks[20]) < 2e6, peaks
 
 
@@ -320,19 +342,16 @@ def test_transient_source_memory_is_small(flagship_model):
 
 
 def test_streamed_mass_check_refuses_before_transforming(
-        medium_traj, medium_model, monkeypatch):
+        medium_run, medium_model, monkeypatch):
     # the consumer checks each window snapshot's mass from its zeroth
     # coefficients and refuses a drifted one before any transform of it
-    acc = RemainderAccumulator(medium_model, medium_traj.config, medium_traj.times)
-    i = len(medium_traj.times) - 3
-    for snap, t in zip(medium_traj.snapshots[:i], medium_traj.times[:i]):
+    traj, snapshots = medium_run
+    acc = RemainderAccumulator(medium_model, traj.config)
+    i = len(traj.times) - 3
+    for snap, t in zip(snapshots[:i], traj.times[:i]):
         acc.add(snap, t)
-    drifted, t = _drifted(medium_traj.snapshots[i]), medium_traj.times[i]
-    co = medium_model.coeffs
-    alpha = {"+": co.alpha_plus, "-": co.alpha_minus}
-    expected = max(abs(mass(verify._char_component(drifted, t, side)) - alpha[side])
-                   for side in "+-")
-    assert expected > 1e-6
+    drifted, t = _drifted(snapshots[i]), traj.times[i]
+    expected = _drift_message(drifted, t, medium_model)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("transformed a snapshot whose mass drifted")
@@ -342,9 +361,7 @@ def test_streamed_mass_check_refuses_before_transforming(
     monkeypatch.setattr(verify, "coeffs_of", unreachable)
     with pytest.raises(ValueError) as exc:
         acc.add(drifted, t)
-    assert str(exc.value) == (
-        "mass of the characteristic field drifts from the matched value "
-        f"by {expected:.3e} (> 1e-06)")
+    assert str(exc.value) == expected
 
 
 def test_d1_fit_window_falls_back_on_short_series():
@@ -361,15 +378,14 @@ def test_pipeline_reports_d1_fit_window_fallback():
     # 12 geometric snapshots to t = 150 leave 4 in the d1 fit's last decade
     cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=12)
-    nl = default_nonlinearity()
-    traj = run(cfg, nl=nl)
-    model = build_model_from_trajectory(traj.snapshots[0], nl, N=1)
-    res = remainder_pipeline(traj, model, subtract="linear", window=(1.0, 150.0))
+    _, acc, traj = _stream(cfg, default_nonlinearity(), subtract="linear",
+                           window=(1.0, 150.0))
+    res = remainder_pipeline(traj, acc)
     assert res.d1_fit_window_fallback == {"+": True, "-": True}
 
 
-def test_tail_precedence_nonlinear(medium_traj):
-    rep = tail_precedence_check(medium_traj, 150.0)
+def test_tail_precedence_nonlinear(medium_fed):
+    rep = tail_precedence_check(medium_fed["full"])
     assert rep.conclusive
     assert rep.ahead_is_algebraic
     assert rep.behind_is_gaussian
@@ -378,10 +394,8 @@ def test_tail_precedence_nonlinear(medium_traj):
 def test_pipeline_zero_data_trivially_passes():
     cfg = SimConfig(n_points=2 ** 10, half_length=450.0, t_final=150.0,
                     epsilon0=0.0, n_snapshots=40)
-    traj = run(cfg, nl=default_nonlinearity())
-    model = build_model_from_trajectory(traj.snapshots[0], default_nonlinearity(),
-                                        N=1)
-    res = remainder_pipeline(traj, model, subtract="full", sides="+")
+    model, acc, traj = _stream(cfg, default_nonlinearity(), subtract="full", sides="+")
+    res = remainder_pipeline(traj, acc)
     assert all(r.passed for r in res.reports)
     assert res.d1_fit["+"] == 0.0
     assert model.coeffs.d[0] == (0.0, 0.0)
@@ -394,18 +408,16 @@ def test_d1_fit_stable_under_discretization_refinement():
     for tag, n_pts, dt in (("coarse", 2 ** 13, None), ("fine", 2 ** 14, 0.04)):
         cfg = SimConfig(n_points=n_pts, half_length=800.0, t_final=200.0,
                         dt=dt, epsilon0=0.05, b_fraction=0.3, n_snapshots=80)
-        traj = run(cfg, nl=nl)
-        model = build_model_from_trajectory(traj.snapshots[0], nl, N=1)
-        res = remainder_pipeline(traj, model, subtract="full", sides="+")
-        fits[tag] = res.d1_fit["+"]
+        _, acc, traj = _stream(cfg, nl, subtract="full", sides="+")
+        fits[tag] = remainder_pipeline(traj, acc).d1_fit["+"]
     assert fits["fine"] == pytest.approx(fits["coarse"], rel=0.02)
 
 
 def test_tail_precedence_linear_inconclusive():
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=40)
-    traj = run(cfg, nl=zero_nonlinearity())
-    rep = tail_precedence_check(traj, 100.0)
+    _, acc, _ = _stream(cfg, zero_nonlinearity(), subtract="none", tail_time=100.0)
+    rep = tail_precedence_check(acc)
     assert not rep.conclusive        # both sides Gaussian: nothing to fit
 
 
