@@ -146,6 +146,8 @@ def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
                      np.hypot(na.l2(1), nb.l2(1)), nb.l2(2)))
 
     traj = run(sim_cfg, nl, consume)
+    manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
+                             snapshots_recorded=len(traj.times) - 1)
     if traj.aborted:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1
@@ -222,6 +224,8 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     model = verify.build_model_from_trajectory(initial, nl, N=1)
     acc = verify.RemainderAccumulator(model, sim_cfg, subtract=subtract, tail_time=t_tail)
     traj = run(sim_cfg, nl, acc.add, initial)
+    manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
+                             snapshots_recorded=len(traj.times) - 1)
     if traj.aborted:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import special
 from .special import _GL16, _GW16
@@ -67,9 +66,9 @@ class HeatSourceSpec:
     """Source specification: order n, translation index sigma, and the shape f.
 
     fhat must be the exact transform when supplied; otherwise it is built
-    from samples of `shape` by spline interpolation of the transform, on as
-    many points (2^12 to 2^17) as the shape's spectrum needs to fall below
-    1e-15 of its peak in the top half of the band (see _numeric_fhat).
+    from samples of `shape` by cubic Hermite interpolation of the transform
+    on its exact slopes, on as many points (2^12 to 2^17) as the spectrum
+    needs to fall below 1e-15 of its peak in the top half of the band.
     """
 
     n: int
@@ -123,42 +122,32 @@ def make_source(n: int, sigma: int, shape_name: str = "gaussian") -> HeatSourceS
 
 
 def _numeric_fhat(shape: Callable):
-    """Transform of a sampled shape, cubic-spline interpolated in k (real and
-    imaginary parts separately), zero beyond the sampled band.
+    """Transform of a sampled shape, cubic Hermite interpolated in k on its
+    values and exact k-slopes (the transform of -i x f), zero beyond the band.
 
     The samples cover [-480, 480), so the k step is pi/480 whatever the point
-    count; the spline error stays below ~1e-10 for unit-scale shapes.  The
-    point count follows the shape's spectrum: it starts at 2^12 and doubles
-    while the largest |fhat| in the top half of the band (|k| above half the
-    Nyquist wavenumber) exceeds 1e-15 of the peak, up to _FHAT_POINTS.  Below
-    that level the cut-off band and the aliasing it causes are lost in
-    rounding, so the spline matches the one on the largest grid."""
+    count; the interpolation error stays below ~1e-10 for unit-scale shapes.
+    The point count starts at 2^12 and doubles while the largest |fhat| in
+    the top half of the band (|k| above half the Nyquist wavenumber) exceeds
+    1e-15 of the peak, up to _FHAT_POINTS.  Below that level the cut-off band
+    and its aliasing are lost in rounding, so the interpolant matches the one
+    on the largest grid."""
     n = _FHAT_MIN_POINTS
     while True:
         g = Grid(n, _FHAT_HALF_LENGTH)
         f = shape(g.x)
-        # continuum transform of the samples: fhat(k) = dx sum_j f_j e^{-ik x_j}.
-        # numpy, not spectral.coeffs_of: scipy.fft would keep this one-off
-        # plan cached for the rest of the process
-        fh = np.fft.fft(f) * g.dx * np.exp(-1j * g.k * g.x[0])
+        # fhat(k) = dx sum_j f_j e^{-ik x_j} by numpy, not spectral.coeffs_of:
+        # scipy.fft would keep this one-off plan cached for the whole process
+        phase = g.dx * np.exp(-1j * g.k * g.x[0])
+        fh = np.fft.fft(f) * phase
         size = np.abs(fh)
         top = np.abs(g.k) > np.pi / (2.0 * g.dx)
         if n >= _FHAT_POINTS or size[top].max() <= _FHAT_TAIL * size.max():
             break
         n *= 2
+    dfh = np.fft.fft(-1j * g.x * f) * phase
     order = np.argsort(g.k)
-    ks = g.k[order]
-    re = CubicSpline(ks, fh[order].real)
-    im = CubicSpline(ks, fh[order].imag)
-    kmax = ks[-1]
-
-    def fhat(k):
-        k = np.asarray(k, dtype=float)
-        inside = np.abs(k) <= kmax
-        kk = np.clip(k, ks[0], kmax)
-        return np.where(inside, re(kk) + 1j * im(kk), 0.0)
-
-    return fhat
+    return special.hermite_interpolant(g.k[order], fh[order], dfh[order])
 
 
 def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from . import special
@@ -316,32 +315,31 @@ def gn_equation_residual(gn: ProfileSample, g0: BurgersProfile, n: int,
 
 
 class ProfileInterpolant:
-    """Cubic-spline evaluation of a profile with envelope-based extrapolation
-    beyond the sampled range: algebraic-tail side continues as C |z|^p, the
-    Gaussian side as zero."""
+    """Cubic Hermite evaluation of a profile on its samples and exact slopes,
+    for the arguments inside the sampled range only, with envelope-based
+    extrapolation beyond it: the algebraic-tail side continues as C |z|^p,
+    the Gaussian side as zero."""
 
     def __init__(self, sample: ProfileSample, algebraic_side: str | None,
                  tail_exponent: float | None = None):
         self.z_lo = float(sample.z_grid[0])
         self.z_hi = float(sample.z_grid[-1])
-        self.spline = CubicSpline(sample.z_grid, sample.values)
+        self.cubic = special.hermite_interpolant(sample.z_grid, sample.values,
+                                                 sample.derivs[1])
         self.algebraic_side = algebraic_side
         self.tail_exponent = tail_exponent
-        self.c_hi = sample.values[-1] * self.z_hi ** (-tail_exponent) \
-            if algebraic_side == "right" else 0.0
-        self.c_lo = sample.values[0] * abs(self.z_lo) ** (-tail_exponent) \
-            if algebraic_side == "left" else 0.0
+        if algebraic_side is not None:
+            end = -1 if algebraic_side == "right" else 0
+            self.c_tail = sample.values[end] * abs(sample.z_grid[end]) ** (-tail_exponent)
 
     def __call__(self, zz: np.ndarray) -> np.ndarray:
         zz = np.asarray(zz, dtype=float)
-        out = self.spline(np.clip(zz, self.z_lo, self.z_hi))
-        out = np.where((zz >= self.z_lo) & (zz <= self.z_hi), out, 0.0)
-        if self.algebraic_side == "right":
-            hi = zz > self.z_hi
-            out = np.where(hi, self.c_hi * np.abs(np.where(hi, zz, 1.0)) ** self.tail_exponent, out)
-        elif self.algebraic_side == "left":
-            lo = zz < self.z_lo
-            out = np.where(lo, self.c_lo * np.abs(np.where(lo, zz, 1.0)) ** self.tail_exponent, out)
+        out = np.zeros_like(zz)
+        inside = (zz >= self.z_lo) & (zz <= self.z_hi)
+        out[inside] = self.cubic(zz[inside])
+        if self.algebraic_side is not None:
+            far = zz > self.z_hi if self.algebraic_side == "right" else zz < self.z_lo
+            out[far] = self.c_tail * np.abs(zz[far]) ** self.tail_exponent
         return out
 
 

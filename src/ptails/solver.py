@@ -58,7 +58,7 @@ class SimConfig:
     b_fraction: float = 0.3
     scheme: str = "IF-RK4"             # or "ETD-Heun"
     dealias_fraction: float = 2.0 / 3.0
-    n_snapshots: int = 80
+    n_snapshots: int = 80              # upper bound on the snapshots after t = 0
 
     def grid(self) -> Grid:
         return Grid(self.n_points, self.half_length)

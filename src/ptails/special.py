@@ -33,6 +33,7 @@ __all__ = [
     "fn_value",
     "fn_mass",
     "lcal_apply",
+    "hermite_interpolant",
     "Jn_infinity",
     "tail_exponent_fit",
     "ProfileSample",
@@ -151,6 +152,32 @@ def lcal_apply(values, d1, d2, z, n: int):
     L f = f'' + (z/2) f' + (1 - 2^{-(n+1)}) f."""
     lam = 1.0 - 0.5 ** (n + 1)
     return d2 + z / 2.0 * d1 + lam * values
+
+
+def hermite_interpolant(x, y, dy):
+    """The piecewise cubic through (x_j, y_j) with slopes dy_j (real or
+    complex) on an increasing x, as a callable on arrays, zero outside
+    [x_0, x_-1].  Horner's rule in u = (z - x_j) / h_j runs in place, so an
+    evaluation holds one gathered coefficient at a time."""
+    x, y, dy = np.asarray(x, dtype=float), np.asarray(y), np.asarray(dy)
+    h, dv = np.diff(x), np.diff(y)
+    m0, m1 = h * dy[:-1], h * dy[1:]
+    coef = (y[:-1], m0, 3.0 * dv - 2.0 * m0 - m1, m0 + m1 - 2.0 * dv)
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=float)
+        i = np.searchsorted(x, z, side="right") - 1
+        np.clip(i, 0, h.size - 1, out=i)
+        u = z - x[i]
+        u /= h[i]
+        out = coef[3][i]
+        for c in coef[2::-1]:
+            out *= u
+            out += c[i]
+        out[(z < x[0]) | (z > x[-1])] = 0.0
+        return out
+
+    return evaluate
 
 
 @dataclass

@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import heat, profiles, special
 from .profiles import ExpansionModel
@@ -184,20 +183,38 @@ class BoundKernelParams:
         return lg / (t ** (self.p1 - 1.0) * (1.0 + t) ** (self.beta_decay - self.p1 + 1.0))
 
 
+_GL20X, _GL20W = np.polynomial.legendre.leggauss(20)   # the kernels' panel rule
+
+
+def _graded_edges(length: float) -> np.ndarray:
+    """Edges on [0, length] at which 1 + u grows by one factor, at most 1.5."""
+    top = np.log1p(length)
+    return np.expm1(np.linspace(0.0, top, int(np.ceil(top / np.log(1.5))) + 1)).clip(0.0, length)
+
+
+def _panel_sum(edges: np.ndarray, integrand) -> float:
+    """20-node Gauss-Legendre rule on each panel between the edges."""
+    half = np.diff(edges)[:, None] / 2.0
+    return float(np.sum(half * _GL20W * integrand(half * _GL20X + edges[:-1, None] + half)))
+
+
 def bound_kernel_B0(q: float, t: float) -> float:
-    """B0[q](t) = int_0^t e^{-(t-s)/8} / (sqrt(t-s) (1+s)^q) ds, by the
-    square-root substitution that removes the endpoint singularity."""
+    """B0[q](t) = int_0^t e^{-(t-s)/8} / (sqrt(t-s) (1+s)^q) ds in w = sqrt(t-s),
+    free of the endpoint singularity, on panels across which 1 + s grows at
+    most 1.5-fold, at most 4 wide below w = 24, where e^{-w^2/8} lives."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    g = lambda w: 2.0 * np.exp(-w * w / 8.0) * (1.0 + t - w * w) ** (-q)
-    val, _ = quad(g, 0.0, np.sqrt(t), epsabs=1e-12, epsrel=1e-11, limit=200)
-    return float(val)
+    w = np.union1d(np.sqrt(t - _graded_edges(t)), np.arange(0.0, min(np.sqrt(t), 24.0), 4.0))
+    return _panel_sum(w, lambda w: 2.0 * np.exp(-w * w / 8.0) * (1.0 + t - w * w) ** (-q))
 
 
 def bound_kernel_B(params: BoundKernelParams, t: float) -> float:
-    """The two-piece convolution kernel of the Duhamel estimates.
+    """The two-piece convolution kernel of the Duhamel estimates.  The piece
+    on [0, t/2] takes panels on which 1 + s grows by at most 1.5; on
+    [t/2, t], t - s = v^{1/(1-p2)} removes the (t-s)^{-p2} weight and the
+    panels grade 1 + t - s the same way.
 
     The (1 + t - s) factor: the source text displays (t - 1 + s), which is
     inconsistent with its own proof bounds (it would vanish inside the
@@ -208,17 +225,12 @@ def bound_kernel_B(params: BoundKernelParams, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    p = params
-    g1 = lambda s: (1.0 + s) ** (-p.q1) * (t - s) ** (-p.p1) * (1.0 + t - s) ** (-p.r1)
-    i1, _ = quad(g1, 0.0, t / 2.0, epsabs=1e-12, epsrel=1e-11, limit=200)
-    g2 = lambda s: ((1.0 + s) ** (-p.q2) * np.log(2.0 + s) ** p.r3
-                    * (1.0 + t - s) ** (-p.r2))
-    if p.p2 > 0:
-        i2, _ = quad(g2, t / 2.0, t, weight="alg", wvar=(0.0, -p.p2),
-                     epsabs=1e-12, epsrel=1e-11, limit=200)
-    else:
-        i2, _ = quad(g2, t / 2.0, t, epsabs=1e-12, epsrel=1e-11, limit=200)
-    return float(i1 + i2)
+    p, a = params, 1.0 / (1.0 - params.p2)
+    i1 = _panel_sum(_graded_edges(t / 2.0), lambda s: (
+        (1.0 + s) ** (-p.q1) * (t - s) ** (-p.p1) * (1.0 + t - s) ** (-p.r1)))
+    return i1 + _panel_sum(_graded_edges(t / 2.0) ** (1.0 - p.p2), lambda v: (
+        a * (1.0 + t - v ** a) ** (-p.q2) * np.log(2.0 + t - v ** a) ** p.r3
+        * (1.0 + v ** a) ** (-p.r2)))
 
 
 # every (p1, q1, r1; p2, q2, r2, r3) tuple the source estimates instantiate,
@@ -353,7 +365,7 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     sel = (k >= 0) & (k <= kcut[0])
     ks = k[sel]
     rows = heat._duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
-    del qhat    # the sweep lives through the run; the splines need not
+    del qhat    # the sweep lives through the run; the interpolant need not
     conj_idx = (-np.arange(n)) % n
     neg = k < 0
     for row in rows:

@@ -1,10 +1,15 @@
 """Independent routes that the tests check the package against.
 
 Each function here computes a quantity the package also computes, by a
-different method (adaptive QUADPACK quadrature, the 2x2 propagator matrix,
-an inverse transform by quadrature, a time-stepped solution), or samples a
-package result in a form only the tests read.  None of it runs in the
-``ptails`` command.
+different method (adaptive QUADPACK quadrature of f_n and of the bound
+kernels, the 2x2 propagator matrix, an inverse transform by quadrature, a
+time-stepped solution), or samples a package result in a form only the
+tests read.  None of it runs in the ``ptails`` command.
+
+The package loads only numpy, ``scipy.fft`` and ``scipy.special``.  The
+scipy modules these routes and the tests use (``scipy.integrate`` for
+QUADPACK, ``scipy.interpolate`` for splines, ``scipy.linalg`` for the
+matrix exponential) are loaded by the tests alone.
 """
 
 from __future__ import annotations
@@ -14,16 +19,16 @@ from typing import Iterable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from ptails.heat import HeatSourceSpec, solve_inhom_modes, un_reference_hat
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
 from ptails.special import (_GL16, _GLN24, _GLW24, _GRADE_LEVELS, _GW16,
                             _MASS_PANEL, _POLYS, ProfileSample, _check_n,
-                            fn_value, lcal_apply)
+                            fn_value, hermite_interpolant, lcal_apply)
 from ptails.spectral import (Grid, SpectralField, StateVector,
                              field_from_continuum_fhat)
+from ptails.verify import BoundKernelParams
 
 
 # --------------------------------------------------------------------------
@@ -216,22 +221,15 @@ def apply_eLt(state: StateVector, t: float) -> StateVector:
 
 def fhat_on_largest_grid(shape):
     """The sampled-shape transform on a fixed 2^17 points of [-480, 480),
-    cubic-spline interpolated in k: the largest grid ``heat._numeric_fhat``
-    may choose, which it reaches only for shapes whose spectrum needs it."""
+    cubic Hermite interpolated in k on its exact k-slopes: the largest grid
+    ``heat._numeric_fhat`` may choose, which it reaches only for shapes whose
+    spectrum needs it."""
     g = Grid(2 ** 17, 480.0)
-    fh = np.fft.fft(shape(g.x)) * g.dx * np.exp(-1j * g.k * g.x[0])
+    phase = g.dx * np.exp(-1j * g.k * g.x[0])
+    f = shape(g.x)
     order = np.argsort(g.k)
-    ks = g.k[order]
-    re = CubicSpline(ks, fh[order].real)
-    im = CubicSpline(ks, fh[order].imag)
-    kmax = ks[-1]
-
-    def fhat(k):
-        k = np.asarray(k, dtype=float)
-        kk = np.clip(k, ks[0], kmax)
-        return np.where(np.abs(k) <= kmax, re(kk) + 1j * im(kk), 0.0)
-
-    return fhat
+    return hermite_interpolant(g.k[order], (np.fft.fft(f) * phase)[order],
+                               (np.fft.fft(-1j * g.x * f) * phase)[order])
 
 
 def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]:
@@ -348,6 +346,39 @@ def from_characteristic_frame(state: StateVector, t: float) -> StateVector:
     return StateVector(SpectralField(state.grid, a).symmetrized(),
                        SpectralField(state.grid, b).symmetrized(),
                        "physical")
+
+
+# --------------------------------------------------------------------------
+# bound kernels
+
+
+def bound_kernel_B0_quad(q: float, t: float) -> float:
+    """``verify.bound_kernel_B0`` by adaptive QUADPACK quadrature after the
+    same square-root substitution."""
+    if t == 0.0:
+        return 0.0
+    g = lambda w: 2.0 * np.exp(-w * w / 8.0) * (1.0 + t - w * w) ** (-q)
+    val, _ = quad(g, 0.0, np.sqrt(t), epsabs=1e-12, epsrel=1e-11, limit=200)
+    return float(val)
+
+
+def bound_kernel_B_quad(params: BoundKernelParams, t: float) -> float:
+    """``verify.bound_kernel_B`` by adaptive QUADPACK quadrature, with the
+    (t-s)^{-p2} weight of the second piece taken by the QAWS algebraic
+    weight."""
+    if t == 0.0:
+        return 0.0
+    p = params
+    g1 = lambda s: (1.0 + s) ** (-p.q1) * (t - s) ** (-p.p1) * (1.0 + t - s) ** (-p.r1)
+    i1, _ = quad(g1, 0.0, t / 2.0, epsabs=1e-12, epsrel=1e-11, limit=200)
+    g2 = lambda s: ((1.0 + s) ** (-p.q2) * np.log(2.0 + s) ** p.r3
+                    * (1.0 + t - s) ** (-p.r2))
+    if p.p2 > 0:
+        i2, _ = quad(g2, t / 2.0, t, weight="alg", wvar=(0.0, -p.p2),
+                     epsabs=1e-12, epsrel=1e-11, limit=200)
+    else:
+        i2, _ = quad(g2, t / 2.0, t, epsabs=1e-12, epsrel=1e-11, limit=200)
+    return float(i1 + i2)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ptails import cli
 from ptails.cli import main
 from ptails.config import ConfigError, parse_config
 from ptails.nonlinearity import default_nonlinearity
-from ptails.solver import SimConfig
+from ptails.solver import SimConfig, snapshot_times
 from ptails.spectral import mass, norms
 
 
@@ -186,6 +186,23 @@ def test_cli_simulate_memory_does_not_grow_with_snapshots(tmp_path):
     assert abs(peaks[200] - peaks[20]) < 2e6, peaks
 
 
+def test_cli_simulate_records_snapshot_counts(tmp_path):
+    # snapshots = N is an upper bound: N geometric step numbers are rounded
+    # and the duplicates recorded once, so at 500 steps 80 give 59 after t = 0
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[grid]\nn_points = 2048\nhalf_length = 250.0\n"
+                   "[simulate]\nt_final = 50.0\nsnapshots = 80\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 0
+    verdicts = json.loads((tmp_path / "manifest_simulate.json").read_text())["verdicts"]
+    assert (verdicts["snapshots_requested"], verdicts["snapshots_recorded"]) == (80, 59)
+    with open(tmp_path / "norms.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 59 + 1
+    # the flagship_t50 benchmark config: 656 steps, 100 requested, 73 recorded
+    flagship = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=50.0,
+                         n_snapshots=100)
+    assert len(snapshot_times(flagship)) - 1 == 73
+
+
 def test_cli_records_warnings_in_the_manifest(tmp_path, monkeypatch, capsys):
     # a warning raised inside a subcommand reaches stderr and the manifest
     from ptails import solver
@@ -255,6 +272,8 @@ require_tail = false   # the tail ranking needs later times than this scale
     assert {"+_N0_raw", "+_N1", "-_N0_raw", "-_N1"} <= quantities
     # 60 snapshots leave enough samples in the d1 fit's last decade
     assert manifest["verdicts"]["d1_fit_window_fallback"] == {"+": False, "-": False}
+    assert manifest["verdicts"]["snapshots_requested"] == 60
+    assert manifest["verdicts"]["snapshots_recorded"] == 50
 
 
 def test_cli_verify_linear_writes_the_n1_series(tmp_path):

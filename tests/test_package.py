@@ -1,11 +1,17 @@
 """Guards on the shape of the package: no public name, method or dataclass
-field that nothing in it uses, no more settable values than today, and
-every call the benchmark tracer wraps still resolves."""
+field that nothing in it uses, no more settable values than today, every
+call the benchmark tracer wraps still resolves, and the command loads no
+heavy scipy subpackage."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -181,3 +187,31 @@ def test_benchmark_span_counters_find_their_arguments():
         assert (modname, path) in targets
         params = list(inspect.signature(_resolve(modname, path)).parameters)
         assert params[index] == param, (modname, path, params)
+
+
+# scipy subpackages the command must not load: the package needs only numpy,
+# scipy.fft and scipy.special, and these cost tens of MB of resident memory
+FORBIDDEN_IMPORTS = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
+                     "scipy.linalg", "scipy.sparse")
+
+
+def test_command_loads_no_heavy_scipy_subpackage(tmp_path):
+    # a fresh interpreter, so no test's own import counts
+    (tmp_path / "v.cfg").write_text(
+        "[grid]\nn_points = 2048\nhalf_length = 250.0\n"
+        "[simulate]\nt_final = 50.0\nsnapshots = 40\n"
+        "[verify]\nd1_tolerance = 10.0\nrequire_tail = false\n")
+    script = textwrap.dedent(f"""
+        import sys
+        from ptails import cli
+        cli.main(["-o", "bounds", "bounds"])
+        cli.main(["-c", "v.cfg", "-o", "verify", "verify"])
+        print("loaded:", *(m for m in {FORBIDDEN_IMPORTS!r} if m in sys.modules))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    verdicts = json.loads((tmp_path / "verify" / "manifest_verify.json").read_text())["verdicts"]
+    assert "fits" in verdicts and "error" not in verdicts
+    assert (tmp_path / "bounds" / "manifest_bounds.json").exists()
+    assert done.stdout.splitlines()[-1] == "loaded:"

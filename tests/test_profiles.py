@@ -177,9 +177,25 @@ def test_expansion_terms_t0_identity():
     model = _default_model()
     x = np.linspace(-50, 50, 501)
     u0, u1, v0, v1 = build_expansion_terms(model, 0.0, x)
+    s = model.g0_plus.sample
+    cubic = special.hermite_interpolant(s.z_grid, s.values, s.derivs[1])
+    assert np.abs(u0 - cubic(x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.5, 0.1), (0.4, 0.2), (0.5, -0.15)])
+def test_hermite_interpolant_of_g0_no_worse_than_a_spline(alpha, gamma):
+    # on the graded grid, the Hermite cubic on g_0's exact slopes against the
+    # closed form, midway between the samples where the error peaks, next to
+    # scipy's not-a-knot spline of the same values
     from scipy.interpolate import CubicSpline
-    sp = CubicSpline(model.g0_plus.sample.z_grid, model.g0_plus.sample.values)
-    assert np.abs(u0 - sp(x)).max() < 1e-12
+    z = graded_grid()
+    s = g0_profile(alpha, gamma, z).sample
+    mid = (z[1:] + z[:-1]) / 2.0
+    exact = g0_function(alpha, gamma)(mid)
+    hermite = np.abs(special.hermite_interpolant(z, s.values, s.derivs[1])(mid) - exact).max()
+    spline = np.abs(CubicSpline(z, s.values)(mid) - exact).max()
+    assert hermite <= spline
+    assert hermite <= 3e-8 * np.abs(s.values).max()
 
 
 def test_expansion_terms_negative_time_rejected():

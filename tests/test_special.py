@@ -6,8 +6,8 @@ from oracles import (EnvelopeDescriptor, Jn_infinity_extrapolated,
                      envelope_check, eval_Jn, fn_mass_per_panel, fn_oracle,
                      fn_profile, ode_residual)
 from ptails import special
-from ptails.special import (Jn_infinity, fn_mass, fn_value, lcal_apply,
-                            tail_exponent_fit)
+from ptails.special import (Jn_infinity, fn_mass, fn_value, hermite_interpolant,
+                            lcal_apply, tail_exponent_fit)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 14, 20])
@@ -229,3 +229,16 @@ def test_profile_sample_validation():
     with pytest.raises(ValueError):
         special.ProfileSample(z_grid=np.array([0.0, 0.0, 1.0]),
                               values=np.zeros(3))
+
+
+def test_hermite_interpolant_reproduces_a_cubic():
+    # a cubic with its exact slopes is reproduced to rounding on any grid,
+    # for real and complex samples
+    x = np.sort(np.random.default_rng(7).uniform(-3.0, 3.0, 40))
+    c = lambda z: 0.3 * z ** 3 - z ** 2 + 2.0 * z - 1.0
+    dc = lambda z: 0.9 * z ** 2 - 2.0 * z + 2.0
+    z = np.linspace(x[0], x[-1], 1001)
+    for scale in (1.0, 1.0 - 2.0j):
+        cubic = hermite_interpolant(x, scale * c(x), scale * dc(x))
+        exact = scale * c(z)
+        assert np.abs(cubic(z) - exact).max() <= 1e-14 * np.abs(exact).max()

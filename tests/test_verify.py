@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import run_collecting
-from oracles import fhat_on_largest_grid, full_remainder_norms
+from oracles import (bound_kernel_B0_quad, bound_kernel_B_quad,
+                     fhat_on_largest_grid, full_remainder_norms)
 from ptails import profiles, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
 from ptails.spectral import SpectralField, StateVector, mass
-from ptails.verify import (USED_KERNEL_PARAMS, BoundKernelParams,
+from ptails.verify import (B0_EXPONENTS, USED_KERNEL_PARAMS, BoundKernelParams,
                            DecayFitReport, RemainderAccumulator, bound_check,
                            bound_kernel_B, bound_kernel_B0,
                            build_model_from_trajectory, fit_d1, fit_decay,
@@ -70,6 +71,24 @@ def test_B0_envelope(q):
     ts = np.concatenate([[0.0], np.geomspace(0.01, 1000.0, 40)])
     ratio = max(bound_kernel_B0(q, t) * (1 + t) ** q for t in ts)
     assert ratio < 20.0
+
+
+# the CLI bounds grid, and two decades beyond it
+_KERNEL_TIMES = np.concatenate([np.geomspace(1e-2, 1e3, 60), np.geomspace(1e3, 1e5, 9)[1:]])
+
+
+@pytest.mark.parametrize("q", B0_EXPONENTS)
+def test_B0_panels_match_quadpack(q):
+    got = np.array([bound_kernel_B0(q, t) for t in _KERNEL_TIMES])
+    ref = np.array([bound_kernel_B0_quad(q, t) for t in _KERNEL_TIMES])
+    assert np.abs(got / ref - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("params", USED_KERNEL_PARAMS, ids=lambda p: p.name)
+def test_B_panels_match_quadpack(params):
+    got = np.array([bound_kernel_B(params, t) for t in _KERNEL_TIMES])
+    ref = np.array([bound_kernel_B_quad(params, t) for t in _KERNEL_TIMES])
+    assert np.abs(got / ref - 1.0).max() <= 1e-10
 
 
 def test_B_hypotheses_validated():
