@@ -37,7 +37,7 @@ import numpy as np
 
 from . import special
 from .special import _GL16, _GW16
-from .spectral import Grid
+from .spectral import Grid, coeffs_of
 
 __all__ = [
     "HeatSourceSpec",
@@ -136,16 +136,16 @@ def _numeric_fhat(shape: Callable):
     while True:
         g = Grid(n, _FHAT_HALF_LENGTH)
         f = shape(g.x)
-        # fhat(k) = dx sum_j f_j e^{-ik x_j} by numpy, not spectral.coeffs_of:
-        # scipy.fft would keep this one-off plan cached for the whole process
+        # fhat(k) = dx sum_j f_j e^{-ik x_j}; n is a power of two, so
+        # n * coeffs_of(f) is the bare FFT sum to the bit
         phase = g.dx * np.exp(-1j * g.k * g.x[0])
-        fh = np.fft.fft(f) * phase
+        fh = coeffs_of(f) * n * phase
         size = np.abs(fh)
         top = np.abs(g.k) > np.pi / (2.0 * g.dx)
         if n >= _FHAT_POINTS or size[top].max() <= _FHAT_TAIL * size.max():
             break
         n *= 2
-    dfh = np.fft.fft(-1j * g.x * f) * phase
+    dfh = coeffs_of(-1j * g.x * f) * n * phase
     order = np.argsort(g.k)
     return special.hermite_interpolant(g.k[order], fh[order], dfh[order])
 

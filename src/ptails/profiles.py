@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import special
 from .nonlinearity import Nonlinearity
@@ -127,7 +126,7 @@ def _g0_scaled_parts(z, alpha, gamma):
         g0e = np.full_like(z, alpha / np.sqrt(4 * np.pi))
         return g0e, np.zeros_like(z)
     tau = np.tanh(alpha * gamma / 2.0)
-    phi = 1.0 + tau * erf(z / 2.0)
+    phi = 1.0 + tau * special.erf(z / 2.0)
     g0e = (tau / (gamma * np.sqrt(np.pi))) / phi
     g0e_p = -g0e * (tau * np.exp(-z * z / 4.0) / np.sqrt(np.pi)) / phi
     return g0e, g0e_p
@@ -142,7 +141,7 @@ def g0_function(alpha: float, gamma: float):
     def g0(z):
         z = np.asarray(z, dtype=float)
         return (tau * np.exp(-z * z / 4.0)
-                / (gamma * np.sqrt(np.pi) * (1.0 + tau * erf(z / 2.0))))
+                / (gamma * np.sqrt(np.pi) * (1.0 + tau * special.erf(z / 2.0))))
 
     return g0
 
@@ -159,7 +158,7 @@ def g0_profile(alpha: float, gamma: float, z_grid: np.ndarray) -> BurgersProfile
         vals = [alpha * Q[m](z) * E for m in range(4)]
     else:
         tau = np.tanh(alpha * gamma / 2.0)
-        phi = 1.0 + tau * erf(z / 2.0)
+        phi = 1.0 + tau * special.erf(z / 2.0)
         if np.any(phi < POLE_GUARD):
             raise ValueError(
                 f"denominator 1 + tanh(alpha gamma/2) erf(z/2) drops below "

@@ -13,13 +13,11 @@ Real-valued fields are stored as full complex spectra with Hermitian
 symmetry re-enforced after multiplier applications.
 
 Transforms on the simulation grid go through one complex-to-complex pair,
-``coeffs_of`` and ``samples_of`` (``scipy.fft`` with ``norm="forward"``, so
-the 1/n sits on the forward side and the coefficients need no rescaling).
-The forward transform casts its input to complex: scipy's real-input path is
-an r2c transform, which rounds differently.  Because n is a power of two, the
-scalings are exact, and on numpy >= 2 numpy and scipy run the same pocketfft,
-so the pair gives the same bits as ``np.fft.fft(x) / n`` and
-``np.fft.ifft(c * n)``.
+``coeffs_of`` and ``samples_of`` (numpy's pocketfft with ``norm="forward"``,
+so the 1/n sits on the forward side and the coefficients need no rescaling).
+Because n is a power of two, the scalings are exact: the pair gives the same
+bits as ``np.fft.fft(x) / n`` and ``np.fft.ifft(c * n)``, and (numpy >= 2
+and scipy run the same pocketfft) as the ``scipy.fft`` c2c pair.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -46,15 +43,15 @@ __all__ = [
 def coeffs_of(samples: np.ndarray) -> np.ndarray:
     """Normalized Fourier coefficients ``FFT(samples) / n`` of a sample array
     (a new array; the input is left alone).  The transform runs in place on
-    the complex copy, which saves scipy an output buffer and copy."""
-    return scipy.fft.fft(np.asarray(samples).astype(complex), norm="forward",
-                         overwrite_x=True)
+    the complex copy, which saves numpy an output buffer."""
+    c = np.asarray(samples).astype(complex)
+    return np.fft.fft(c, norm="forward", out=c)
 
 
 def samples_of(coeffs: np.ndarray) -> np.ndarray:
     """Complex physical samples ``n * IFFT(coeffs)``; take ``.real`` for a
     real field."""
-    return scipy.fft.ifft(coeffs, norm="forward")
+    return np.fft.ifft(coeffs, norm="forward")
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -6,10 +6,11 @@ kernels, the 2x2 propagator matrix, an inverse transform by quadrature, a
 time-stepped solution), or samples a package result in a form only the
 tests read.  None of it runs in the ``ptails`` command.
 
-The package loads only numpy, ``scipy.fft`` and ``scipy.special``.  The
-scipy modules these routes and the tests use (``scipy.integrate`` for
-QUADPACK, ``scipy.interpolate`` for splines, ``scipy.linalg`` for the
-matrix exponential) are loaded by the tests alone.
+The package loads only numpy.  The scipy modules these routes and the tests
+use (``scipy.integrate`` for QUADPACK, ``scipy.interpolate`` for splines,
+``scipy.linalg`` for the matrix exponential, ``scipy.special`` for ``erf``
+and ``gamma``, ``scipy.fft`` for the transform pair the package replaced)
+are loaded by the tests alone.
 """
 
 from __future__ import annotations

@@ -189,29 +189,35 @@ def test_benchmark_span_counters_find_their_arguments():
         assert params[index] == param, (modname, path, params)
 
 
-# scipy subpackages the command must not load: the package needs only numpy,
-# scipy.fft and scipy.special, and these cost tens of MB of resident memory
-FORBIDDEN_IMPORTS = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
-                     "scipy.linalg", "scipy.sparse")
-
-
 def test_command_loads_no_heavy_scipy_subpackage(tmp_path):
-    # a fresh interpreter, so no test's own import counts
+    # the package needs only numpy: loading any scipy module costs tens of MB
+    # of resident memory (scipy.fft alone about 27 MB).  Every subcommand of
+    # the benchmark's workloads runs, small, in a fresh interpreter, so no
+    # test's own import counts
     (tmp_path / "v.cfg").write_text(
         "[grid]\nn_points = 2048\nhalf_length = 250.0\n"
         "[simulate]\nt_final = 50.0\nsnapshots = 40\n"
         "[verify]\nd1_tolerance = 10.0\nrequire_tail = false\n")
-    script = textwrap.dedent(f"""
+    (tmp_path / "p.cfg").write_text("[profiles]\nalpha = 0.5\ngamma = 0.1\nn_max = 1\n")
+    (tmp_path / "h.cfg").write_text("[heat]\nt_lo = 10.0\nt_hi = 100.0\nn_times = 3\n")
+    (tmp_path / "g.cfg").write_text("[semigroup]\nn_k = 51\n")
+    script = textwrap.dedent("""
         import sys
         from ptails import cli
-        cli.main(["-o", "bounds", "bounds"])
-        cli.main(["-c", "v.cfg", "-o", "verify", "verify"])
-        print("loaded:", *(m for m in {FORBIDDEN_IMPORTS!r} if m in sys.modules))
+        for argv in (["-o", "bounds", "bounds"],
+                     ["-c", "v.cfg", "-o", "verify", "verify"],
+                     ["-c", "p.cfg", "-o", "profiles", "profiles"],
+                     ["-o", "special", "special", "--n", "2", "--points", "101"],
+                     ["-c", "h.cfg", "-o", "heat", "heat"],
+                     ["-c", "g.cfg", "-o", "semigroup", "semigroup"]):
+            assert cli.main(argv) == 0, argv
+        print("loaded:", *(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     verdicts = json.loads((tmp_path / "verify" / "manifest_verify.json").read_text())["verdicts"]
     assert "fits" in verdicts and "error" not in verdicts
-    assert (tmp_path / "bounds" / "manifest_bounds.json").exists()
+    for name in ("bounds", "profiles", "special", "heat", "semigroup"):
+        assert (tmp_path / name / f"manifest_{name}.json").exists()
     assert done.stdout.splitlines()[-1] == "loaded:"

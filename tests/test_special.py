@@ -190,6 +190,34 @@ def test_Jn_infinity_extrapolation_oracle(n):
     assert abs(Jn_infinity(n) - Jn_infinity_extrapolated(n)) < 1e-8
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_Jn_infinity_closed_form_with_scipy_gamma(n):
+    beta = 0.5 ** n
+    expected = gamma(beta) * 2.0 ** (-beta) * np.exp(1j * np.pi * beta / 2.0)
+    assert abs(Jn_infinity(n) - expected) <= 1e-14 * abs(expected)
+
+
+def test_erf_matches_scipy_to_one_ulp():
+    from scipy.special import erf as scipy_erf
+    tiny = np.geomspace(1e-300, 1.0, 1000)
+    x = np.concatenate([np.linspace(-30.0, 30.0, 2 ** 17 + 1), tiny, -tiny,
+                        [0.0, -0.0, np.inf, -np.inf]])
+    got, ref = special.erf(x), scipy_erf(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    err = np.abs(got - ref)
+    assert np.all((err <= np.spacing(np.abs(ref))) | (err <= 5e-16 * np.abs(ref)))
+    assert list(got[-4:]) == [0.0, 0.0, 1.0, -1.0]
+    # exactly odd, signed zero included
+    assert (-special.erf(-x)).tobytes() == got.tobytes()
+    assert np.signbit(got[-3]) and not np.signbit(got[-4])
+
+
+def test_erf_of_a_scalar_is_a_float():
+    for x in (0.5, np.float64(0.5), np.array(0.5)):
+        v = special.erf(x)
+        assert isinstance(v, float) and v == special.erf(np.array([0.5]))[0]
+
+
 def test_tail_fit_pure_power():
     z = np.linspace(1.0, 100.0, 500)
     slope, resid, sign = tail_exponent_fit(z, z ** -2.0, (5.0, 80.0))

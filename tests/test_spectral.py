@@ -47,15 +47,19 @@ def test_round_trip_many_sizes(log2n, rng):
     assert np.abs(rec - s).max() < 1e-12 * max(np.abs(s).max(), 1e-30)
 
 
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                    reason="numpy and scipy share one pocketfft from numpy 2 on")
-def test_transform_pair_is_bytewise_the_numpy_transforms():
-    # the scipy c2c pair gives the bits of the numpy transforms it replaced,
-    # on a nonlinear trajectory snapshot, and leaves its input alone
+def _nonlinear_snapshot():
     cfg = SimConfig(n_points=2 ** 12, half_length=120.0, t_final=5.0,
                     n_snapshots=4)
-    snap = run_collecting(cfg, default_nonlinearity())[1][-1]
-    n = cfg.n_points
+    return run_collecting(cfg, default_nonlinearity())[1][-1], cfg.n_points
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy's fft takes out= from numpy 2 on")
+def test_transform_pair_is_bytewise_the_numpy_transforms():
+    # the norm="forward" pair gives the bits of the unnormalized numpy
+    # transforms with an exact 1/n, on a nonlinear trajectory snapshot, and
+    # leaves its input alone
+    snap, n = _nonlinear_snapshot()
     for fld in (snap.first, snap.second):
         c = fld.coeffs
         c_before = c.copy()
@@ -66,6 +70,25 @@ def test_transform_pair_is_bytewise_the_numpy_transforms():
         h_before = h.copy()
         assert coeffs_of(h).tobytes() == (np.fft.fft(h) / n).tobytes()
         assert h.tobytes() == h_before.tobytes()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy and scipy share one pocketfft from numpy 2 on")
+def test_transform_pair_is_bytewise_the_scipy_pair():
+    # numpy's pair replaced scipy.fft's c2c pair: the same bits on a nonlinear
+    # snapshot, so the IF-RK4 trajectory did not move; the in-place forward
+    # transform leaves a real and a complex input alone
+    scipy_fft = pytest.importorskip("scipy.fft")
+    snap, _ = _nonlinear_snapshot()
+    for fld in (snap.first, snap.second):
+        c = fld.coeffs
+        x = scipy_fft.ifft(c, norm="forward")
+        assert samples_of(c).tobytes() == x.tobytes()
+        for h in (x.real * x.real, x * x):
+            h_before = h.copy()
+            ref = scipy_fft.fft(h.astype(complex), norm="forward")
+            assert coeffs_of(h).tobytes() == ref.tobytes()
+            assert h.tobytes() == h_before.tobytes()
 
 
 def test_length_mismatch_raises():
