@@ -23,9 +23,29 @@ class ConfigError(Exception):
         super().__init__(message + loc)
 
 
+class _Sections(dict):
+    """Parsed sections that remember the (section, key) pairs ``get_typed``
+    looked up, so that the keys nothing read can be reported."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = set()
+
+    def unread(self, known_sections, command: str):
+        """A message for every section outside ``known_sections`` and for
+        every key not looked up in a section that was."""
+        read = {section for section, _ in self.looked_up}
+        for section, keys in self.items():
+            if section not in known_sections:
+                yield f"config section [{section}] is read by no subcommand"
+            elif section in read:
+                yield from (f"config key [{section}] {key} is not read by {command}"
+                            for key in keys if (section, key) not in self.looked_up)
+
+
 def parse_config(path: str | Path) -> dict:
     """Sections of key = value pairs; values stay strings, typed on access."""
-    sections: dict[str, dict[str, str]] = {}
+    sections = _Sections()
     current = None
     text = Path(path).read_text()
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -55,6 +75,8 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 
 
 def get_typed(sections: dict, section: str, key: str, typ, default=None):
+    if isinstance(sections, _Sections):
+        sections.looked_up.add((section, key))
     sec = sections.get(section, {})
     if key not in sec:
         return default

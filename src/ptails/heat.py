@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .special import _GL16, _GW16
 from .spectral import Grid, coeffs_of
 
 __all__ = [
@@ -75,7 +74,6 @@ class HeatSourceSpec:
     sigma: int
     shape: Callable[[np.ndarray], np.ndarray]
     fhat: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
     _mass: float | None = None
 
     def __post_init__(self):
@@ -115,9 +113,9 @@ def dgaussian_fhat():
 
 def make_source(n: int, sigma: int, shape_name: str = "gaussian") -> HeatSourceSpec:
     if shape_name == "gaussian":
-        return HeatSourceSpec(n, sigma, gaussian_shape(), gaussian_fhat(), "gaussian")
+        return HeatSourceSpec(n, sigma, gaussian_shape(), gaussian_fhat())
     if shape_name == "dgaussian":
-        return HeatSourceSpec(n, sigma, dgaussian_shape(), dgaussian_fhat(), "dgaussian")
+        return HeatSourceSpec(n, sigma, dgaussian_shape(), dgaussian_fhat())
     raise ValueError(f"unknown shape {shape_name!r}")
 
 
@@ -194,16 +192,14 @@ def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
     """
     k_hi = kb[-1]
     edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor=s_floor)
-    a = edges[:-1, None]
-    b = edges[1:, None]
-    s = (b - a) / 2 * _GL16 + (b + a) / 2                       # (panels, 16)
-    w = ((b - a) / 2 * _GW16)[:, :, None].astype(complex)       # (panels, 16, 1)
+    s, w = special.panel_rule(edges[:-1], edges[1:], 16)        # (panels, 16)
+    w = w[:, :, None].astype(complex)                           # (panels, 16, 1)
     alg = ((1.0 + s) ** power)[:, None, :]
     root = np.sqrt(1.0 + s)[:, None, :]
     kk = kb[None, :, None]                                      # (1, modes, 1)
     neg_k2 = -kk ** 2
     ick = 1j * c_osc * kk
-    per_chunk = max(1, _CHUNK // (kb.size * _GL16.size))
+    per_chunk = max(1, _CHUNK // (kb.size * s.shape[1]))
     acc = np.zeros(kb.size, dtype=complex)
     for p in range(0, s.shape[0], per_chunk):
         sc = s[p:p + per_chunk, None, :]
@@ -283,7 +279,9 @@ class ConvergenceReport:
     times: np.ndarray
     remainder_l2: np.ndarray          # ||u - M(f) u_n||_2
     remainder_dl2: np.ndarray         # ||D(u - M(f) u_n)||_2
-    weighted_sup: float               # sup (1+t)^{3/4}/ln(2+t) ||...||
+    weighted_l2: np.ndarray           # (1+t)^{3/4}/ln(2+t) ||u - M(f) u_n||_2
+    weighted_dl2: np.ndarray          # (1+t)^{5/4}/ln(2+t) ||D(u - M(f) u_n)||_2
+    weighted_sup: float               # sup of weighted_l2 over the times
     weighted_sup_d: float
     stabilized: bool                  # running sup grew < 5% over the last decade
     slope_l2: float
@@ -292,6 +290,13 @@ class ConvergenceReport:
     @property
     def passed(self) -> bool:
         return self.stabilized and np.isfinite(self.weighted_sup)
+
+
+def _remainder(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarray:
+    """|uhat - M uhat_n| on the modes k >= 0 at time t."""
+    uh = solve_inhom_modes(spec, k, t)
+    unh = spec.mass * un_reference_hat(spec.n, spec.sigma, k, t)
+    return np.abs(uh - unh)
 
 
 def _rescaled_excess(k: np.ndarray, diff: np.ndarray, t: float) -> float:
@@ -307,15 +312,9 @@ def _continuum_norms(spec: HeatSourceSpec, t: float):
     kmax = 8.0 / np.sqrt(1.0 + t) + 0.5
     k_resc_max = np.sqrt(500.0 / (1.0 + t))   # beyond this the weight overflows
     edges = np.linspace(0.0, kmax, _NORM_PANELS + 1)
-    tot0 = 0.0
-    tot1 = 0.0
-    cmax = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        kk = (b - a) / 2 * _GL16 + (b + a) / 2
-        ww = (b - a) / 2 * _GW16
-        uh = solve_inhom_modes(spec, kk, t)
-        unh = spec.mass * un_reference_hat(spec.n, spec.sigma, kk, t)
-        diff = np.abs(uh - unh)
+    tot0 = tot1 = cmax = 0.0
+    for kk, ww in zip(*special.panel_rule(edges[:-1], edges[1:], 16)):
+        diff = _remainder(spec, kk, t)
         tot0 += float(np.sum(ww * diff ** 2))
         tot1 += float(np.sum(ww * (kk * diff) ** 2))
         if t > 0:
@@ -339,18 +338,18 @@ def convergence_check(spec: HeatSourceSpec, t_grid) -> ConvergenceReport:
     for i, t in enumerate(t_grid):
         r0[i], r1[i], c = _continuum_norms(spec, t)
         cc = max(cc, c)
-    w = (1.0 + t_grid) ** 0.75 / np.log(2.0 + t_grid)
-    wd = (1.0 + t_grid) ** 1.25 / np.log(2.0 + t_grid)
-    sup0 = np.maximum.accumulate(w * r0)
-    sup1 = np.maximum.accumulate(wd * r1)
+    weighted = (1.0 + t_grid) ** 0.75 / np.log(2.0 + t_grid) * r0
+    weighted_d = (1.0 + t_grid) ** 1.25 / np.log(2.0 + t_grid) * r1
+    sup0 = np.maximum.accumulate(weighted)
     in_last_decade = t_grid >= t_grid[-1] / 10.0
     prev = sup0[~in_last_decade].max() if np.any(~in_last_decade) else sup0[-1]
     stabilized = bool(sup0[-1] <= prev * 1.05)
     msk = t_grid >= max(t_grid[0], 1.0)
-    slope = float(np.polyfit(np.log(1.0 + t_grid[msk]), np.log(r0[msk]), 1)[0])
+    slope, _ = special.loglog_fit(1.0 + t_grid[msk], r0[msk])
     return ConvergenceReport(
         times=t_grid, remainder_l2=r0, remainder_dl2=r1,
-        weighted_sup=float(sup0[-1]), weighted_sup_d=float(sup1[-1]),
+        weighted_l2=weighted, weighted_dl2=weighted_d,
+        weighted_sup=float(sup0[-1]), weighted_sup_d=float(weighted_d.max()),
         stabilized=stabilized, slope_l2=slope, measured_C=float(cc),
     )
 
@@ -370,7 +369,5 @@ def pointwise_bound_constant(spec: HeatSourceSpec, k_grid, t_grid) -> float:
         kk = k_grid[k_grid ** 2 * (1.0 + t) <= 500.0]
         if kk.size == 0:
             continue
-        uh = solve_inhom_modes(spec, kk, t)
-        unh = spec.mass * un_reference_hat(spec.n, spec.sigma, kk, t)
-        cmax = max(cmax, _rescaled_excess(kk, np.abs(uh - unh), t))
+        cmax = max(cmax, _rescaled_excess(kk, _remainder(spec, kk, t), t))
     return max(cmax, 0.0)

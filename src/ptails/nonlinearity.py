@@ -29,11 +29,15 @@ _SAMPLE_COUNT = 64
 _SAMPLE_SEED = 7
 
 
+def _at(fn: Callable, a: float, b: float) -> float:
+    """fn(a, b) at one point, passed as one-element arrays."""
+    return float(np.atleast_1d(fn(np.array([a], dtype=float), np.array([b], dtype=float)))[0])
+
+
 @dataclass
 class Nonlinearity:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "custom"
     hessian: np.ndarray | None = None   # Hessian of g at the origin, 2x2
     reads_b: bool = True                # False: g and f ignore b, passed as None
 
@@ -44,7 +48,7 @@ class Nonlinearity:
 
     def _fd_hessian(self) -> np.ndarray:
         h = _FD_STEP
-        g = lambda a, b: float(self.g(np.asarray(a, float), np.asarray(b, float)))
+        g = lambda a, b: _at(self.g, a, b)
         gaa = (g(h, 0) - 2 * g(0, 0) + g(-h, 0)) / h ** 2
         gbb = (g(0, h) - 2 * g(0, 0) + g(0, -h)) / h ** 2
         gab = (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4 * h ** 2)
@@ -67,19 +71,13 @@ class Nonlinearity:
         gv = self.g(pts[:, 0], pts[:, 1])
         fv = self.f(pts[:, 0], pts[:, 1])
         dg = gv - self.quadratic_part(pts[:, 0], pts[:, 1])
-        g00 = float(np.atleast_1d(self.g(np.zeros(1), np.zeros(1)))[0])
-        f00 = float(np.atleast_1d(self.f(np.zeros(1), np.zeros(1)))[0])
         h = _FD_STEP
-        grad = np.array([
-            (float(np.atleast_1d(self.g(np.array([h]), np.array([0.0])))[0])
-             - float(np.atleast_1d(self.g(np.array([-h]), np.array([0.0])))[0])) / (2 * h),
-            (float(np.atleast_1d(self.g(np.array([0.0]), np.array([h])))[0])
-             - float(np.atleast_1d(self.g(np.array([0.0]), np.array([-h])))[0])) / (2 * h),
-        ])
+        grad = np.array([(_at(self.g, h, 0.0) - _at(self.g, -h, 0.0)) / (2 * h),
+                         (_at(self.g, 0.0, h) - _at(self.g, 0.0, -h)) / (2 * h)])
         return AdmissibilityReport(
-            origin_value=abs(g00),
+            origin_value=abs(_at(self.g, 0.0, 0.0)),
             origin_gradient=float(np.abs(grad).max()),
-            f_origin_value=abs(f00),
+            f_origin_value=abs(_at(self.f, 0.0, 0.0)),
             C_quadratic=float(np.max(np.abs(gv) / r ** 2)),
             C_cubic=float(np.max(np.abs(dg) / r ** 3)),
             C_linear=float(np.max(np.abs(fv) / r)),
@@ -106,28 +104,17 @@ def default_nonlinearity() -> Nonlinearity:
     """g(a,b) = a^2, f(a,b) = a: passes the admissibility checks with
     g0 = g, and yields Hessian constants (1/4, -1/4, 1/2) so both the
     Burgers self-interaction and the cross-characteristic driving act."""
-    return Nonlinearity(
-        g=lambda a, b: a * a,
-        f=lambda a, b: a,
-        name="default",
-        hessian=np.array([[2.0, 0.0], [0.0, 0.0]]),
-        reads_b=False,
-    )
+    return Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a,
+                        hessian=np.array([[2.0, 0.0], [0.0, 0.0]]), reads_b=False)
 
 
 def zero_nonlinearity() -> Nonlinearity:
-    return Nonlinearity(
-        g=lambda a, b: np.zeros_like(np.asarray(a, dtype=float)),
-        f=lambda a, b: np.zeros_like(np.asarray(a, dtype=float)),
-        name="zero",
-        hessian=np.zeros((2, 2)),
-        reads_b=False,
-    )
+    zero = lambda a, b: np.zeros_like(np.asarray(a, dtype=float))
+    return Nonlinearity(g=zero, f=zero, hessian=np.zeros((2, 2)), reads_b=False)
 
 
 def quadratic_nonlinearity(gaa: float = 0.0, gab: float = 0.0, gbb: float = 0.0,
-                           fa: float = 0.0, fb: float = 0.0,
-                           name: str = "quadratic") -> Nonlinearity:
+                           fa: float = 0.0, fb: float = 0.0) -> Nonlinearity:
     """General quadratic g = gaa a^2 + gab a b + gbb b^2 with linear f.
     Without b-terms the functions never touch b, so ``reads_b`` is False."""
     reads_b = bool(gab != 0 or gbb != 0 or fb != 0)
@@ -137,10 +124,5 @@ def quadratic_nonlinearity(gaa: float = 0.0, gab: float = 0.0, gbb: float = 0.0,
     else:
         g = lambda a, b: gaa * a * a
         f = lambda a, b: fa * a
-    return Nonlinearity(
-        g=g,
-        f=f,
-        name=name,
-        hessian=np.array([[2 * gaa, gab], [gab, 2 * gbb]]),
-        reads_b=reads_b,
-    )
+    return Nonlinearity(g=g, f=f, hessian=np.array([[2 * gaa, gab], [gab, 2 * gbb]]),
+                        reads_b=reads_b)

@@ -73,19 +73,21 @@ def graded_grid(z_max: float = 60.0, h0: float = 1e-3) -> np.ndarray:
     return np.concatenate([-zp[::-1], zp[1:]])
 
 
-def corrected_trapezoid(w: np.ndarray, wp: np.ndarray, z: np.ndarray) -> float:
-    """Trapezoid with the Euler-Maclaurin endpoint-derivative correction;
-    fourth order on non-uniform grids given exact derivative samples."""
+def _trapezoid_segments(w: np.ndarray, wp: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-interval trapezoid with the Euler-Maclaurin endpoint-derivative
+    correction; fourth order on non-uniform grids given exact derivative
+    samples."""
     h = np.diff(z)
-    seg = h / 2 * (w[:-1] + w[1:]) - h ** 2 / 12 * (wp[1:] - wp[:-1])
-    return float(seg.sum())
+    return h / 2 * (w[:-1] + w[1:]) - h ** 2 / 12 * (wp[1:] - wp[:-1])
+
+
+def corrected_trapezoid(w: np.ndarray, wp: np.ndarray, z: np.ndarray) -> float:
+    return float(_trapezoid_segments(w, wp, z).sum())
 
 
 def cumulative_corrected_trapezoid(w: np.ndarray, wp: np.ndarray,
                                    z: np.ndarray) -> np.ndarray:
-    h = np.diff(z)
-    seg = h / 2 * (w[:-1] + w[1:]) - h ** 2 / 12 * (wp[1:] - wp[:-1])
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    return np.concatenate([[0.0], np.cumsum(_trapezoid_segments(w, wp, z))])
 
 
 @dataclass
@@ -116,62 +118,50 @@ class BurgersProfile:
 
     @property
     def mass_error(self) -> float:
-        s = self.sample
-        return abs(corrected_trapezoid(s.values, s.derivs[1], s.z_grid) - self.alpha)
+        return abs(profile_mass(self.sample) - self.alpha)
 
 
-def _g0_scaled_parts(z, alpha, gamma):
-    """e^{z^2/4} g_0 and its derivative, overflow-free closed forms."""
-    if gamma == 0.0:
-        g0e = np.full_like(z, alpha / np.sqrt(4 * np.pi))
-        return g0e, np.zeros_like(z)
+def _g0_scaled(z: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+    """e^{z^2/4} g_0 = (tau/gamma) / (sqrt(pi) phi), overflow-free, with
+    phi = 1 + tau erf(z/2) and tau = tanh(alpha gamma/2); tau/gamma is
+    continued by alpha/2 at gamma = 0, the heat-kernel Gaussian.  A phi below
+    ``POLE_GUARD`` is refused before it divides."""
     tau = np.tanh(alpha * gamma / 2.0)
     phi = 1.0 + tau * special.erf(z / 2.0)
-    g0e = (tau / (gamma * np.sqrt(np.pi))) / phi
-    g0e_p = -g0e * (tau * np.exp(-z * z / 4.0) / np.sqrt(np.pi)) / phi
-    return g0e, g0e_p
+    if np.any(phi < POLE_GUARD):
+        raise ValueError(
+            f"denominator 1 + tanh(alpha gamma/2) erf(z/2) drops below "
+            f"{POLE_GUARD}; profile too close to its pole"
+        )
+    ratio = tau / gamma if gamma != 0.0 else alpha / 2.0
+    return ratio / np.sqrt(np.pi) / phi
 
 
 def g0_function(alpha: float, gamma: float):
     """The leading profile as a plain callable (closed form, any argument)."""
-    if gamma == 0.0:
-        return lambda z: alpha * np.exp(-np.asarray(z) ** 2 / 4.0) / np.sqrt(4.0 * np.pi)
-    tau = np.tanh(alpha * gamma / 2.0)
 
     def g0(z):
         z = np.asarray(z, dtype=float)
-        return (tau * np.exp(-z * z / 4.0)
-                / (gamma * np.sqrt(np.pi) * (1.0 + tau * special.erf(z / 2.0))))
+        return np.exp(-z * z / 4.0) * _g0_scaled(z, alpha, gamma)
 
     return g0
 
 
 def g0_profile(alpha: float, gamma: float, z_grid: np.ndarray) -> BurgersProfile:
     """Closed-form mass-alpha self-similar Burgers profile with derivatives
-    to order 3; gamma = 0 falls back to the heat-kernel Gaussian."""
+    to order 3.
+
+    The values are e^{-z^2/4} times the scaled closed form of ``_g0_scaled``
+    (the heat-kernel Gaussian at gamma = 0).  The derivatives come from the
+    profile equation integrated once, g' = -(z/2) g - gamma g^2, and its
+    derivatives; raises ValueError where the closed form's denominator
+    approaches its pole."""
     z = np.asarray(z_grid, dtype=float)
-    if gamma == 0.0:
-        E = np.exp(-z * z / 4.0) / np.sqrt(4.0 * np.pi)
-        Q = {0: np.polynomial.Polynomial([1.0])}
-        for m in range(3):
-            Q[m + 1] = Q[m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * Q[m]
-        vals = [alpha * Q[m](z) * E for m in range(4)]
-    else:
-        tau = np.tanh(alpha * gamma / 2.0)
-        phi = 1.0 + tau * special.erf(z / 2.0)
-        if np.any(phi < POLE_GUARD):
-            raise ValueError(
-                f"denominator 1 + tanh(alpha gamma/2) erf(z/2) drops below "
-                f"{POLE_GUARD}; profile too close to its pole"
-            )
-        E = np.exp(-z * z / 4.0) / np.sqrt(np.pi)
-        psi = tau * E / phi
-        dpsi = -(z / 2.0) * psi - psi ** 2
-        d2psi = -0.5 * psi - (z / 2.0) * dpsi - 2.0 * psi * dpsi
-        d3psi = -dpsi - (z / 2.0) * d2psi - 2.0 * dpsi ** 2 - 2.0 * psi * d2psi
-        vals = [psi / gamma, dpsi / gamma, d2psi / gamma, d3psi / gamma]
-    sample = ProfileSample(z_grid=z, values=vals[0],
-                           derivs={1: vals[1], 2: vals[2], 3: vals[3]})
+    g = g0_function(alpha, gamma)(z)
+    gp = -(z / 2.0) * g - gamma * g * g
+    gpp = -0.5 * g - (z / 2.0) * gp - 2.0 * gamma * g * gp
+    gppp = -gp - (z / 2.0) * gpp - 2.0 * gamma * (gp * gp + g * gpp)
+    sample = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp, 3: gppp})
     return BurgersProfile(sample=sample, alpha=alpha, gamma=gamma)
 
 
@@ -238,22 +228,18 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
     f0m, f1m, f2m, f3m = Fm
     i0 = int(np.searchsorted(z, 0.0))
     W0 = -2.0 * f0[i0] * f1[i0]
-    g0e, g0e_p = _g0_scaled_parts(z, alpha, gamma)
     g0s = g0_profile(alpha, gamma, z).sample
+    # e^{z^2/4} g_0 and its derivative -gamma e^{z^2/4} g_0^2
+    g0e = _g0_scaled(z, alpha, gamma)
+    g0e_p = -gamma * g0e * g0s.values
     hm = z * f0m - 2.0 * f1m
     hp = z * f0 + 2.0 * f1
     hm_p = f0m - z * f1m + 2.0 * f2m
     hp_p = f0 + z * f1 + 2.0 * f2
-    if sign == "+":
-        base = (f0m, -f1m, f2m, -f3m)
-    else:
-        base = (f0, f1, f2, f3)
+    base = (f0m, -f1m, f2m, -f3m) if sign == "+" else (f0, f1, f2, f3)
     g, gp, gpp, gppp = (b.copy() for b in base)
     weight = (1.0 + z * z) ** ((2.0 - beta) / 2.0)
-    R = np.zeros_like(z)
-    Rp = np.zeros_like(z)
-    Rpp = np.zeros_like(z)
-    Rppp = np.zeros_like(z)
+    R = Rp = Rpp = Rppp = np.zeros_like(z)
     deltas = []
     converged = gamma == 0.0
     for _ in range(MAX_PICARD_ITER):
@@ -261,10 +247,8 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
             break
         q = g0e * g
         qp = g0e_p * g + g0e * gp
-        wm = hm * q
-        wpl = hp * q
-        I1 = cumulative_corrected_trapezoid(wm, hm_p * q + hm * qp, z)
-        I2f = cumulative_corrected_trapezoid(wpl, hp_p * q + hp * qp, z)
+        I1 = cumulative_corrected_trapezoid(hm * q, hm_p * q + hm * qp, z)
+        I2f = cumulative_corrected_trapezoid(hp * q, hp_p * q + hp * qp, z)
         I2 = I2f[-1] - I2f
         c = -gamma / W0
         g0g = g0s.values * g
@@ -390,12 +374,15 @@ def gn_total_mass(gn: ProfileSample, n: int) -> float:
     """Mass of g_n over the whole line: grid part plus the exact algebraic
     and Gaussian tail integrals of the f_n(-/+z) component (the remainder
     part has Gaussian tails and needs no correction).  Zero analytically."""
-    z_max = float(gn.z_grid[-1])
-    grid_part = profile_mass(gn)
-    # total tail of f_n (or its mirror) beyond |z| = z_max: F(-Z) - F(Z)
-    corr = float(special.fn_value(n, -z_max, order=-1)
-                 - special.fn_value(n, z_max, order=-1))
-    return grid_part + corr
+    # the tail of f_n(-z) beyond |z| = z_max is that of f_n
+    return profile_mass(gn) + special.fn_tail_mass(n, float(gn.z_grid[-1]))
+
+
+def _product_mass(f: ProfileSample, g: ProfileSample) -> float:
+    """M(f g) by the corrected trapezoid on the product and its derivative."""
+    return corrected_trapezoid(f.values * g.values,
+                               f.derivs[1] * g.values + f.values * g.derivs[1],
+                               f.z_grid)
 
 
 def d_coefficients_analytic(model: ExpansionModel) -> list[tuple[float, float]]:
@@ -413,28 +400,13 @@ def d_coefficients_analytic(model: ExpansionModel) -> list[tuple[float, float]]:
     kappa = lambda n: 2.0 ** (-1.0 - 0.5 ** n) / np.sqrt(4.0 * np.pi)
     g0p, g0m = model.g0_plus.sample, model.g0_minus.sample
     out = []
-    d_prev_p = d_prev_m = None
+    # g_{n-1} and the d-factor 2 d_{n-1} of the other family; g_0 and 1 for n = 1
+    prev_p, prev_m, lead_p, lead_m = g0p, g0m, 1.0, 1.0
     for n in range(1, co.N + 1):
-        if n == 1:
-            Mm = corrected_trapezoid(g0m.values ** 2, 2 * g0m.values * g0m.derivs[1],
-                                     g0m.z_grid)
-            Mp = corrected_trapezoid(g0p.values ** 2, 2 * g0p.values * g0p.derivs[1],
-                                     g0p.z_grid)
-            dp = -co.c_minus * Mm * kappa(1)
-            dm = co.c_plus * Mp * kappa(1)
-        else:
-            gm_prev = model.gn_minus[n - 1]
-            gp_prev = model.gn_plus[n - 1]
-            Mm = corrected_trapezoid(
-                g0m.values * gm_prev.values,
-                g0m.derivs[1] * gm_prev.values + g0m.values * gm_prev.derivs[1],
-                g0m.z_grid)
-            Mp = corrected_trapezoid(
-                g0p.values * gp_prev.values,
-                g0p.derivs[1] * gp_prev.values + g0p.values * gp_prev.derivs[1],
-                g0p.z_grid)
-            dp = -2.0 * co.c_minus * d_prev_m * Mm * kappa(n)
-            dm = 2.0 * co.c_plus * d_prev_p * Mp * kappa(n)
+        dp = -co.c_minus * lead_m * _product_mass(g0m, prev_m) * kappa(n)
+        dm = co.c_plus * lead_p * _product_mass(g0p, prev_p) * kappa(n)
         out.append((float(dp), float(dm)))
-        d_prev_p, d_prev_m = dp, dm
+        if n < co.N:
+            prev_p, prev_m = model.gn_plus[n], model.gn_minus[n]
+        lead_p, lead_m = 2.0 * dp, 2.0 * dm
     return out

@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "BRANCH_THRESHOLD",
     "propagator_cs",
+    "propagator_entries",
     "kernel_bound_check",
     "intertwining_defect",
     "KernelBoundReport",
@@ -100,6 +101,14 @@ def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return C, S
 
 
+def propagator_entries(k: np.ndarray, t: float):
+    """The entries (C+kS, iS, C-kS) of e^{Lt}(k), stored complex: a real factor
+    would be cast to complex, through a buffer, in every product with a spectrum."""
+    k = np.asarray(k, dtype=float)
+    C, S = propagator_cs(k, t)
+    return (C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex)
+
+
 @dataclass(frozen=True)
 class KernelBoundReport:
     """Smallest constants realizing the parabolic-like envelope bounds on grids."""
@@ -125,15 +134,13 @@ def kernel_bound_check(k_grid: np.ndarray, t_grid: np.ndarray) -> KernelBoundRep
     c_mat = 0.0
     c_der = 0.0
     for t in t_grid:
-        C, S = propagator_cs(k_grid, t)
+        P, Q, R = propagator_entries(k_grid, t)
         env = decay(t)
-        e00 = np.abs(C + k_grid * S)
-        e01 = np.abs(S)
-        e11 = np.abs(C - k_grid * S)
-        c_mat = max(c_mat, (e00 / env).max(), (e11 / env).max(), (e01 / (env * w)).max())
+        c_mat = max(c_mat, (np.abs(P) / env).max(), (np.abs(R) / env).max(),
+                    (np.abs(Q) / (env * w)).max())
         if t > 0:
-            dcol0 = np.abs(k_grid * S)                    # first component of e^{Lt}(0, ik)^T
-            dcol1 = np.abs(k_grid * (C - k_grid * S))     # second component
+            dcol0 = np.abs(k_grid * Q)     # first component of e^{Lt}(0, ik)^T
+            dcol1 = np.abs(k_grid * R)     # second component
             scale = env / np.sqrt(t)
             c_der = max(c_der, (dcol0 / scale).max(), (dcol1 / (scale * w)).max())
     return KernelBoundReport(
@@ -168,20 +175,16 @@ def weighted_defect_entries(k: np.ndarray, t: float) -> np.ndarray:
     out[:, :] = root * np.exp(-k * k * t / 2.0)   # the pure e^{L0 t} S part
     if np.any(inside):
         ki = k[inside]
-        C, S = propagator_cs(ki, t)
+        P, Q, R = propagator_entries(ki, t)
         damp = np.exp(-ki * ki * t)
         ep = damp * np.exp(1j * ki * t)
         em = damp * np.exp(-1j * ki * t)
-        # S e^{Lt} rows: row1 = (e00+e10, e01+e11), row2 = (e00-e10, e01-e11)
-        r11 = (C + ki * S) + 1j * S
-        r12 = 1j * S + (C - ki * S)
-        r21 = (C + ki * S) - 1j * S
-        r22 = 1j * S - (C - ki * S)
         weight = root * np.exp(ki * ki * t / 2.0)
-        out[0, 0, inside] = np.abs(r11 - ep) * weight
-        out[0, 1, inside] = np.abs(r12 - ep) * weight
-        out[1, 0, inside] = np.abs(r21 - em) * weight
-        out[1, 1, inside] = np.abs(r22 + em) * weight
+        # S e^{Lt} rows: (e00 + e10, e01 + e11) and (e00 - e10, e01 - e11)
+        out[0, 0, inside] = np.abs(P + Q - ep) * weight
+        out[0, 1, inside] = np.abs(Q + R - ep) * weight
+        out[1, 0, inside] = np.abs(P - Q - em) * weight
+        out[1, 1, inside] = np.abs(Q - R + em) * weight
     return out
 
 

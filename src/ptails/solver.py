@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .semigroup import propagator_cs
+from .semigroup import propagator_entries
 from .spectral import (Grid, SpectralField, StateVector,
                        coeffs_of, mass, norms, samples_of, transform_forward)
 
@@ -126,16 +126,8 @@ class Stepper:
         kmax = float(np.abs(self.k).max())
         self.dealias = np.abs(self.k) <= dealias_fraction * kmax
         self.ik_dealias = self.ik * self.dealias
-        self._tables = {}
-        for tag, tt in (("half", dt / 2.0), ("full", dt)):
-            self._tables[tag] = self._linear_table(tt)
-
-    def _linear_table(self, t: float):
-        """(C+kS, iS, C-kS), stored complex: a real factor would be cast to
-        complex, through a buffer, on every multiplication."""
-        k = self.k
-        C, S = propagator_cs(k, t)
-        return ((C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex))
+        self._tables = {tag: propagator_entries(self.k, tt)
+                        for tag, tt in (("half", dt / 2.0), ("full", dt))}
 
     def _apply(self, pair, tag):
         P, Q, R = self._tables[tag]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -33,6 +34,9 @@ __all__ = [
     "erf",
     "fn_value",
     "fn_mass",
+    "fn_tail_mass",
+    "panel_rule",
+    "loglog_fit",
     "lcal_apply",
     "hermite_interpolant",
     "Jn_infinity",
@@ -50,8 +54,6 @@ _POLYS[0] = np.polynomial.Polynomial([0.0, 1.0])
 for _m in range(0, 8):
     _POLYS[_m + 1] = _POLYS[_m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * _POLYS[_m]
 
-_GLN24, _GLW24 = np.polynomial.legendre.leggauss(24)
-_GL16, _GW16 = np.polynomial.legendre.leggauss(16)
 _SING_CELL = 2.0          # [0, A] carries the singular weight
 _GRADE_LEVELS = 22        # geometric panels down to A 2^-22 ~ 5e-7
 _MASS_PANEL = 0.5         # panel width of the fn_mass quadrature
@@ -66,6 +68,31 @@ def erf(x):
     profile grids of a few thousand points, so the Python-level loop costs
     little (about 20 ms at 2^17 points)."""
     return np.asarray(_erf(x), dtype=float)[()]
+
+
+@cache
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def panel_rule(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on each panel [a_i, b_i]: nodes
+    (b - a)/2 x + (b + a)/2 and weights (b - a)/2 w, of shape
+    ``np.shape(a) + (n,)``, one row per panel."""
+    x, w = _unit_rule(n)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    half = (b - a) / 2
+    return half * x + (b + a) / 2, half * w
+
+
+def loglog_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope of log|y| against log|x|, and the line's rms residual."""
+    lx = np.log(np.abs(x))
+    ly = np.log(np.abs(y))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return float(slope), float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
 
 
 def _check_n(n: int) -> float:
@@ -121,9 +148,8 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     # Remaining smooth-weight integral int_0^A P3-kernel xi^{beta+2}.
     edges = A * 2.0 ** (-np.arange(0.0, float(_GRADE_LEVELS)))
     acc = np.zeros_like(out)
-    for a, b in zip(edges[1:], edges[:-1]):
-        xi = (b - a) / 2 * _GLN24 + (b + a) / 2
-        ww = (b - a) / 2 * _GLW24 * xi ** (beta + 2.0)
+    for xi, ww in zip(*panel_rule(edges[1:], edges[:-1], 24)):
+        ww = ww * xi ** (beta + 2.0)
         w, e = _kern(xi, z, scaled)
         for row, m in zip(acc, orders):
             row += (_POLYS[m + 3](w) * e) @ ww
@@ -131,9 +157,8 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     # Regular region [A, ximax]; the Gaussian factor kills everything beyond.
     ximax = max(A, float(-z.min()) + 16.0) + 16.0
     edges = np.arange(A, ximax + 2.0, 2.0)
-    for a, b in zip(edges[:-1], edges[1:]):
-        xi = (b - a) / 2 * _GLN24 + (b + a) / 2
-        ww = (b - a) / 2 * _GLW24 * xi ** (beta - 1.0)
+    for xi, ww in zip(*panel_rule(edges[:-1], edges[1:], 24)):
+        ww = ww * xi ** (beta - 1.0)
         w, e = _kern(xi, z, scaled)
         for row, m in zip(out, orders):
             row += (_POLYS[m](w) * e) @ ww
@@ -147,16 +172,21 @@ def fn_mass(n: int, z_cut: float = 30.0) -> float:
     [-z_cut, z_cut] plus the exact algebraic/Gaussian tail corrections
     F(-z_cut) - F(z_cut) from the antiderivative.  Zero analytically."""
     edges = np.arange(-z_cut, z_cut + _MASS_PANEL / 2, _MASS_PANEL)
-    a, b = edges[:-1, None], edges[1:, None]
-    zz = (b - a) / 2 * _GLN24 + (b + a) / 2                    # (panels, 24)
+    zz, _ = panel_rule(edges[:-1], edges[1:], 24)              # (panels, 24)
     # one evaluation of every node; each panel is then weighted on its own
     # and added in panel order
     values = fn_value(n, zz.ravel()).reshape(zz.shape)
+    unit_weights = _unit_rule(24)[1]
     tot = 0.0
-    for half, row in zip((b - a)[:, 0] / 2, values):
-        tot += half * float(row @ _GLW24)
-    tot += float(fn_value(n, -z_cut, order=-1) - fn_value(n, z_cut, order=-1))
-    return tot
+    for half, row in zip(np.diff(edges) / 2, values):
+        tot += half * float(row @ unit_weights)
+    return tot + fn_tail_mass(n, z_cut)
+
+
+def fn_tail_mass(n: int, z_cut: float) -> float:
+    """Mass of f_n beyond |z| = z_cut on both sides, F(-z_cut) - F(z_cut)
+    from the antiderivative F that vanishes at +inf."""
+    return float(fn_value(n, -z_cut, order=-1) - fn_value(n, z_cut, order=-1))
 
 
 def lcal_apply(values, d1, d2, z, n: int):
@@ -241,8 +271,4 @@ def tail_exponent_fit(z: np.ndarray, values: np.ndarray,
     if np.any(vals == 0):
         raise ValueError("window contains exact zeros")
     sign_change = bool(np.any(np.sign(vals[:-1]) != np.sign(vals[1:])))
-    lx = np.log(np.abs(z[msk]))
-    ly = np.log(np.abs(vals))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), resid, sign_change
+    return (*loglog_fit(z[msk], vals), sign_change)

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import heat, profiles, special
 from .profiles import ExpansionModel
-from .semigroup import propagator_cs
+from .semigroup import propagator_entries
 from .solver import TrajectoryRecord, snapshot_times, to_characteristic_frame
 from .spectral import (StateVector, coeffs_of, field_from_continuum_fhat, mass,
                        samples_of, transform_forward)
@@ -128,12 +128,9 @@ def fit_decay(times, values, quantity: str, target: float, tolerance: float,
         raise ValueError("fit window shorter than one decade in (1+t)")
     if np.any(v <= 0):
         raise ValueError("slope fit requires positive values")
-    lx = np.log(1.0 + t)
-    ly = np.log(v)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    slope, resid = special.loglog_fit(1.0 + t, v)
     return DecayFitReport(quantity=quantity, t_lo=float(t[0]), t_hi=float(t[-1]),
-                          slope=float(slope), residual=resid, target=target,
+                          slope=slope, residual=resid, target=target,
                           tolerance=tolerance, two_sided=two_sided)
 
 
@@ -183,9 +180,6 @@ class BoundKernelParams:
         return lg / (t ** (self.p1 - 1.0) * (1.0 + t) ** (self.beta_decay - self.p1 + 1.0))
 
 
-_GL20X, _GL20W = np.polynomial.legendre.leggauss(20)   # the kernels' panel rule
-
-
 def _graded_edges(length: float) -> np.ndarray:
     """Edges on [0, length] at which 1 + u grows by one factor, at most 1.5."""
     top = np.log1p(length)
@@ -194,8 +188,8 @@ def _graded_edges(length: float) -> np.ndarray:
 
 def _panel_sum(edges: np.ndarray, integrand) -> float:
     """20-node Gauss-Legendre rule on each panel between the edges."""
-    half = np.diff(edges)[:, None] / 2.0
-    return float(np.sum(half * _GL20W * integrand(half * _GL20X + edges[:-1, None] + half)))
+    nodes, weights = special.panel_rule(edges[:-1], edges[1:], 20)
+    return float(np.sum(weights * integrand(nodes)))
 
 
 def bound_kernel_B0(q: float, t: float) -> float:
@@ -273,12 +267,7 @@ def bound_check(t_grid=None) -> list[KernelCheckRow]:
         c = float(np.max(ratios))
         rows.append(KernelCheckRow(f"B0[{q}]", c, c < KERNEL_CAP))
     for p in USED_KERNEL_PARAMS:
-        ratios = []
-        for t in t_grid:
-            if t == 0.0:
-                continue
-            ratios.append(bound_kernel_B(p, t) / p.envelope(t))
-        c = float(np.max(ratios))
+        c = float(np.max([bound_kernel_B(p, t) / p.envelope(t) for t in t_grid if t != 0.0]))
         rows.append(KernelCheckRow(p.name or repr(p), c, c < KERNEL_CAP))
     return rows
 
@@ -294,8 +283,7 @@ def build_model_from_trajectory(initial: StateVector, nl, N: int = 1) -> Expansi
     Only the masses of ``initial`` are read, so the state ``solver.run``
     starts from and its symmetrized t = 0 snapshot give the same model, and
     the model can be built before the first step."""
-    alpha_p = mass(initial.first) + mass(initial.second)
-    alpha_m = mass(initial.first) - mass(initial.second)
+    alpha_p, alpha_m = _characteristic_masses(initial)
     cp, cm, _ = profiles.hessian_constants(nl)
     co = profiles.ExpansionCoefficients(
         alpha_plus=alpha_p, alpha_minus=alpha_m, c_plus=cp, c_minus=cm, N=N)
@@ -320,8 +308,7 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict) -> di
     sides."""
     k = initial.grid.k
     a0, b0 = initial.first.coeffs, initial.second.coeffs
-    C, S = propagator_cs(k, t)
-    P, Q, R = C + k * S, 1j * S, C - k * S
+    P, Q, R = propagator_entries(k, t)
     heat_factor = np.exp(-k * k * t)
     out = {}
     if "+" in g0_hat:
@@ -420,14 +407,19 @@ class PipelineResult:
         return abs(f - a) / max(abs(a), 1e-300)
 
 
+def _characteristic_masses(state: StateVector) -> tuple[float, float]:
+    """(alpha_+, alpha_-) = M(a) +- M(b), read off the zeroth coefficients,
+    so they cost no transform."""
+    ma, mb = mass(state.first), mass(state.second)
+    return ma + mb, ma - mb
+
+
 def _mass_error(state: StateVector, co, sides: str) -> float:
-    """Largest drift of the characteristic masses 2L (a_0 +- b_0) from the
-    matched values ``co.alpha_plus``/``co.alpha_minus``, read off the zeroth
-    coefficients, so it costs no transform."""
-    two_l = 2.0 * state.grid.half_length
-    a0, b0 = state.first.coeffs[0], state.second.coeffs[0]
-    return max(abs(two_l * (a0 + b0).real - co.alpha_plus) if side == "+"
-               else abs(two_l * (a0 - b0).real - co.alpha_minus)
+    """Largest drift of the characteristic masses from the matched values
+    ``co.alpha_plus``/``co.alpha_minus``."""
+    alpha_p, alpha_m = _characteristic_masses(state)
+    return max(abs(alpha_p - co.alpha_plus) if side == "+"
+               else abs(alpha_m - co.alpha_minus)
                for side in sides)
 
 

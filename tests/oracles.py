@@ -24,12 +24,14 @@ from scipy.integrate import quad
 from ptails.heat import HeatSourceSpec, solve_inhom_modes, un_reference_hat
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
-from ptails.special import (_GL16, _GLN24, _GLW24, _GRADE_LEVELS, _GW16,
-                            _MASS_PANEL, _POLYS, ProfileSample, _check_n,
-                            fn_value, hermite_interpolant, lcal_apply)
+from ptails.special import (_GRADE_LEVELS, _MASS_PANEL, _POLYS, ProfileSample,
+                            _check_n, fn_value, hermite_interpolant, lcal_apply)
 from ptails.spectral import (Grid, SpectralField, StateVector,
                              field_from_continuum_fhat)
 from ptails.verify import BoundKernelParams
+
+_GL16, _GW16 = np.polynomial.legendre.leggauss(16)
+_GLN24, _GLW24 = np.polynomial.legendre.leggauss(24)
 
 
 # --------------------------------------------------------------------------

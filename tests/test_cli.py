@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import platform
@@ -219,6 +220,72 @@ def test_cli_records_warnings_in_the_manifest(tmp_path, monkeypatch, capsys):
         manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
         assert manifest["warnings"] == ["initial amplitude above the guard"]
         assert "warning: initial amplitude above the guard\n" in capsys.readouterr().err
+
+
+def _warnings_of(tmp_path, text: str, *argv) -> tuple[int, list]:
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(text)
+    code = main(["-c", str(cfg), "-o", str(tmp_path), *argv])
+    manifest = json.loads((tmp_path / f"manifest_{argv[0]}.json").read_text())
+    return code, manifest["warnings"]
+
+
+def test_cli_warns_about_a_key_that_does_nothing(tmp_path, capsys):
+    # a misspelt key would run the default silently; the exit code stays
+    code, found = _warnings_of(tmp_path, "[heat]\nt_lo = 10.0\nt_hi = 100.0\n"
+                                         "n_tims = 3\n", "heat")
+    assert code == 0
+    assert found == ["config key [heat] n_tims is not read by heat"]
+    assert f"warning: {found[0]}\n" in capsys.readouterr().err
+
+
+def test_cli_warns_about_a_section_no_subcommand_reads(tmp_path):
+    code, found = _warnings_of(tmp_path, "[bounds]\nt_max = 50.0\nn_t = 12\n"
+                                         "[simulat]\nt_final = 5.0\n", "bounds")
+    assert code == 0
+    assert found == ["config section [simulat] is read by no subcommand"]
+
+
+def _readme_verify_config() -> str:
+    readme = (Path(ptails.__file__).resolve().parents[2] / "README.md").read_text()
+    block = readme.split("# verify.cfg\n", 1)[1]
+    return block.split("\nptails -c", 1)[0]
+
+
+def _benchmark_calls(monkeypatch):
+    path = Path(ptails.__file__).resolve().parents[2] / "perfbench" / "workloads.py"
+    if not path.exists():
+        pytest.skip("no perfbench/ next to the package")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
+    spec.loader.exec_module(workloads)
+    return [call for name in workloads.WORKLOADS
+            for call in workloads.make_calls(name, 1001) if call.config is not None]
+
+
+def test_cli_documented_and_benchmark_configs_read_every_key(tmp_path, monkeypatch):
+    # each subcommand reads its whole config before the work, which stops
+    # at once here
+    from ptails import heat, profiles, verify
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stopped after reading the config")
+
+    monkeypatch.setattr(verify, "build_model_from_trajectory", stop)
+    monkeypatch.setattr(heat, "make_source", stop)
+    monkeypatch.setattr(profiles, "graded_grid", stop)
+    cases = [(_readme_verify_config(), ("verify",))]
+    cases += [(call.config, (call.command, *call.extra)) for call in _benchmark_calls(monkeypatch)]
+    assert {argv[0] for _, argv in cases} == {"verify", "profiles", "heat"}
+    for i, (text, argv) in enumerate(cases):
+        code, found = _warnings_of(tmp_path / str(i), text, *argv)
+        assert code == 1 and found == [], (argv, found)
+
+
+def test_sim_config_defaults_live_in_SimConfig_only():
+    assert cli._sim_config({}) == SimConfig()
 
 
 _TINY_SIMULATION = """

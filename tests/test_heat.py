@@ -250,8 +250,8 @@ def test_bin_integral_temporaries_bounded_by_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # eight complex arrays of one chunk
-    assert peak < 8 * 16 * max(heat._CHUNK, kb.size * heat._GL16.size)
+    # eight complex arrays of one chunk (16 nodes per panel)
+    assert peak < 8 * 16 * max(heat._CHUNK, kb.size * 16)
 
 
 def test_duhamel_marched_matches_per_time_calls():

@@ -1,7 +1,7 @@
 """Guards on the shape of the package: no public name, method or dataclass
-field that nothing in it uses, no more settable values than today, every
-call the benchmark tracer wraps still resolves, and the command loads no
-heavy scipy subpackage."""
+field that nothing in it uses, no more settable values than today, one home
+for each shared numerical primitive, every call the benchmark tracer wraps
+still resolves, and the command loads no heavy scipy subpackage."""
 
 import ast
 import importlib
@@ -124,7 +124,7 @@ def test_every_public_member_is_read_in_the_package():
 
 # Parameters with a default plus dataclass fields with a default, in the
 # whole package.  Raise it only with a new value that a caller needs.
-SETTABLE_VALUES = 85
+SETTABLE_VALUES = 82
 
 
 def _settable_values() -> int:
@@ -145,6 +145,26 @@ def test_settable_values_do_not_grow():
     assert count <= SETTABLE_VALUES, (
         f"{count} settable values, more than the {SETTABLE_VALUES} allowed: "
         "a new parameter default or dataclass field default")
+
+
+# call -> the one module that may make it: the Gauss-Legendre rule and the
+# log-log fit live in ``special``, the symbol pair (C, S) in ``semigroup``
+_PRIMITIVE_HOMES = {"leggauss": "special", "polyfit": "special",
+                    "propagator_cs": "semigroup"}
+
+
+def test_each_primitive_is_called_from_its_home_module_only():
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            home = _PRIMITIVE_HOMES.get(name)
+            if home is not None and path.stem != home:
+                strays.append(f"{path.stem}.py:{node.lineno} calls {name}")
+    assert strays == [], f"a second copy of a shared primitive: {strays}"
 
 
 def _span_targets():

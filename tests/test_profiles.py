@@ -71,21 +71,21 @@ def test_hessian_constants_zero():
 def test_hessian_constants_sum_square():
     # g = (a+b)^2 is purely the plus-family square: the quadratic form has
     # unit coefficient on (a+b)^2 and no minus or mixed part
-    nl = quadratic_nonlinearity(gaa=1.0, gab=2.0, gbb=1.0, fa=0.0, name="sumsq")
+    nl = quadratic_nonlinearity(gaa=1.0, gab=2.0, gbb=1.0, fa=0.0)
     cp, cm, c3 = hessian_constants(nl)
     assert (cp, cm, c3) == pytest.approx((1.0, 0.0, 0.0))
 
 
 def test_hessian_constants_finite_difference_route():
     from ptails.nonlinearity import Nonlinearity
-    nl = Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a, name="fd")
+    nl = Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a)
     cp, cm, c3 = hessian_constants(nl)
     assert (cp, cm, c3) == pytest.approx((0.25, -0.25, 0.5), abs=1e-5)
 
 
 def test_inadmissible_rejected():
     from ptails.nonlinearity import Nonlinearity
-    bad = Nonlinearity(g=lambda a, b: a, f=lambda a, b: a, name="linear-g",
+    bad = Nonlinearity(g=lambda a, b: a, f=lambda a, b: a,
                        hessian=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         hessian_constants(bad)

@@ -5,7 +5,8 @@ from scipy.linalg import expm
 from conftest import random_real_field
 from oracles import apply_eLt, eval_eLt, eval_eLt_direct, eval_eLt_series
 from ptails.semigroup import (intertwining_defect, kernel_bound_check,
-                              propagator_cs, weighted_defect_entries)
+                              propagator_cs, propagator_entries,
+                              weighted_defect_entries)
 from ptails.spectral import StateVector, samples_of
 
 
@@ -39,6 +40,16 @@ def test_matrix_exponential_oracle(k, t):
     # scaled-and-squared matrix exponential as the independent route
     expected = expm(generator(k) * t)
     assert np.abs(eval_eLt(k, t) - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0 - 3e-5, 1.0 + 3e-5, 2.0, 10.0])
+def test_propagator_entries_are_the_matrix_entries(k):
+    for t in (0.0, 0.3, 5.0):
+        P, Q, R = propagator_entries(np.array([k]), t)
+        assert P.dtype == Q.dtype == R.dtype == complex
+        E = eval_eLt(k, t)
+        np.testing.assert_array_equal([P[0], Q[0], Q[0], R[0]],
+                                      [E[0, 0], E[0, 1], E[1, 0], E[1, 1]])
 
 
 def test_series_matches_oracle_in_branch_window():

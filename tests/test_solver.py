@@ -5,7 +5,7 @@ from conftest import random_real_field, run_collecting
 from oracles import apply_eLt, from_characteristic_frame
 from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
-from ptails.semigroup import propagator_cs
+from ptails.semigroup import propagator_cs, propagator_entries
 from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
                            snapshot_times, to_characteristic_frame)
 from ptails.spectral import (Grid, SpectralField, StateVector, mass, norms,
@@ -232,6 +232,16 @@ def test_weighted_norm_growth_at_most_exponential():
     b_hat = max(rates)
     assert np.isfinite(b_hat)
     assert b_hat <= 1.0
+
+
+def test_stepper_tables_are_the_propagator_entries():
+    # byte for byte, and equal to the entries formed from the (C, S) pair
+    st = Stepper(Grid(512, 80.0), 0.07, default_nonlinearity())
+    for tag, t in (("half", st.dt / 2.0), ("full", st.dt)):
+        C, S = propagator_cs(st.k, t)
+        formed = ((C + st.k * S).astype(complex), 1j * S, (C - st.k * S).astype(complex))
+        for table, entry, direct in zip(st._tables[tag], propagator_entries(st.k, t), formed):
+            assert table.tobytes() == entry.tobytes() == direct.tobytes()
 
 
 class _ReferenceStepper:

@@ -223,6 +223,25 @@ def test_tail_fit_pure_power():
     slope, resid, sign = tail_exponent_fit(z, z ** -2.0, (5.0, 80.0))
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert resid < 1e-12 and not sign
+    # the shared fit on its own, signs ignored
+    slope, resid = special.loglog_fit(-z, -3.0 * z ** -1.5)
+    assert slope == pytest.approx(-1.5, abs=1e-12) and resid < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_panel_rule_exact_to_degree_2n_minus_1(n):
+    # uneven panels; with u = 2 (x - a)/(b - a) - 1, u^j integrates to
+    # (b - a)/(j + 1) for even j and to 0 for odd j
+    edges = np.array([-3.0, -2.7, -1.0, 0.25, 0.3, 4.0])
+    a, b = edges[:-1], edges[1:]
+    nodes, weights = special.panel_rule(a, b, n)
+    assert nodes.shape == weights.shape == (a.size, n)
+    assert np.all((nodes > a[:, None]) & (nodes < b[:, None]))
+    u = 2.0 * (nodes - a[:, None]) / (b - a)[:, None] - 1.0
+    exact = lambda j: (b - a) * (j % 2 == 0) / (j + 1)
+    for j in range(2 * n):
+        np.testing.assert_allclose(np.sum(weights * u ** j, axis=1), exact(j),
+                                   rtol=1e-13, atol=1e-15)
 
 
 def test_tail_fit_f1_left_tail():
