@@ -25,7 +25,9 @@ added in panel order, which gives the same bits as one panel at a time.
 
 For an increasing series of times the integral is marched instead of
 restarted from s = 0: the value at t_m is the value at t_{m-1} damped by
-e^{-k^2 (t_m - t_{m-1})} plus the quadrature over [t_{m-1}, t_m] alone.
+e^{-k^2 (t_m - t_{m-1})} plus the quadrature over [t_{m-1}, t_m] alone.  The
+march is an iterator that yields each time's row as it is computed, so a
+caller that consumes the rows in turn never holds the times-by-modes table.
 """
 
 from __future__ import annotations
@@ -213,19 +215,22 @@ def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
 
 
 def _duhamel_integral(k: np.ndarray, t, power: float, c_osc: float,
-                      fhat_fn: Callable, k_cut=None) -> np.ndarray:
+                      fhat_fn: Callable, k_cut=None):
     """int_0^t e^{-k^2(t-s)} e^{i c_osc k s} (1+s)^power fhat(k sqrt(1+s)) ds
     for an array of k >= 0, binned by magnitude so panels are shared.
 
-    A nondecreasing array of times returns one row per time, marched: the
-    row for t_m is the row for t_{m-1} damped by e^{-k^2 (t_m - t_{m-1})}
-    plus the quadrature over [t_{m-1}, t_m] on the same panel rule clipped
-    at t_{m-1}.  A scalar t is the one-time series and returns one value per
+    A nondecreasing array of times returns an iterator of one row per time,
+    each a new array, marched as it is drawn: the row for t_m is the row for
+    t_{m-1} damped by e^{-k^2 (t_m - t_{m-1})} plus the quadrature over
+    [t_{m-1}, t_m] on the same panel rule clipped at t_{m-1}.  So the caller
+    holds one row at a time, and the quadrature runs inside its loop.  A
+    scalar t is the one-time series and returns its one row, one value per
     mode.  k_cut, one nonincreasing value per time, drops a mode from the
-    first time it exceeds the cut; its entries are zero from then on.
+    first time it exceeds the cut; its entries are zero from then on.  The
+    arguments are checked when the call is made, not when the first row is
+    drawn.
     """
     k = np.asarray(k, dtype=float)
-    order, sorted_k, bins = _ascending_bins(k)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be a nonnegative, nondecreasing 1-d array")
@@ -235,11 +240,19 @@ def _duhamel_integral(k: np.ndarray, t, power: float, c_osc: float,
         cut = np.asarray(k_cut, dtype=float)
         if cut.shape != times.shape or np.any(np.diff(cut) > 0):
             raise ValueError("k_cut must hold one nonincreasing value per time")
-    rows = np.zeros((times.size, k.size), dtype=complex)
+    rows = _march(k, times, cut, power, c_osc, fhat_fn)
+    return next(rows) if np.ndim(t) == 0 else rows
+
+
+def _march(k: np.ndarray, times: np.ndarray, cut: np.ndarray, power: float,
+           c_osc: float, fhat_fn: Callable):
+    """The rows of ``_duhamel_integral``, yielded one time at a time."""
+    order, sorted_k, bins = _ascending_bins(k)
     acc = [np.zeros(j - i, dtype=complex) for i, j in bins]
     t_prev = 0.0
-    for m, tm in enumerate(times):
-        n_alive = int(np.searchsorted(sorted_k, cut[m], side="right"))
+    for tm, cm in zip(times, cut):
+        row = np.zeros(k.size, dtype=complex)
+        n_alive = int(np.searchsorted(sorted_k, cm, side="right"))
         for b, (i, j) in enumerate(bins):
             j = min(j, n_alive)
             if j <= i:
@@ -247,9 +260,9 @@ def _duhamel_integral(k: np.ndarray, t, power: float, c_osc: float,
             kb = sorted_k[i:j]
             acc[b] = (acc[b][:j - i] * np.exp(-kb * kb * (tm - t_prev))
                       + _bin_integral(kb, t_prev, tm, power, c_osc, fhat_fn))
-            rows[m, order[i:j]] = acc[b]
+            row[order[i:j]] = acc[b]
         t_prev = tm
-    return rows[0] if np.ndim(t) == 0 else rows
+        yield row
 
 
 def solve_inhom_modes(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarray:

@@ -7,7 +7,16 @@ nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the scheme
 Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
 symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.  Snapshots are read in the
-characteristic frame through ``to_characteristic_frame``.
+characteristic frame through ``to_characteristic_frame``, whose phase
+multipliers ``frame_phases`` gives, so a consumer that needs them twice
+forms them once.
+
+A step works on a fixed set of work arrays: ``Stepper.step`` allocates
+``_STEP_ARRAYS`` spectrum-sized arrays per call, and ``source``, ``_apply``
+and the scheme combinations write every product, sum and transform into
+them (``out=``, with the out-taking transforms ``coeffs_into`` and
+``samples_into``).  The operands and their order are the formulas', so the
+bits are the same as with a new array per operation.
 
 ``run`` records snapshots at the times ``snapshot_times`` gives and hands
 each to an ``on_snapshot(state, t)`` consumer as it is made.  It stores
@@ -32,8 +41,8 @@ import numpy as np
 
 from .nonlinearity import Nonlinearity
 from .semigroup import propagator_entries
-from .spectral import (Grid, SpectralField, StateVector,
-                       coeffs_of, mass, norms, samples_of, transform_forward)
+from .spectral import (Grid, SpectralField, StateVector, coeffs_into, mass,
+                       norms, samples_into, transform_forward)
 
 __all__ = [
     "SimConfig",
@@ -41,6 +50,7 @@ __all__ = [
     "Stepper",
     "run",
     "snapshot_times",
+    "frame_phases",
     "to_characteristic_frame",
     "gaussian_initial_state",
 ]
@@ -99,10 +109,14 @@ class TrajectoryRecord:
         return float(max(np.abs(ma - ma[0]).max(), np.abs(mb - mb[0]).max()))
 
 
-def _axpy(x, c: float, y):
-    """x + c y component-wise for state pairs; a component of y that is None
-    stands for zero and is skipped."""
-    return tuple(xi if yi is None else xi + c * yi for xi, yi in zip(x, y))
+# spectrum-sized work arrays of one step, either scheme
+_STEP_ARRAYS = 9
+
+
+def _axpy(x, c: float, y, out):
+    """out = x + c y elementwise, rounded as ``x + c * y``; ``out`` may be
+    ``y`` but not ``x``."""
+    return np.add(x, np.multiply(c, y, out=out), out=out)
 
 
 class Stepper:
@@ -110,9 +124,9 @@ class Stepper:
 
     The symbol entries ``C+kS``, ``iS`` and ``C-kS`` are built once per step
     size, and ``ik`` and its dealiased product ``ik * mask`` once per grid.
-    The source forces only the second equation: ``source`` returns ``None``
-    for its first component, and ``_apply`` and the scheme combinations skip
-    the terms it would zero.  The system is autonomous, so no stage needs
+    The source forces only the second equation: ``source`` writes only its
+    second component, and ``_apply`` and the scheme combinations skip the
+    terms the zero first one would give.  The system is autonomous, so no stage needs
     the time.
     """
 
@@ -129,57 +143,85 @@ class Stepper:
         self._tables = {tag: propagator_entries(self.k, tt)
                         for tag, tt in (("half", dt / 2.0), ("full", dt))}
 
-    def _apply(self, pair, tag):
+    def _apply(self, pair, tag, out, work):
+        """The propagator of step ``tag`` applied to ``pair`` (whose first
+        component may be None for zero), written into the array pair ``out``,
+        which must not share memory with ``pair``; ``work`` is one scratch
+        array."""
         P, Q, R = self._tables[tag]
         a, b = pair
+        oa, ob = out
         if a is None:
-            return (Q * b, R * b)
-        return (P * a + Q * b, Q * a + R * b)
+            np.multiply(Q, b, out=oa)
+            np.multiply(R, b, out=ob)
+        else:
+            np.add(np.multiply(P, a, out=oa), np.multiply(Q, b, out=work), out=oa)
+            np.add(np.multiply(Q, a, out=ob), np.multiply(R, b, out=work), out=ob)
 
-    def source(self, pair):
-        """N(z) = (0, ik h-hat) with 2/3 dealiasing; the zero first component
-        is returned as None.  The samples of b are transformed only if the
-        nonlinearity reads them (b is passed as None otherwise)."""
+    def source(self, pair, out, work):
+        """N(z) = (0, ik h-hat) with 2/3 dealiasing: its second component is
+        written into ``out``, which also holds the samples of a until h is
+        known.  ``work`` is two scratch arrays, for the samples of b_x and of
+        b.  The samples of b are transformed only if the nonlinearity reads
+        them (b is passed as None otherwise)."""
         nl = self.nl
-        a = samples_of(pair[0]).real
-        b = samples_of(pair[1]).real if nl.reads_b else None
-        bx = samples_of(self.ik * pair[1]).real
-        hh = coeffs_of(nl.source(a, b, bx))
-        hh *= self.ik_dealias
-        return (None, hh)
+        a = samples_into(pair[0], out).real
+        b = samples_into(pair[1], work[1]).real if nl.reads_b else None
+        bx = samples_into(np.multiply(self.ik, pair[1], out=work[0]), work[0]).real
+        coeffs_into(nl.source(a, b, bx), out)
+        np.multiply(out, self.ik_dealias, out=out)
 
-    def step_ifrk4(self, pair):
+    def step_ifrk4(self, pair, work):
+        """The integrating-factor RK4 step.  The terms e2k1, ek2 and ek3 of
+        the combination go into running sums as soon as their stage's source
+        is known, added as ((e2k1 + 2 ek2) + 2 ek3) + k4 as in the formula."""
         dt = self.dt
-        k1 = self.source(pair)
-        e_half = self._apply(pair, "half")
-        ek1 = self._apply(k1, "half")
-        k2 = self.source(_axpy(e_half, dt / 2, ek1))
-        k3 = self.source(_axpy(e_half, dt / 2, k2))
-        e_full = self._apply(pair, "full")
-        ek3 = self._apply(k3, "half")
-        k4 = self.source(_axpy(e_full, dt, ek3))
-        e2k1 = self._apply(k1, "full")
-        ek2 = self._apply(k2, "half")
-        a = e_full[0] + dt / 6 * (e2k1[0] + 2 * ek2[0] + 2 * ek3[0])
-        b = e_full[1] + dt / 6 * (e2k1[1] + 2 * ek2[1] + 2 * ek3[1] + k4[1])
-        return a, b
+        h, w, tmp, e0, e1, x0, x1, s0, s1 = work
+        sw = (w, tmp)               # the source's scratch pair
+        self.source(pair, h, sw)                            # h = k1
+        self._apply(pair, "half", (e0, e1), tmp)            # e = e_half
+        self._apply((None, h), "half", (x0, x1), tmp)       # x = ek1
+        self._apply((None, h), "full", (s0, s1), tmp)       # s = e2k1
+        _axpy(e0, dt / 2, x0, x0)                           # x = e_half
+        _axpy(e1, dt / 2, x1, x1)                           #   + dt/2 ek1
+        self.source((x0, x1), h, sw)                        # h = k2
+        self._apply((None, h), "half", (x0, x1), tmp)       # x = ek2
+        np.add(s0, np.multiply(2, x0, out=x0), out=s0)
+        np.add(s1, np.multiply(2, x1, out=x1), out=s1)
+        self.source((e0, _axpy(e1, dt / 2, h, x1)), h, sw)  # h = k3
+        self._apply(pair, "full", (e0, e1), tmp)            # e = e_full
+        self._apply((None, h), "half", (x0, x1), tmp)       # x = ek3
+        np.add(s0, np.multiply(2, x0, out=tmp), out=s0)
+        np.add(s1, np.multiply(2, x1, out=tmp), out=s1)
+        _axpy(e0, dt, x0, x0)                               # x = e_full
+        _axpy(e1, dt, x1, x1)                               #   + dt ek3
+        self.source((x0, x1), h, sw)                        # h = k4
+        np.add(s1, h, out=s1)
+        return _axpy(e0, dt / 6, s0, s0), _axpy(e1, dt / 6, s1, s1)
 
-    def step_etdheun(self, pair):
+    def step_etdheun(self, pair, work):
         dt = self.dt
-        n0 = self.source(pair)
-        e_full = self._apply(pair, "full")
-        en0 = self._apply(n0, "full")
-        n1 = self.source(_axpy(e_full, dt, en0))
-        a = e_full[0] + dt / 2 * en0[0]
-        b = e_full[1] + dt / 2 * (en0[1] + n1[1])
-        return a, b
+        h, w, tmp, e0, e1, x0, x1, n0, n1 = work
+        sw = (w, tmp)
+        self.source(pair, h, sw)                            # h = n0
+        self._apply(pair, "full", (e0, e1), tmp)            # e = e_full
+        self._apply((None, h), "full", (n0, n1), tmp)       # n = en0
+        _axpy(e0, dt, n0, x0)
+        _axpy(e1, dt, n1, x1)
+        self.source((x0, x1), h, sw)                        # h = n1
+        return (_axpy(e0, dt / 2, n0, x0),
+                _axpy(e1, dt / 2, np.add(n1, h, out=n1), x1))
 
     def step(self, state: StateVector, scheme: str = "IF-RK4") -> StateVector:
         pair = (state.first.coeffs, state.second.coeffs)
+        # separate arrays, each small enough to come from the heap that the
+        # ptails command keeps (cli._keep_freed_heap), not from a new mmap
+        n = self.grid.n_points
+        work = [np.empty(n, dtype=complex) for _ in range(_STEP_ARRAYS)]
         if scheme == "IF-RK4":
-            na, nb = self.step_ifrk4(pair)
+            na, nb = self.step_ifrk4(pair, work)
         elif scheme == "ETD-Heun":
-            na, nb = self.step_etdheun(pair)
+            na, nb = self.step_etdheun(pair, work)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         out = StateVector(SpectralField(self.grid, na),
@@ -267,15 +309,23 @@ def run(config: SimConfig, nl: Nonlinearity,
     return rec
 
 
-def to_characteristic_frame(state: StateVector, t: float) -> StateVector:
+def frame_phases(k: np.ndarray, t: float) -> tuple:
+    """(e^{-ikt}, e^{ikt}): the phase multipliers of the frame change at t."""
+    return np.exp(-1j * k * t), np.exp(1j * k * t)
+
+
+def to_characteristic_frame(state: StateVector, phases: tuple) -> StateVector:
     """(u, v) with u(x,t) = a(x-t,t) + b(x-t,t), v(x,t) = a(x+t,t) - b(x+t,t),
-    realized by the phase multipliers e^{-/+ikt} on a +- b."""
+    realized by the phase multipliers ``phases = frame_phases(k, t)`` on
+    a +- b."""
     if state.frame != "physical":
         raise ValueError("expected a physical-frame state")
-    k = state.grid.k
     a, b = state.first.coeffs, state.second.coeffs
-    u = np.exp(-1j * k * t) * (a + b)
-    v = np.exp(1j * k * t) * (a - b)
+    # not ``phases[0] * (a + b)``: numpy would write that product into the
+    # temporary a + b with the operands swapped, and a complex product's
+    # fused multiply-add rounds differently in the two orders
+    u = np.multiply(phases[0], a + b)
+    v = np.multiply(phases[1], a - b)
     return StateVector(SpectralField(state.grid, u).symmetrized(),
                        SpectralField(state.grid, v).symmetrized(),
                        "characteristic")

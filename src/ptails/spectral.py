@@ -13,11 +13,14 @@ Real-valued fields are stored as full complex spectra with Hermitian
 symmetry re-enforced after multiplier applications.
 
 Transforms on the simulation grid go through one complex-to-complex pair,
-``coeffs_of`` and ``samples_of`` (numpy's pocketfft with ``norm="forward"``,
-so the 1/n sits on the forward side and the coefficients need no rescaling).
-Because n is a power of two, the scalings are exact: the pair gives the same
-bits as ``np.fft.fft(x) / n`` and ``np.fft.ifft(c * n)``, and (numpy >= 2
-and scipy run the same pocketfft) as the ``scipy.fft`` c2c pair.
+``coeffs_into`` and ``samples_into`` (numpy's pocketfft with
+``norm="forward"``, so the 1/n sits on the forward side and the coefficients
+need no rescaling).  They write into a given array, so a caller can reuse
+its work arrays; ``coeffs_of`` and ``samples_of`` are the same pair into a
+new array.  Because n is a power of two, the scalings are exact: the pair
+gives the same bits as ``np.fft.fft(x) / n`` and ``np.fft.ifft(c * n)``,
+and (numpy >= 2 and scipy run the same pocketfft) as the ``scipy.fft`` c2c
+pair.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ __all__ = [
     "StateVector",
     "NormReport",
     "coeffs_of",
+    "coeffs_into",
     "samples_of",
+    "samples_into",
     "transform_forward",
     "derivative",
     "mass",
@@ -40,18 +45,29 @@ __all__ = [
 ]
 
 
+def coeffs_into(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normalized Fourier coefficients ``FFT(samples) / n`` written into the
+    complex array ``out`` and returned.  The samples are copied into ``out``
+    and transformed there in place, so ``out`` may share memory with them."""
+    np.copyto(out, samples)
+    return np.fft.fft(out, norm="forward", out=out)
+
+
+def samples_into(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Complex physical samples ``n * IFFT(coeffs)`` written into the complex
+    array ``out`` (which may be ``coeffs`` itself) and returned."""
+    return np.fft.ifft(coeffs, norm="forward", out=out)
+
+
 def coeffs_of(samples: np.ndarray) -> np.ndarray:
-    """Normalized Fourier coefficients ``FFT(samples) / n`` of a sample array
-    (a new array; the input is left alone).  The transform runs in place on
-    the complex copy, which saves numpy an output buffer."""
-    c = np.asarray(samples).astype(complex)
-    return np.fft.fft(c, norm="forward", out=c)
+    """``coeffs_into`` a new array, leaving the samples alone."""
+    samples = np.asarray(samples)
+    return coeffs_into(samples, np.empty(samples.shape, dtype=complex))
 
 
 def samples_of(coeffs: np.ndarray) -> np.ndarray:
-    """Complex physical samples ``n * IFFT(coeffs)``; take ``.real`` for a
-    real field."""
-    return np.fft.ifft(coeffs, norm="forward")
+    """``samples_into`` a new array; take ``.real`` for a real field."""
+    return samples_into(coeffs, np.empty(np.shape(coeffs), dtype=complex))
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -122,7 +138,11 @@ class SpectralField:
         n = self.grid.n_points
         sym = np.empty_like(c)
         sym[0] = c[0].real
-        sym[1:] = 0.5 * (c[1:] + np.conj(c[1:][::-1]))
+        # 0.5 (c[m] + conj(c[n - m])) for m >= 1, built in the result itself
+        tail = sym[1:]
+        np.conjugate(c[:0:-1], out=tail)
+        np.add(c[1:], tail, out=tail)
+        np.multiply(0.5, tail, out=tail)
         sym[n // 2] = sym[n // 2].real
         return SpectralField(self.grid, sym)
 

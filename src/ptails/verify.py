@@ -49,7 +49,8 @@ import numpy as np
 from . import heat, profiles, special
 from .profiles import ExpansionModel
 from .semigroup import propagator_entries
-from .solver import TrajectoryRecord, snapshot_times, to_characteristic_frame
+from .solver import (TrajectoryRecord, frame_phases, snapshot_times,
+                     to_characteristic_frame)
 from .spectral import (StateVector, coeffs_of, field_from_continuum_fhat, mass,
                        samples_of, transform_forward)
 
@@ -296,16 +297,17 @@ def build_model_from_trajectory(initial: StateVector, nl, N: int = 1) -> Expansi
 
 
 def _char_component(snapshot, t: float, side: str):
-    uv = to_characteristic_frame(snapshot, t)
+    uv = to_characteristic_frame(snapshot, frame_phases(snapshot.grid.k, t))
     return uv.first if side == "+" else uv.second
 
 
-def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict) -> dict:
+def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
+                             phases: tuple) -> dict:
     """Per side in ``g0_hat``, the coefficients of [linear evolution of z0 in
     the char frame] minus [decoupled heat evolution of the sampled leading
     profile]: the sum of the data's intertwining defect and the mass-matched
     mismatch.  The propagator and the heat factor are formed once for both
-    sides."""
+    sides; ``phases`` are the frame's multipliers at t (``frame_phases``)."""
     k = initial.grid.k
     a0, b0 = initial.first.coeffs, initial.second.coeffs
     P, Q, R = propagator_entries(k, t)
@@ -313,10 +315,10 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict) -> di
     out = {}
     if "+" in g0_hat:
         row = (P + Q) * a0 + (Q + R) * b0
-        out["+"] = np.exp(-1j * k * t) * row - heat_factor * g0_hat["+"]
+        out["+"] = phases[0] * row - heat_factor * g0_hat["+"]
     if "-" in g0_hat:
         row = (P - Q) * a0 + (Q - R) * b0
-        out["-"] = np.exp(1j * k * t) * row - heat_factor * g0_hat["-"]
+        out["-"] = phases[1] * row - heat_factor * g0_hat["-"]
     return out
 
 
@@ -340,8 +342,10 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     increasing snapshot times, yielded one snapshot at a time as
     grid-convention coefficients.  Its large-time limit is the d_1 g_1 term,
     so W minus that term is the finite-time transient.  One marched
-    quadrature covers all times; modes beyond k^2 (1+t) ~ 72 are negligible
-    and drop out as t grows."""
+    quadrature covers all times, and each row is marched when it is drawn,
+    so the sweep holds one row and the source's interpolant, not a row per
+    time; modes beyond k^2 (1+t) ~ 72 are negligible and drop out as t
+    grows."""
     n = grid.n_points
     if coeff == 0.0 or qhat is None:
         for _ in times:
@@ -352,7 +356,6 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     sel = (k >= 0) & (k <= kcut[0])
     ks = k[sel]
     rows = heat._duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
-    del qhat    # the sweep lives through the run; the interpolant need not
     conj_idx = (-np.arange(n)) % n
     neg = k < 0
     for row in rows:
@@ -462,11 +465,13 @@ class RemainderAccumulator:
         # linear rr = ||r_lin||^2
         self.scalars = {side: {} for side in sides}
         self.grid = grid = config.grid()
-        self._ik = 1j * grid.k
+        # grid.x and grid.k are properties that build a new array each read
+        self._x, self._k = grid.x, grid.k
+        self._ik = 1j * self._k
         interp = model.interpolants()
         self._g0 = {side: interp[f"g0{side}"] for side in sides}
         self._g1 = {side: interp[f"g1{side}"] for side in sides}
-        self._g0_hat = {side: transform_forward(self._g0[side](grid.x), grid).coeffs
+        self._g0_hat = {side: transform_forward(self._g0[side](self._x), grid).coeffs
                         for side in sides}
         self._sweeps = {}
         if subtract == "full":
@@ -499,18 +504,20 @@ class RemainderAccumulator:
             )
         self.peak = max(self.peak, float(np.abs(state.first.coeffs).max()
                                          + np.abs(state.second.coeffs).max()))
-        uv = to_characteristic_frame(state, t)
+        phases = frame_phases(self._k, t)
+        uv = to_characteristic_frame(state, phases)
         if self.subtract != "none":
-            lin = _linear_reference_coeffs(self._initial, t, self._g0_hat)
-        x, dx = self.grid.x, self.grid.dx
+            lin = _linear_reference_coeffs(self._initial, t, self._g0_hat, phases)
+        dx = self.grid.dx
         root = np.sqrt(1.0 + t)
+        z = self._x / root
         for side in self.sides:
             u = uv.first if side == "+" else uv.second
-            r = u.samples() - self._g0[side](x / root) / root
+            r = u.samples() - self._g0[side](z) / root
             self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
             if self.subtract != "none":
                 r = r - samples_of(lin[side]).real
-            G = (1.0 + t) ** -0.75 * self._g1[side](x / root)
+            G = (1.0 + t) ** -0.75 * self._g1[side](z)
             self._keep(side, rG=float(r @ G), GG=float(G @ G))
             if self.subtract == "full":
                 # r becomes r_lin - w, the N1 remainder

@@ -21,9 +21,11 @@ from typing import Iterable
 import numpy as np
 from scipy.integrate import quad
 
-from ptails.heat import HeatSourceSpec, solve_inhom_modes, un_reference_hat
+from ptails.heat import (HeatSourceSpec, _ascending_bins, _bin_integral,
+                         solve_inhom_modes, un_reference_hat)
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
+from ptails.solver import frame_phases
 from ptails.special import (_GRADE_LEVELS, _MASS_PANEL, _POLYS, ProfileSample,
                             _check_n, fn_value, hermite_interpolant, lcal_apply)
 from ptails.spectral import (Grid, SpectralField, StateVector,
@@ -235,6 +237,30 @@ def fhat_on_largest_grid(shape):
                                (np.fft.fft(-1j * g.x * f) * phase)[order])
 
 
+def duhamel_march_table(k: np.ndarray, times: np.ndarray, power: float,
+                        c_osc: float, fhat_fn, k_cut: np.ndarray) -> np.ndarray:
+    """The marched Duhamel rows of ``heat._duhamel_integral`` as one
+    (times, modes) table, filled in full before it is returned: the
+    materialised march that the streamed one replaced, on the same bins and
+    panel quadrature (``heat._ascending_bins``, ``heat._bin_integral``)."""
+    order, sorted_k, bins = _ascending_bins(k)
+    rows = np.zeros((times.size, k.size), dtype=complex)
+    acc = [np.zeros(j - i, dtype=complex) for i, j in bins]
+    t_prev = 0.0
+    for m, tm in enumerate(times):
+        n_alive = int(np.searchsorted(sorted_k, k_cut[m], side="right"))
+        for b, (i, j) in enumerate(bins):
+            j = min(j, n_alive)
+            if j <= i:
+                break
+            kb = sorted_k[i:j]
+            acc[b] = (acc[b][:j - i] * np.exp(-kb * kb * (tm - t_prev))
+                      + _bin_integral(kb, t_prev, tm, power, c_osc, fhat_fn))
+            rows[m, order[i:j]] = acc[b]
+        t_prev = tm
+    return rows
+
+
 def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]:
     """Solution fields at the requested times on a periodic grid."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -411,7 +437,8 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     for snap, t in picked:
         root = np.sqrt(1.0 + t)
         u = verify._char_component(snap, t, side).samples()
-        lin = verify._linear_reference_coeffs(snapshots[0], t, g0_hat)[side]
+        lin = verify._linear_reference_coeffs(snapshots[0], t, g0_hat,
+                                              frame_phases(grid.k, t))[side]
         r_lin = u - g0(x / root) / root - samples_of(lin).real
         fields.append((r_lin, (1.0 + t) ** -0.75 * g1(x / root)))
     d1, _ = verify.fit_d1(times, [float(r @ G) / float(G @ G) for r, G in fields])

@@ -22,8 +22,8 @@ from oracles import (eval_eLt, eval_eLt_direct, eval_eLt_series, fn_profile,
 from ptails import heat, profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity
 from ptails.semigroup import intertwining_defect
-from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
-                           to_characteristic_frame)
+from ptails.solver import (SimConfig, Stepper, frame_phases,
+                           gaussian_initial_state, run, to_characteristic_frame)
 from ptails.spectral import Grid, StateVector, transform_forward
 
 _REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
@@ -170,7 +170,8 @@ def default_run():
     def consume(state, t):
         acc.add(state, t)
         if 50.0 <= t <= 1000.0:
-            u = to_characteristic_frame(state, t).first.samples()
+            uv = to_characteristic_frame(state, frame_phases(state.grid.k, t))
+            u = uv.first.samples()
             u_norms.append((t, np.sqrt(np.sum(u * u) * dx)))
 
     traj = run(cfg, nl, consume, initial)

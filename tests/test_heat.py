@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import (fhat_on_largest_grid, heat_ifrk4, solve_inhom,
-                     un_reference_by_inverse_quadrature)
-from ptails import heat, special
+from oracles import (duhamel_march_table, fhat_on_largest_grid, heat_ifrk4,
+                     solve_inhom, un_reference_by_inverse_quadrature)
+from ptails import heat, special, verify
 from ptails.heat import (HeatSourceSpec, convergence_check, make_source,
                          solve_inhom_modes, un_reference_hat)
 from ptails.spectral import Grid, norms
@@ -226,14 +226,15 @@ def test_duhamel_chunking_is_bitwise(monkeypatch):
     times = np.geomspace(2.5, 50.0, 46)
     k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
     km = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
-    marched = heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut)
+    marched = np.array(list(heat._duhamel_integral(km, times, -0.5, -2.0, fh,
+                                                   k_cut=k_cut)))
     for chunk in (1, 16 * 7 * 3):
         monkeypatch.setattr(heat, "_CHUNK", chunk)
         for t in (0.7, 12.0, 300.0):
             got = heat._duhamel_integral(k, t, -0.5, -2.0, fh)
             assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
         assert np.array_equal(
-            heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut), marched)
+            list(heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut)), marched)
 
 
 def test_bin_integral_temporaries_bounded_by_chunk():
@@ -260,7 +261,7 @@ def test_duhamel_marched_matches_per_time_calls():
     k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
     k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
     fh = heat._numeric_fhat(heat.gaussian_shape())
-    rows = heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)
+    rows = np.array(list(heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)))
     assert rows.shape == (times.size, k.size)
     for m, t in enumerate(times):
         alive = k <= k_cut[m]
@@ -269,9 +270,47 @@ def test_duhamel_marched_matches_per_time_calls():
         assert err <= 1e-9
         assert np.all(rows[m, ~alive] == 0.0)
     # without a cut every mode is carried to the last time
-    full = heat._duhamel_integral(k, times[-3:], -0.5, 2.0, fh)
+    *_, last = heat._duhamel_integral(k, times[-3:], -0.5, 2.0, fh)
     ref = heat._duhamel_integral(k, times[-1], -0.5, 2.0, fh)
-    assert np.abs(full[-1] - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.abs(last - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_streamed_march_matches_the_materialised_table():
+    # the flagship grid's modes under the transient sweep's cut: the rows
+    # drawn one at a time are byte-equal to the table filled in full
+    g = Grid(2 ** 15, 2500.0)
+    times = np.geomspace(2.5, 20.0, 16)
+    k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
+    k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    rows = heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)
+    table = duhamel_march_table(k, times, -0.5, -2.0, fh, k_cut)
+    streamed = np.array(list(rows))
+    assert streamed.tobytes() == table.tobytes()
+    assert np.all(table[-1][k > k_cut[-1]] == 0.0) and np.abs(table[-1]).max() > 0.0
+
+
+def test_transient_sweep_holds_one_row():
+    # after its first yield the sweep holds its grid-sized index arrays, the
+    # row it yielded and the march's per-mode sums: a few spectra, where the
+    # (times, modes) table would be about 23 of them
+    g = Grid(2 ** 13, 600.0)
+    times = np.geomspace(2.5, 50.0, 200)
+    fh = heat._numeric_fhat(heat.gaussian_shape())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep = verify._transient_sweep(-0.3, -2.0, fh, g, times)
+        held = []
+        for _ in range(3):
+            next(sweep)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    spectrum = 16 * g.n_points
+    modes = np.count_nonzero((g.k >= 0) & (g.k <= 8.5 / np.sqrt(1.0 + times[0]) + 0.3))
+    assert times.size * modes * 16 > 20 * spectrum
+    assert max(held) < 5 * spectrum, [h / spectrum for h in held]
 
 
 def test_duhamel_marched_rejects_bad_times():

@@ -148,9 +148,11 @@ def test_settable_values_do_not_grow():
 
 
 # call -> the one module that may make it: the Gauss-Legendre rule and the
-# log-log fit live in ``special``, the symbol pair (C, S) in ``semigroup``
+# log-log fit live in ``special``, the symbol pair (C, S) in ``semigroup``,
+# the FFT pair in ``spectral`` (its out-taking transforms included)
 _PRIMITIVE_HOMES = {"leggauss": "special", "polyfit": "special",
-                    "propagator_cs": "semigroup"}
+                    "propagator_cs": "semigroup", "fft": "spectral",
+                    "ifft": "spectral"}
 
 
 def test_each_primitive_is_called_from_its_home_module_only():

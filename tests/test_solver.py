@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import propagator_cs, propagator_entries
 from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
-                           snapshot_times, to_characteristic_frame)
+                           snapshot_times, frame_phases,
+                           to_characteristic_frame)
 from ptails.spectral import (Grid, SpectralField, StateVector, mass, norms,
                              samples_of, transform_forward)
 
@@ -102,11 +105,11 @@ def test_reality_preserved(grid):
 
 def test_frame_change_t0_and_roundtrip(grid):
     state = small_state(grid)
-    uv = to_characteristic_frame(state, 0.0)
+    uv = to_characteristic_frame(state, frame_phases(state.grid.k, 0.0))
     a, b = state.first.samples(), state.second.samples()
     assert np.abs(uv.first.samples() - (a + b)).max() < 1e-12
     assert np.abs(uv.second.samples() - (a - b)).max() < 1e-12
-    uv5 = to_characteristic_frame(state, 5.0)
+    uv5 = to_characteristic_frame(state, frame_phases(state.grid.k, 5.0))
     back = from_characteristic_frame(uv5, 5.0)
     assert np.abs(back.first.coeffs - state.first.coeffs).max() < 1e-12
     assert np.abs(back.second.coeffs - state.second.coeffs).max() < 1e-12
@@ -116,11 +119,29 @@ def test_frame_reconstruction_identity(grid):
     # a(x) = (u(x+t) + v(x-t))/2 pointwise
     state = small_state(grid)
     t = 3.0
-    uv = to_characteristic_frame(state, t)
+    uv = to_characteristic_frame(state, frame_phases(state.grid.k, t))
     k = grid.k
     a_rec = 0.5 * (np.exp(1j * k * t) * uv.first.coeffs
                    + np.exp(-1j * k * t) * uv.second.coeffs)
     assert np.abs(a_rec - state.first.coeffs).max() < 1e-10
+
+
+def test_frame_change_multiplies_in_formula_order():
+    # e^{-ikt} (a + b) and e^{ikt} (a - b) with the phase as the left
+    # operand: a complex product rounds differently with its operands
+    # swapped, which numpy does when it reuses a temporary right operand
+    # (arrays of 256 KB and more, so the grid is the flagship's)
+    g = Grid(2 ** 15, 2500.0)
+    rng = np.random.default_rng(11)
+    a = random_real_field(g, rng, decay=0.02)
+    b = random_real_field(g, rng, decay=0.02)
+    t = 2.75
+    uv = to_characteristic_frame(StateVector(a, b, "physical"), frame_phases(g.k, t))
+    for got, phase, mixed in ((uv.first, np.exp(-1j * g.k * t), a.coeffs + b.coeffs),
+                              (uv.second, np.exp(1j * g.k * t), a.coeffs - b.coeffs)):
+        want = SpectralField(g, phase * mixed).symmetrized().coeffs
+        assert got.coeffs.tobytes() == want.tobytes()
+        assert not np.array_equal(mixed * phase, phase * mixed)
 
 
 def test_frame_change_moves_argmax_by_t():
@@ -130,7 +151,7 @@ def test_frame_change_moves_argmax_by_t():
     a0 = np.exp(-(g.x ** 2))
     state = StateVector(transform_forward(a0, g), transform_forward(0.3 * a0, g),
                         "physical")
-    uv = to_characteristic_frame(state, 5.0)
+    uv = to_characteristic_frame(state, frame_phases(state.grid.k, 5.0))
     assert abs(g.x[np.argmax(uv.first.samples())] - 5.0) <= g.dx + 1e-12
     assert abs(g.x[np.argmax(uv.second.samples())] + 5.0) <= g.dx + 1e-12
 
@@ -141,7 +162,8 @@ def test_frame_change_preserves_coefficient_moduli(grid_small):
     rng = np.random.default_rng(137)
     a = random_real_field(grid_small, rng)
     b = random_real_field(grid_small, rng)
-    uv = to_characteristic_frame(StateVector(a, b, "physical"), 1.234)
+    uv = to_characteristic_frame(StateVector(a, b, "physical"),
+                                 frame_phases(grid_small.k, 1.234))
     assert np.abs(np.abs(uv.first.coeffs) - np.abs(a.coeffs + b.coeffs)).max() < 1e-13
     assert np.abs(np.abs(uv.second.coeffs) - np.abs(a.coeffs - b.coeffs)).max() < 1e-13
     assert abs(mass(uv.first) - (mass(a) + mass(b))) < 1e-14
@@ -162,7 +184,7 @@ def test_rightward_pulse_stationary_in_u():
     s = state
     for _ in range(200):
         s = st.step(s)
-    u = to_characteristic_frame(s, 20.0).first.samples()
+    u = to_characteristic_frame(s, frame_phases(g.k, 20.0)).first.samples()
     drift = abs(g.x[np.argmax(u)])
     assert drift <= 2 * g.dx
 
@@ -340,5 +362,27 @@ def test_source_refuses_a_nonlinearity_that_misdeclares_b(grid):
     wrong = Nonlinearity(g=lambda a, b: a * b, f=lambda a, b: a,
                          hessian=np.array([[0.0, 1.0], [1.0, 0.0]]), reads_b=False)
     state = small_state(grid)
-    with pytest.raises(TypeError):
-        Stepper(grid, 0.05, wrong).source((state.first.coeffs, state.second.coeffs))
+    n = grid.n_points
+    out, work = np.empty(n, dtype=complex), np.empty((2, n), dtype=complex)
+    with pytest.raises(TypeError, match="NoneType"):
+        Stepper(grid, 0.05, wrong).source((state.first.coeffs, state.second.coeffs),
+                                          out, work)
+
+
+@pytest.mark.parametrize("scheme", ["IF-RK4", "ETD-Heun"])
+def test_step_working_set_is_bounded(scheme):
+    # the stages write into the step's nine work arrays, and the returned
+    # state's two arrays are made while they are alive: at most 11 spectra
+    # and some small change.  With a new array per product and sum, IF-RK4
+    # peaked at about 20
+    g = Grid(2 ** 12, 400.0)
+    st = Stepper(g, 0.05, default_nonlinearity())
+    s = st.step(small_state(g, amp=0.2), scheme)
+    tracemalloc.start()
+    try:
+        st.step(s, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spectrum = 16 * g.n_points
+    assert peak < 12 * spectrum, peak / spectrum
