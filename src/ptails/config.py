@@ -5,6 +5,7 @@ CLI can exit with a usable diagnostic."""
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,12 +105,16 @@ class RunManifest:
         self.outputs.append(str(path))
 
     def write(self, path: str | Path):
+        """The manifest as JSON at ``path``, each output named relative to the
+        manifest's directory, so that the file does not depend on where the
+        run was made."""
+        here = Path(path).parent
         payload = {
             "schema_version": self.schema_version,
             "artifact_version": self.artifact_version,
             "subcommand": self.subcommand,
             "config": self.config,
-            "outputs": sorted(self.outputs),
+            "outputs": sorted(os.path.relpath(out, here) for out in self.outputs),
             "verdicts": self.verdicts,
             "warnings": self.warnings,
             "wall_seconds": round(self.wall_seconds, 3),

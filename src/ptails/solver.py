@@ -2,8 +2,8 @@
 
 The linear part is applied exactly through the closed-form semigroup symbol,
 whose entries C+kS, iS and C-kS are tabulated once per step size; only the
-nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the scheme
-(integrating-factor RK4 by default, ETD-Heun as a cross-check).
+nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the
+integrating-factor RK4 (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214).
 Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
 symmetry of the spectra is re-enforced every step, so physical fields stay
 real and both masses are conserved to rounding.  Snapshots are read in the
@@ -12,11 +12,11 @@ multipliers ``frame_phases`` gives, so a consumer that needs them twice
 forms them once.
 
 A step works on a fixed set of work arrays: ``Stepper.step`` allocates
-``_STEP_ARRAYS`` spectrum-sized arrays per call, and ``source``, ``_apply``
-and the scheme combinations write every product, sum and transform into
-them (``out=``, with the out-taking transforms ``coeffs_into`` and
-``samples_into``).  The operands and their order are the formulas', so the
-bits are the same as with a new array per operation.
+``_STEP_ARRAYS`` spectrum-sized arrays per call, and it, ``source`` and
+``_apply`` write every product, sum and transform into them (``out=``, with
+the out-taking transforms ``coeffs_into`` and ``samples_into``).  The
+operands and their order are the formulas', so the bits are the same as with
+a new array per operation.
 
 ``run`` records snapshots at the times ``snapshot_times`` gives and hands
 each to an ``on_snapshot(state, t)`` consumer as it is made.  It stores
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 X_SUPPORT = 15.0    # nominal support radius of the initial data
+DEALIAS_FRACTION = 2.0 / 3.0    # modes above this fraction of the top one are cut
 
 
 @dataclass
@@ -66,8 +67,6 @@ class SimConfig:
     t_final: float = 100.0
     epsilon0: float = 0.05
     b_fraction: float = 0.3
-    scheme: str = "IF-RK4"             # or "ETD-Heun"
-    dealias_fraction: float = 2.0 / 3.0
     n_snapshots: int = 80              # upper bound on the snapshots after t = 0
 
     def grid(self) -> Grid:
@@ -87,8 +86,6 @@ class SimConfig:
                 f"domain rule violated: need L >= {required:.1f} "
                 f"(support + transport + diffusive spread), got {self.half_length}"
             )
-        if self.scheme not in ("IF-RK4", "ETD-Heun"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         self.resolved_dt()
 
 
@@ -109,7 +106,7 @@ class TrajectoryRecord:
         return float(max(np.abs(ma - ma[0]).max(), np.abs(mb - mb[0]).max()))
 
 
-# spectrum-sized work arrays of one step, either scheme
+# spectrum-sized work arrays of one step
 _STEP_ARRAYS = 9
 
 
@@ -125,20 +122,19 @@ class Stepper:
     The symbol entries ``C+kS``, ``iS`` and ``C-kS`` are built once per step
     size, and ``ik`` and its dealiased product ``ik * mask`` once per grid.
     The source forces only the second equation: ``source`` writes only its
-    second component, and ``_apply`` and the scheme combinations skip the
-    terms the zero first one would give.  The system is autonomous, so no stage needs
-    the time.
+    second component, and ``_apply`` and ``step`` skip the terms the zero
+    first one would give.  The system is autonomous, so no stage needs the
+    time.
     """
 
-    def __init__(self, grid: Grid, dt: float, nl: Nonlinearity,
-                 dealias_fraction: float = 2.0 / 3.0):
+    def __init__(self, grid: Grid, dt: float, nl: Nonlinearity):
         self.grid = grid
         self.dt = dt
         self.nl = nl
         self.k = grid.k
         self.ik = 1j * self.k
         kmax = float(np.abs(self.k).max())
-        self.dealias = np.abs(self.k) <= dealias_fraction * kmax
+        self.dealias = np.abs(self.k) <= DEALIAS_FRACTION * kmax
         self.ik_dealias = self.ik * self.dealias
         self._tables = {tag: propagator_entries(self.k, tt)
                         for tag, tt in (("half", dt / 2.0), ("full", dt))}
@@ -171,12 +167,17 @@ class Stepper:
         coeffs_into(nl.source(a, b, bx), out)
         np.multiply(out, self.ik_dealias, out=out)
 
-    def step_ifrk4(self, pair, work):
+    def step(self, state: StateVector) -> StateVector:
         """The integrating-factor RK4 step.  The terms e2k1, ek2 and ek3 of
         the combination go into running sums as soon as their stage's source
         is known, added as ((e2k1 + 2 ek2) + 2 ek3) + k4 as in the formula."""
         dt = self.dt
-        h, w, tmp, e0, e1, x0, x1, s0, s1 = work
+        pair = (state.first.coeffs, state.second.coeffs)
+        # separate arrays, each small enough to come from the heap that the
+        # ptails command keeps (cli._keep_freed_heap), not from a new mmap
+        n = self.grid.n_points
+        h, w, tmp, e0, e1, x0, x1, s0, s1 = (np.empty(n, dtype=complex)
+                                             for _ in range(_STEP_ARRAYS))
         sw = (w, tmp)               # the source's scratch pair
         self.source(pair, h, sw)                            # h = k1
         self._apply(pair, "half", (e0, e1), tmp)            # e = e_half
@@ -197,35 +198,9 @@ class Stepper:
         _axpy(e1, dt, x1, x1)                               #   + dt ek3
         self.source((x0, x1), h, sw)                        # h = k4
         np.add(s1, h, out=s1)
-        return _axpy(e0, dt / 6, s0, s0), _axpy(e1, dt / 6, s1, s1)
-
-    def step_etdheun(self, pair, work):
-        dt = self.dt
-        h, w, tmp, e0, e1, x0, x1, n0, n1 = work
-        sw = (w, tmp)
-        self.source(pair, h, sw)                            # h = n0
-        self._apply(pair, "full", (e0, e1), tmp)            # e = e_full
-        self._apply((None, h), "full", (n0, n1), tmp)       # n = en0
-        _axpy(e0, dt, n0, x0)
-        _axpy(e1, dt, n1, x1)
-        self.source((x0, x1), h, sw)                        # h = n1
-        return (_axpy(e0, dt / 2, n0, x0),
-                _axpy(e1, dt / 2, np.add(n1, h, out=n1), x1))
-
-    def step(self, state: StateVector, scheme: str = "IF-RK4") -> StateVector:
-        pair = (state.first.coeffs, state.second.coeffs)
-        # separate arrays, each small enough to come from the heap that the
-        # ptails command keeps (cli._keep_freed_heap), not from a new mmap
-        n = self.grid.n_points
-        work = [np.empty(n, dtype=complex) for _ in range(_STEP_ARRAYS)]
-        if scheme == "IF-RK4":
-            na, nb = self.step_ifrk4(pair, work)
-        elif scheme == "ETD-Heun":
-            na, nb = self.step_etdheun(pair, work)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        out = StateVector(SpectralField(self.grid, na),
-                          SpectralField(self.grid, nb), "physical")
+        out = StateVector(SpectralField(self.grid, _axpy(e0, dt / 6, s0, s0)),
+                          SpectralField(self.grid, _axpy(e1, dt / 6, s1, s1)),
+                          "physical")
         return out.symmetrized()
 
 
@@ -284,7 +259,7 @@ def run(config: SimConfig, nl: Nonlinearity,
     if init_norm > 2.0 * config.epsilon0:
         warnings.warn(f"initial amplitude {init_norm:.3g} above the epsilon0 guard "
                       f"{config.epsilon0}; continuing", stacklevel=2)
-    stepper = Stepper(grid, dt, nl, config.dealias_fraction)
+    stepper = Stepper(grid, dt, nl)
     rec = TrajectoryRecord(config=config)
 
     def record(state: StateVector, t: float):
@@ -297,7 +272,7 @@ def run(config: SimConfig, nl: Nonlinearity,
     state = initial.symmetrized()
     record(state, 0.0)
     for i in range(1, n_steps + 1):
-        state = stepper.step(state, config.scheme)
+        state = stepper.step(state)
         if not np.isfinite(state.first.coeffs).all() or not np.isfinite(state.second.coeffs).all():
             rec.aborted = True
             rec.abort_reason = f"non-finite spectrum at step {i} (t = {i * dt:.4g})"

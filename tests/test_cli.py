@@ -63,7 +63,7 @@ def test_cli_special_emits_table(tmp_path):
     header = table.read_text().splitlines()[0]
     assert header == "z,fn,fn_d1,fn_d2,fn_d3,ode_residual"
     manifest = json.loads((tmp_path / "manifest_special.json").read_text())
-    assert str(table) in manifest["outputs"]
+    assert manifest["outputs"] == ["fn_n1.csv"]
     assert manifest["verdicts"]["passed"] is True
 
 
@@ -102,7 +102,7 @@ def test_cli_error_still_writes_manifest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "contraction" in err
     manifest = json.loads((tmp_path / "manifest_profiles.json").read_text())
-    assert manifest["outputs"] == [str(tmp_path / "g0.csv")]
+    assert manifest["outputs"] == ["g0.csv"]
     assert manifest["verdicts"]["passed"] is False
     assert manifest["verdicts"]["error"] == err.strip()[len("error: "):]
 
@@ -117,6 +117,11 @@ def test_cli_bounds_deterministic(tmp_path):
     b1 = (out1 / "bound_kernels.csv").read_bytes()
     b2 = (out2 / "bound_kernels.csv").read_bytes()
     assert b1 == b2
+    # the manifests name their outputs relative to themselves, so only the
+    # timing tells the two runs apart
+    m1, m2 = (json.loads((out / "manifest_bounds.json").read_text()) for out in (out1, out2))
+    del m1["wall_seconds"], m2["wall_seconds"]
+    assert m1 == m2
 
 
 def test_cli_simulate_manifest_lists_every_output(tmp_path):
@@ -133,7 +138,7 @@ csv_snapshots = 3
     code = main(["-c", str(cfg), "-o", str(tmp_path), "simulate"])
     assert code == 0
     manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
-    written = {str(p) for p in tmp_path.glob("*.csv")}
+    written = {p.name for p in tmp_path.glob("*.csv")}
     assert written == set(manifest["outputs"])
     assert manifest["warnings"] == []
 
@@ -231,13 +236,23 @@ def _warnings_of(tmp_path, text: str, *argv) -> tuple[int, list]:
     return code, manifest["warnings"]
 
 
-def test_cli_warns_about_a_key_that_does_nothing(tmp_path, capsys):
-    # a misspelt key would run the default silently; the exit code stays
-    code, found = _warnings_of(tmp_path, "[heat]\nt_lo = 10.0\nt_hi = 100.0\n"
-                                         "n_tims = 3\n", "heat")
+@pytest.mark.parametrize("text,command,expected", [
+    ("[heat]\nt_lo = 10.0\nt_hi = 100.0\nn_tims = 3\n", "heat",
+     ["config key [heat] n_tims is not read by heat"]),
+    # the time stepper and the dealias fraction are no longer settable
+    ("[grid]\nn_points = 256\nhalf_length = 60.0\n[simulate]\nt_final = 2.0\n"
+     "snapshots = 4\nscheme = ETD-Heun\ndealias = 0.5\n", "simulate",
+     ["config key [simulate] scheme is not read by simulate",
+      "config key [simulate] dealias is not read by simulate"]),
+], ids=["misspelt", "removed"])
+def test_cli_warns_about_a_key_that_does_nothing(tmp_path, capsys, text, command, expected):
+    # a misspelt key, or one for a removed setting, would run the default
+    # silently; the exit code stays
+    code, found = _warnings_of(tmp_path, text, command)
     assert code == 0
-    assert found == ["config key [heat] n_tims is not read by heat"]
-    assert f"warning: {found[0]}\n" in capsys.readouterr().err
+    assert found == expected
+    err = capsys.readouterr().err
+    assert all(f"warning: {message}\n" in err for message in found)
 
 
 def test_cli_warns_about_a_section_no_subcommand_reads(tmp_path):
