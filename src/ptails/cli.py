@@ -77,7 +77,7 @@ def _sim_config(cfg: dict) -> SimConfig:
 
 
 def cmd_special(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
-    lo, hi = (float(v) for v in args.range.split(":"))
+    lo, hi = args.range
     z = np.linspace(lo, hi, args.points)
     n = args.n
     vals = special.fn_value(n, z, (0, 1, 2, 3))
@@ -97,9 +97,7 @@ def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     alpha = get_typed(cfg, "profiles", "alpha", float, 0.5)
     gamma = get_typed(cfg, "profiles", "gamma", float, 0.1)
     n_max = get_typed(cfg, "profiles", "n_max", int, 1)
-    tol = get_typed(cfg, "profiles", "tol", float, 1e-10)
-    z_max = get_typed(cfg, "profiles", "z_max", float, 60.0)
-    z = profiles.graded_grid(z_max=z_max)
+    z = profiles.graded_grid()
     g0 = profiles.g0_profile(alpha, gamma, z)
     res0 = profiles.burgers_residual(g0)
     path = out / "g0.csv"
@@ -109,8 +107,7 @@ def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     verd = {"g0_residual": res0, "g0_mass_error": g0.mass_error}
     ok = res0 < 1e-8 and g0.mass_error < 1e-8
     for n in range(1, n_max + 1):
-        gn, rn, info = profiles.gn_fixed_point(n, alpha, gamma, z, tol=tol,
-                                               sign=args.sign)
+        gn, rn, info = profiles.gn_fixed_point(n, alpha, gamma, z, args.sign)
         res = profiles.gn_equation_residual(gn, g0, n, gamma)
         m_g = profiles.gn_total_mass(gn, n)
         m_r = profiles.profile_mass(rn)
@@ -142,14 +139,14 @@ def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     def consume(state, t):
         if len(rows) in pick:
             kept.append((state, t))
-        na, nb = norms(state.first, t), norms(state.second, t)
+        na, nb = norms(state.first), norms(state.second)
         rows.append((max(na.sup_fourier, nb.sup_fourier), np.hypot(na.l2(0), nb.l2(0)),
                      np.hypot(na.l2(1), nb.l2(1)), nb.l2(2)))
 
     traj = run(sim_cfg, nl, consume)
     manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
                              snapshots_recorded=len(traj.times) - 1)
-    if traj.aborted:
+    if traj.abort_reason:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1
     t = np.asarray(traj.times)
@@ -212,23 +209,25 @@ def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
 def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     sim_cfg = _sim_config(cfg)
     nl = _nonlinearity_from_config(cfg)
+    # a config may name the one subtraction there is; any other is refused
     subtract = get_typed(cfg, "verify", "subtract", str, "full")
-    tol = get_typed(cfg, "verify", "slope_tolerance", float, 0.05)
+    if subtract != "full":
+        raise ConfigError(f"[verify] subtract = {subtract!r}: the pipeline "
+                          "subtracts 'full' only")
     d1_tol = get_typed(cfg, "verify", "d1_tolerance", float, 0.10)
-    t_tail = get_typed(cfg, "verify", "tail_time", float, sim_cfg.t_final / 2.0)
     require_tail = get_typed(cfg, "verify", "require_tail", bool, True)
     # the model needs only the initial masses, so the remainders are taken as
     # the run makes each snapshot, and no snapshot is stored but the tail's
     initial = gaussian_initial_state(sim_cfg)
     model = verify.build_model_from_trajectory(initial, nl, N=1)
-    acc = verify.RemainderAccumulator(model, sim_cfg, subtract=subtract, tail_time=t_tail)
+    acc = verify.RemainderAccumulator(model, sim_cfg, tail_time=sim_cfg.t_final / 2.0)
     traj = run(sim_cfg, nl, acc.add, initial)
     manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
                              snapshots_recorded=len(traj.times) - 1)
-    if traj.aborted:
+    if traj.abort_reason:
         manifest.verdicts["aborted"] = traj.abort_reason
         return 1
-    result = verify.remainder_pipeline(traj, acc, slope_tolerance=tol)
+    result = verify.remainder_pipeline(traj, acc)
     path = out / "decay_fits.csv"
     _write_csv(path,
                ["quantity", "t_lo", "t_hi", "slope", "residual", "target",
@@ -269,7 +268,7 @@ def cmd_bounds(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     t_max = get_typed(cfg, "bounds", "t_max", float, 1000.0)
     n_t = get_typed(cfg, "bounds", "n_t", int, 60)
     t_grid = np.concatenate([[0.0], np.geomspace(1e-2, t_max, n_t)])
-    rows = verify.bound_check(t_grid=t_grid)
+    rows = verify.bound_check(t_grid)
     path = out / "bound_kernels.csv"
     _write_csv(path, ["name", "measured_C", "finite"],
                [(r.name, r.measured_C, r.finite) for r in rows])
@@ -315,6 +314,24 @@ _COMMANDS = {
 }
 
 
+def _z_range(text: str) -> tuple[float, float]:
+    """``lo:hi``, two finite floats with lo < hi."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not lo:hi") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"{text!r} needs finite lo < hi")
+    return lo, hi
+
+
+def _point_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"{n} points: need at least 2")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptails",
                                 description="long-time asymptotics of the viscous "
@@ -324,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("special", help="emit f_n tables")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--range", default="-20:20")
-    sp.add_argument("--points", type=int, default=801)
+    sp.add_argument("--range", type=_z_range, default="-20:20")
+    sp.add_argument("--points", type=_point_count, default=801)
     pr = sub.add_parser("profiles", help="construct g0 and g_n profiles")
     pr.add_argument("--sign", choices="+-", default="+")
     sub.add_parser("simulate", help="run the pseudospectral simulation")

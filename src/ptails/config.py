@@ -98,8 +98,6 @@ class RunManifest:
     verdicts: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)     # messages, in the order raised
     wall_seconds: float = 0.0
-    artifact_version: str = ARTIFACT_VERSION
-    schema_version: int = MANIFEST_SCHEMA_VERSION
 
     def add_output(self, path: str | Path):
         self.outputs.append(str(path))
@@ -110,8 +108,8 @@ class RunManifest:
         run was made."""
         here = Path(path).parent
         payload = {
-            "schema_version": self.schema_version,
-            "artifact_version": self.artifact_version,
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "artifact_version": ARTIFACT_VERSION,
             "subcommand": self.subcommand,
             "config": self.config,
             "outputs": sorted(os.path.relpath(out, here) for out in self.outputs),

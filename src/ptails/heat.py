@@ -64,29 +64,20 @@ _CHUNK = 1 << 15       # (mode, node) integrand values evaluated at once
 
 @dataclass
 class HeatSourceSpec:
-    """Source specification: order n, translation index sigma, and the shape f.
-
-    fhat must be the exact transform when supplied; otherwise it is built
-    from samples of `shape` by cubic Hermite interpolation of the transform
-    on its exact slopes, on as many points (2^12 to 2^17) as the spectrum
-    needs to fall below 1e-15 of its peak in the top half of the band.
-    """
+    """Source specification: order n, translation index sigma, the shape f
+    and its exact transform fhat."""
 
     n: int
     sigma: int
     shape: Callable[[np.ndarray], np.ndarray]
-    fhat: Callable[[np.ndarray], np.ndarray] | None = None
-    _mass: float | None = None
+    fhat: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.sigma not in _ALLOWED_SIGMA:
             raise ValueError(f"sigma must be one of {_ALLOWED_SIGMA}")
         if not (special.N_MIN <= self.n <= special.N_MAX):
             raise ValueError("n out of range")
-        if self.fhat is None:
-            self.fhat = _numeric_fhat(self.shape)
-        if self._mass is None:
-            self._mass = float(np.real(np.atleast_1d(self.fhat(np.zeros(1)))[0]))
+        self._mass = float(np.real(np.atleast_1d(self.fhat(np.zeros(1)))[0]))
 
     @property
     def beta(self) -> float:
@@ -113,7 +104,7 @@ def dgaussian_fhat():
     return lambda k: 1j * k * np.exp(-k * k)
 
 
-def make_source(n: int, sigma: int, shape_name: str = "gaussian") -> HeatSourceSpec:
+def make_source(n: int, sigma: int, shape_name: str) -> HeatSourceSpec:
     if shape_name == "gaussian":
         return HeatSourceSpec(n, sigma, gaussian_shape(), gaussian_fhat())
     if shape_name == "dgaussian":
@@ -151,7 +142,7 @@ def _numeric_fhat(shape: Callable):
 
 
 def _panel_edges(t: float, k_hi: float, power_scale: float, osc_rate: float,
-                 s_floor: float = 0.0) -> np.ndarray:
+                 s_floor: float) -> np.ndarray:
     """Panel boundaries marching down from s = t to s_floor, or to the lower
     end of the diffusion window if that is later, with local step bounded by
     the oscillation, diffusion, and algebraic-factor scales."""
@@ -193,7 +184,7 @@ def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
     are added in panel order, so the result does not depend on the chunk.
     """
     k_hi = kb[-1]
-    edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor=s_floor)
+    edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor)
     s, w = special.panel_rule(edges[:-1], edges[1:], 16)        # (panels, 16)
     w = w[:, :, None].astype(complex)                           # (panels, 16, 1)
     alg = ((1.0 + s) ** power)[:, None, :]

@@ -55,21 +55,24 @@ __all__ = [
 POLE_GUARD = 0.1
 CONTRACTION_LIMIT = 0.1
 MAX_PICARD_ITER = 50
+FIXED_POINT_TOL = 1e-10  # gn_fixed_point stops on a weighted update below this
+_GRID_Z_MAX = 60.0      # graded_grid: half-width
+_GRID_H0 = 1e-3         # graded_grid: spacing at the origin
 _GRID_H_MAX = 0.1       # graded_grid: largest spacing
 _GRID_RATIO = 1.03      # graded_grid: growth factor of the spacing
 
 
-def graded_grid(z_max: float = 60.0, h0: float = 1e-3) -> np.ndarray:
-    """Symmetric grid on [-z_max, z_max], spacing h0 at the origin growing
+def graded_grid() -> np.ndarray:
+    """Symmetric grid on [-60, 60], spacing 1e-3 at the origin growing
     geometrically to 0.1; resolves the Gaussian core and the algebraic
     tail windows simultaneously."""
     pts = [0.0]
-    h = h0
-    while pts[-1] < z_max:
+    h = _GRID_H0
+    while pts[-1] < _GRID_Z_MAX:
         pts.append(pts[-1] + h)
         h = min(h * _GRID_RATIO, _GRID_H_MAX)
     zp = np.array(pts)
-    zp[-1] = z_max
+    zp[-1] = _GRID_Z_MAX
     return np.concatenate([-zp[::-1], zp[1:]])
 
 
@@ -200,8 +203,7 @@ class FixedPointInfo:
 
 
 def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
-                   tol: float = 1e-10, sign: str = "+",
-                   ) -> tuple[ProfileSample, ProfileSample, FixedPointInfo]:
+                   sign: str) -> tuple[ProfileSample, ProfileSample, FixedPointInfo]:
     """Correction profile g_n = f_n(-/+z) + R and its remainder R by Picard
     iteration of the Wronskian-integral map; sign '+' gives the profile with
     the algebraic tail ahead (z -> +inf), '-' the mirrored one.
@@ -267,7 +269,7 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
         gp = base[1] + Rp
         gpp = base[2] + Rpp
         gppp = base[3] + Rppp
-        if delta < tol:
+        if delta < FIXED_POINT_TOL:
             converged = True
             break
     contraction = deltas[-1] / deltas[-2] if len(deltas) >= 2 and deltas[-2] > 0 else 0.0
@@ -352,15 +354,13 @@ class ExpansionModel:
 def build_expansion_model(coeffs: ExpansionCoefficients,
                           z_grid: np.ndarray) -> ExpansionModel:
     """Construct g_0 and g_n profiles for both characteristic families, the
-    g_n to the default fixed-point tolerance of ``gn_fixed_point``."""
+    g_n to the fixed-point tolerance ``FIXED_POINT_TOL``."""
     g0p = g0_profile(coeffs.alpha_plus, coeffs.c_plus, z_grid)
     g0m = g0_profile(coeffs.alpha_minus, coeffs.c_minus, z_grid)
     model = ExpansionModel(coeffs=coeffs, g0_plus=g0p, g0_minus=g0m)
     for n in range(1, coeffs.N + 1):
-        gp, _, _ = gn_fixed_point(n, coeffs.alpha_plus, coeffs.c_plus, z_grid,
-                                  sign="+")
-        gm, _, _ = gn_fixed_point(n, coeffs.alpha_minus, coeffs.c_minus, z_grid,
-                                  sign="-")
+        gp, _, _ = gn_fixed_point(n, coeffs.alpha_plus, coeffs.c_plus, z_grid, "+")
+        gm, _, _ = gn_fixed_point(n, coeffs.alpha_minus, coeffs.c_minus, z_grid, "-")
         model.gn_plus[n] = gp
         model.gn_minus[n] = gm
     return model

@@ -80,6 +80,10 @@ class SimConfig:
         return dt
 
     def validate(self):
+        if not (np.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final!r}")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         required = X_SUPPORT + 2.0 * self.t_final + 10.0 * np.sqrt(self.t_final)
         if self.half_length < required:
             raise ValueError(
@@ -96,8 +100,7 @@ class TrajectoryRecord:
     mass_a: list = field(default_factory=list)
     mass_b: list = field(default_factory=list)
     wall_seconds: float = 0.0
-    aborted: bool = False
-    abort_reason: str = ""
+    abort_reason: str = ""             # empty unless the run stopped early
     n_steps: int = 0
 
     def mass_drift(self) -> float:
@@ -274,7 +277,6 @@ def run(config: SimConfig, nl: Nonlinearity,
     for i in range(1, n_steps + 1):
         state = stepper.step(state)
         if not np.isfinite(state.first.coeffs).all() or not np.isfinite(state.second.coeffs).all():
-            rec.aborted = True
             rec.abort_reason = f"non-finite spectrum at step {i} (t = {i * dt:.4g})"
             break
         if i in snap_at:

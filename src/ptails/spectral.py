@@ -84,8 +84,8 @@ class Grid:
     def __post_init__(self):
         if not _is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not self.half_length > 0:
+            raise ValueError(f"half_length must be positive, got {self.half_length!r}")
 
     @property
     def dx(self) -> float:
@@ -168,7 +168,7 @@ def transform_forward(samples: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, coeffs_of(samples))
 
 
-def derivative(fld: SpectralField, order: int = 1) -> SpectralField:
+def derivative(fld: SpectralField, order: int) -> SpectralField:
     """Spectral derivative: multiply by (ik)^order, Nyquist zeroed for odd orders."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -192,19 +192,18 @@ class NormReport:
     """Instantaneous norms of a field: Lp of the field and derivatives,
     the sup of the continuum Fourier transform, and the x^2-weighted L2."""
 
-    t: float
     lp: dict            # order m -> {1: L1, 2: L2, inf: Linf}
     sup_fourier: float
     weighted_l2: float  # || x^2 f ||_2 on the truncated domain
 
-    def l2(self, order: int = 0) -> float:
+    def l2(self, order: int) -> float:
         return self.lp[order][2]
 
 
 NORM_MAX_ORDER = 2   # norms of the field and its first two derivatives
 
 
-def norms(fld: SpectralField, t: float = 0.0) -> NormReport:
+def norms(fld: SpectralField) -> NormReport:
     g = fld.grid
     dx = g.dx
     lp = {}
@@ -218,7 +217,6 @@ def norms(fld: SpectralField, t: float = 0.0) -> NormReport:
         }
     w = g.x ** 2 * s0
     return NormReport(
-        t=float(t),
         lp=lp,
         sup_fourier=float(np.abs(fld.fhat()).max()),
         weighted_l2=float(np.sqrt(np.sum(w * w) * dx)),
@@ -232,7 +230,7 @@ class StateVector:
 
     first: SpectralField
     second: SpectralField
-    frame: str = "physical"   # "physical" -> (a, b); "characteristic" -> (u, v)
+    frame: str    # "physical" -> (a, b); "characteristic" -> (u, v)
 
     def __post_init__(self):
         if self.first.grid != self.second.grid:

@@ -2,18 +2,18 @@
 precedence, and the convolution bound kernels.
 
 Remainder pipeline.  The measured object is the characteristic-frame field
-u from a simulation minus constructed terms.  Three subtraction levels:
+u from a simulation minus constructed terms, at two levels:
 
-* ``raw``     : u - u0 (the bare difference);
-* ``linear``  : additionally subtract the exactly computable linear pieces,
-                namely the intertwining defect of the initial data
-                (S e^{Lt} z0 minus decoupled heat, in the u frame) and the
-                heat evolution of the mass-matched data mismatch;
-* ``full``    : additionally subtract the finite-time transient of the
-                cross-characteristic Duhamel convolution (the E_{-2}[v0^2]
-                term computed exactly per mode) around its own large-time
-                limit, which is the d_1 g_1 term.  One quadrature sweep per
-                side marches it across the snapshot times.
+* ``raw``  : u - u0 (the bare difference), fitted as ``N0_raw``;
+* ``full`` : additionally subtract the exactly computable linear pieces,
+             namely the intertwining defect of the initial data
+             (S e^{Lt} z0 minus decoupled heat, in the u frame) and the
+             heat evolution of the mass-matched data mismatch, and the
+             finite-time transient of the cross-characteristic Duhamel
+             convolution (the E_{-2}[v0^2] term computed exactly per mode)
+             around its own large-time limit, which is the d_1 g_1 term.
+             One quadrature sweep per side marches it across the snapshot
+             times.
 
 At desk scales the linear defect decays like t^{-3/4} with an epsilon-linear
 constant, so it dominates the epsilon^2-sized d_1 g_1 signal (t^{-1/2}) for
@@ -27,22 +27,21 @@ Streaming.  ``RemainderAccumulator`` does the per-snapshot work and keeps
 only scalars; it is ``solver.run``'s ``on_snapshot`` consumer, the one
 route by which the pipeline sees a run, so no snapshot is stored: per side
 and fit-window snapshot, the raw norm, <r_lin, G> and ||G||^2 with
-G = (1+t)^{-3/4} g_1, and for ``full`` also the N1 and N1_D norms,
-||r_lin - w||^2 and <r_lin - w, G>, where w is the transient.  The snapshot
-times, the window and the tail time are known before the run, and the model
-needs only the initial masses.  N0 needs the fitted d_1, so it comes
-afterwards, in ``remainder_pipeline``, from the identity
+G = (1+t)^{-3/4} g_1, the N1 and N1_D norms, ||r_lin - w||^2 and
+<r_lin - w, G>, where w is the transient.  The snapshot times, the window
+and the tail time are known before the run, and the model needs only the
+initial masses.  N0 needs the fitted d_1, so it comes afterwards, in
+``remainder_pipeline``, from the identity
 
     ||r_lin - w + d_1 G||^2 = ||r_lin - w||^2 + 2 d_1 <r_lin - w, G> + d_1^2 ||G||^2,
 
 which agrees with the whole-field norm to a few units of rounding
-(the terms do not cancel at these sizes); the ``linear`` N1 uses the same
-identity with -d_1.
+(the terms do not cancel at these sizes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +74,7 @@ __all__ = [
 # Fixed settings of the checks below.  Each is a gate or a fit window of a
 # reported verdict, so none of them is a per-call option.
 RESIDUAL_CAP = 0.25            # a slope fit with a larger rms residual fails
+SLOPE_TOLERANCE = 0.05         # the decay-slope fits' tolerance on their targets
 KERNEL_CAP = 1e6               # a bound-kernel constant above this fails
 B0_EXPONENTS = (0.75, 1.25)    # the q of the B0[q] kernels that bound_check measures
 D1_WINDOW_FRAC = 0.1           # fit_d1 fits t >= 0.1 t_max (the last decade)
@@ -98,7 +98,7 @@ class DecayFitReport:
     residual: float
     target: float
     tolerance: float
-    two_sided: bool = True
+    two_sided: bool
 
     @property
     def passed(self) -> bool:
@@ -118,7 +118,7 @@ class DecayFitReport:
 
 
 def fit_decay(times, values, quantity: str, target: float, tolerance: float,
-              two_sided: bool = True) -> DecayFitReport:
+              two_sided: bool) -> DecayFitReport:
     """Log-log slope of `values` against (1+t) over the supplied samples,
     which must span at least one decade in (1+t)."""
     t = np.asarray(times, dtype=float)
@@ -143,12 +143,12 @@ def fit_decay(times, values, quantity: str, target: float, tolerance: float,
 class BoundKernelParams:
     p1: float
     q1: float
-    r1: float = 0.0
-    p2: float = 0.5
-    q2: float = 0.5
-    r2: float = 0.0
-    r3: int = 0
-    name: str = ""
+    r1: float
+    p2: float
+    q2: float
+    r2: float
+    r3: int
+    name: str
 
     def __post_init__(self):
         if not (0.0 <= self.p2 < 1.0):
@@ -256,12 +256,10 @@ class KernelCheckRow:
     finite: bool
 
 
-def bound_check(t_grid=None) -> list[KernelCheckRow]:
+def bound_check(t_grid) -> list[KernelCheckRow]:
     """Smallest constants making the kernel estimates dominate on a t grid:
     B0[q] for each q in ``B0_EXPONENTS``, then every ``USED_KERNEL_PARAMS``
     tuple."""
-    if t_grid is None:
-        t_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 60)])
     rows = []
     for q in B0_EXPONENTS:
         ratios = [bound_kernel_B0(q, t) * (1.0 + t) ** q for t in t_grid]
@@ -269,7 +267,7 @@ def bound_check(t_grid=None) -> list[KernelCheckRow]:
         rows.append(KernelCheckRow(f"B0[{q}]", c, c < KERNEL_CAP))
     for p in USED_KERNEL_PARAMS:
         c = float(np.max([bound_kernel_B(p, t) / p.envelope(t) for t in t_grid if t != 0.0]))
-        rows.append(KernelCheckRow(p.name or repr(p), c, c < KERNEL_CAP))
+        rows.append(KernelCheckRow(p.name, c, c < KERNEL_CAP))
     return rows
 
 
@@ -396,15 +394,14 @@ def fit_d1(times, projections) -> tuple[float, float]:
 
 @dataclass
 class PipelineResult:
-    reports: list = field(default_factory=list)       # DecayFitReport
-    d1_fit: dict = field(default_factory=dict)        # side -> fitted d1
-    d1_analytic: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)        # quantity -> (t, norms)
-    mass_error: float = 0.0
-    subtract: str = "full"
-    d1_fit_window_fallback: dict = field(default_factory=dict)  # side -> bool
+    reports: list                  # DecayFitReport
+    d1_fit: dict                   # side -> fitted d1
+    d1_analytic: dict
+    series: dict                   # quantity -> (t, norms)
+    mass_error: float
+    d1_fit_window_fallback: dict   # side -> bool
 
-    def d1_relative_difference(self, side: str = "+") -> float:
+    def d1_relative_difference(self, side: str) -> float:
         a = self.d1_analytic[side]
         f = self.d1_fit[side]
         return abs(f - a) / max(abs(a), 1e-300)
@@ -431,22 +428,18 @@ class RemainderAccumulator:
 
     Passed as ``solver.run``'s ``on_snapshot``, it is fed every snapshot of
     the run in time order, at the times ``snapshot_times(config)`` gives.  It
-    does the work of each fit-window snapshot once for both sides and keeps
-    only scalars (see the module docstring).  The first snapshot is the
-    initial state, which the linear reference reads.  With a ``tail_time``
-    it also keeps the one snapshot nearest that time, for
-    ``tail_precedence_check``.  A window snapshot whose mass drifts is
-    refused before it is transformed, which ends the run.
+    does the work of each snapshot in the fit window [t_final/20, t_final]
+    once for both sides and keeps only scalars (see the module docstring).
+    The first snapshot is the initial state, which the linear reference
+    reads.  With a ``tail_time`` it also keeps the one snapshot nearest that
+    time, for ``tail_precedence_check``.  A window snapshot whose mass
+    drifts is refused before it is transformed, which ends the run.
     """
 
-    def __init__(self, model: ExpansionModel, config, subtract: str = "full",
-                 window: tuple | None = None, sides: str = "+-",
+    def __init__(self, model: ExpansionModel, config, sides: str = "+-",
                  tail_time: float | None = None):
-        if subtract not in ("none", "linear", "full"):
-            raise ValueError("subtract must be 'none', 'linear' or 'full'")
-        self.model, self.subtract, self.sides = model, subtract, sides
-        # the fits' (t_lo, t_hi): by default the last 19/20 of the run
-        t_lo, t_hi = (config.t_final / 20.0, config.t_final) if window is None else window
+        self.model, self.sides = model, sides
+        t_lo, t_hi = config.t_final / 20.0, config.t_final
         self.snapshot_times = snapshot_times(config)
         self._in_window = [t_lo <= t <= t_hi and t > 0 for t in self.snapshot_times]
         if sum(self._in_window) < 6:
@@ -460,9 +453,8 @@ class RemainderAccumulator:
         self.peak = 0.0                # largest coefficient amplitude in the window
         self.mass_error = 0.0
         # side -> name -> one value per window snapshot: raw (the N0_raw
-        # norm), rG = <r_lin, G>, GG = ||G||^2; for full also n1 and n1_d
-        # (norms), rwrw = ||r_lin - w||^2 and rwG = <r_lin - w, G>; for
-        # linear rr = ||r_lin||^2
+        # norm), rG = <r_lin, G>, GG = ||G||^2, n1 and n1_d (norms),
+        # rwrw = ||r_lin - w||^2 and rwG = <r_lin - w, G>
         self.scalars = {side: {} for side in sides}
         self.grid = grid = config.grid()
         # grid.x and grid.k are properties that build a new array each read
@@ -473,11 +465,9 @@ class RemainderAccumulator:
         self._g1 = {side: interp[f"g1{side}"] for side in sides}
         self._g0_hat = {side: transform_forward(self._g0[side](self._x), grid).coeffs
                         for side in sides}
-        self._sweeps = {}
-        if subtract == "full":
-            self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
-                                                   grid, self.times)
-                            for side in sides}
+        self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
+                                               grid, self.times)
+                        for side in sides}
 
     def _keep(self, side: str, **values) -> None:
         row = self.scalars[side]
@@ -506,8 +496,7 @@ class RemainderAccumulator:
                                          + np.abs(state.second.coeffs).max()))
         phases = frame_phases(self._k, t)
         uv = to_characteristic_frame(state, phases)
-        if self.subtract != "none":
-            lin = _linear_reference_coeffs(self._initial, t, self._g0_hat, phases)
+        lin = _linear_reference_coeffs(self._initial, t, self._g0_hat, phases)
         dx = self.grid.dx
         root = np.sqrt(1.0 + t)
         z = self._x / root
@@ -515,81 +504,69 @@ class RemainderAccumulator:
             u = uv.first if side == "+" else uv.second
             r = u.samples() - self._g0[side](z) / root
             self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
-            if self.subtract != "none":
-                r = r - samples_of(lin[side]).real
+            r = r - samples_of(lin[side]).real
             G = (1.0 + t) ** -0.75 * self._g1[side](z)
             self._keep(side, rG=float(r @ G), GG=float(G @ G))
-            if self.subtract == "full":
-                # r becomes r_lin - w, the N1 remainder
-                r = r - samples_of(next(self._sweeps[side])).real
-                rr = np.sum(r ** 2)
-                dr = samples_of(self._ik * coeffs_of(r)).real
-                self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
-                           rwrw=rr, rwG=float(r @ G))
-            elif self.subtract == "linear":
-                self._keep(side, rr=np.sum(r ** 2))
+            # r becomes r_lin - w, the N1 remainder
+            r = r - samples_of(next(self._sweeps[side])).real
+            rr = np.sum(r ** 2)
+            dr = samples_of(self._ik * coeffs_of(r)).real
+            self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
+                       rwrw=rr, rwG=float(r @ G))
 
 
-def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator,
-                       slope_tolerance: float = 0.05) -> PipelineResult:
+def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> PipelineResult:
     """Fit the decay of expansion remainders against the predicted exponents.
 
     ``fed`` is the accumulator that was the ``on_snapshot`` consumer of the
-    run ``traj`` records; its model, subtraction, window and sides are the
-    pipeline's.  Produces, per side, reports named '<side>_N0_raw',
-    '<side>_N0', '<side>_N1' and '<side>_N1_D' with targets
-    -(3/4 - 2^{-(N+2)}) for the L2 fits and -(5/4 - 2^{-(N+2)}) for the
-    derivative fit.
+    run ``traj`` records; its model, window and sides are the pipeline's.
+    Produces, per side, reports named '<side>_N0_raw', '<side>_N0',
+    '<side>_N1' and '<side>_N1_D' with targets -(3/4 - 2^{-(N+2)}) for the
+    L2 fits and -(5/4 - 2^{-(N+2)}) for the derivative fit, each within
+    ``SLOPE_TOLERANCE``.
     """
     if fed.n_fed != len(traj.times):
         raise ValueError(f"the accumulator was fed {fed.n_fed} of "
                          f"{len(traj.times)} snapshots")
-    times, subtract, sides = fed.times, fed.subtract, fed.sides
+    times, sides = fed.times, fed.sides
     dx = fed.grid.dx
     co = fed.model.coeffs
-    result = PipelineResult(subtract=subtract, mass_error=fed.mass_error)
-    result.d1_analytic = {"+": co.d[0][0], "-": co.d[0][1]}
     # tag -> (target, two-sided) of each reported fit
     n0_target = -(0.75 - 0.5 ** 2)
     targets = {"N0_raw": (n0_target, False), "N0": (n0_target, True),
                "N1": (-(0.75 - co.epsilon), False),
                "N1_D": (-(1.25 - co.epsilon), False)}
-
     # identically-zero trajectories have nothing to fit: report trivially
-    if fed.peak < 1e-14:
-        for side in sides:
+    trivial = fed.peak < 1e-14
+    reports, d1_fit, series, fallback = [], {}, {}, {}
+    for side in sides:
+        if trivial:
             for tag, (target, two) in targets.items():
-                result.reports.append(DecayFitReport(
+                reports.append(DecayFitReport(
                     quantity=f"{side}_{tag}", t_lo=float(times[0]),
                     t_hi=float(times[-1]), slope=target, residual=0.0,
-                    target=target, tolerance=slope_tolerance, two_sided=two))
-            result.d1_fit[side] = 0.0
-            result.d1_fit_window_fallback[side] = False
-        result.mass_error = 0.0
-        return result
-
-    for side in sides:
+                    target=target, tolerance=SLOPE_TOLERANCE, two_sided=two))
+            d1_fit[side] = 0.0
+            fallback[side] = False
+            continue
         s = {name: np.asarray(vals) for name, vals in fed.scalars[side].items()}
         d1_hat, _ = fit_d1(times, s["rG"] / s["GG"])
-        result.d1_fit[side] = d1_hat
-        result.d1_fit_window_fallback[side] = _d1_fit_window(times)[1]
-        fits = {"N0_raw": s["raw"]}
-        if subtract == "full":
-            # ||r_lin - w + d1 G||^2 from the kept inner products
-            fits["N0"] = np.sqrt((s["rwrw"] + 2.0 * d1_hat * s["rwG"]
-                                  + d1_hat ** 2 * s["GG"]) * dx)
-            fits["N1"] = s["n1"]
-            fits["N1_D"] = s["n1_d"]
-        elif subtract == "linear":
-            # ||r_lin - d1 G||^2 from the kept inner products
-            fits["N1"] = np.sqrt((s["rr"] - 2.0 * d1_hat * s["rG"]
-                                  + d1_hat ** 2 * s["GG"]) * dx)
+        d1_fit[side] = d1_hat
+        fallback[side] = _d1_fit_window(times)[1]
+        fits = {"N0_raw": s["raw"],
+                # ||r_lin - w + d1 G||^2 from the kept inner products
+                "N0": np.sqrt((s["rwrw"] + 2.0 * d1_hat * s["rwG"]
+                               + d1_hat ** 2 * s["GG"]) * dx),
+                "N1": s["n1"], "N1_D": s["n1_d"]}
         for tag, values in fits.items():
-            result.series[f"{side}_{tag}"] = (times, values)
+            series[f"{side}_{tag}"] = (times, values)
             target, two = targets[tag]
-            result.reports.append(fit_decay(times, values, f"{side}_{tag}", target,
-                                            slope_tolerance, two_sided=two))
-    return result
+            reports.append(fit_decay(times, values, f"{side}_{tag}", target,
+                                     SLOPE_TOLERANCE, two))
+    return PipelineResult(
+        reports=reports, d1_fit=d1_fit, d1_analytic={"+": co.d[0][0], "-": co.d[0][1]},
+        series=series, mass_error=0.0 if trivial else fed.mass_error,
+        d1_fit_window_fallback=fallback)
 
 
 # --------------------------------------------------------------------------

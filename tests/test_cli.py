@@ -54,6 +54,17 @@ def test_parse_config_key_outside_section(tmp_path):
         parse_config(p)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--range=5"], ["--range=a:b"], ["--range=3:1"], ["--range=nan:1"],
+    ["--points", "0"], ["--points", "1"],
+], ids=["one-value", "not-floats", "reversed", "nan", "no-points", "one-point"])
+def test_cli_special_usage_error_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["-o", str(tmp_path), "special", *argv])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_special_emits_table(tmp_path):
     code = main(["-o", str(tmp_path), "special", "--n", "1",
                  "--range=-20:20", "--points", "101"])
@@ -143,6 +154,26 @@ csv_snapshots = 3
     assert manifest["warnings"] == []
 
 
+@pytest.mark.parametrize("key,value", [
+    ("t_final", "-1"), ("t_final", "0"), ("t_final", "nan"),
+    ("dt", "0"), ("dt", "-0.1"), ("dt", "nan"),
+])
+def test_cli_simulate_refuses_a_length_it_cannot_run(tmp_path, capsys, key, value):
+    # refused before the run: a negative t_final would make no step and
+    # pass, a zero one or a zero dt would divide by zero, and a NaN would
+    # slip past the domain rule
+    settings = {"t_final": "2.0", "dt": "0.1", key: value}
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[grid]\nn_points = 256\nhalf_length = 60.0\n[simulate]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "simulate"]) == 1
+    message = f"{key} must be finite and positive, got {float(value)!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+    assert manifest["verdicts"] == {"passed": False, "error": message}
+    assert manifest["outputs"] == [] and not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_simulate_norms_equal_collected_snapshot_norms(tmp_path):
     # norms.csv, written by the CLI's streaming consumer, against
     # spectral.norms of the snapshots a list consumer keeps in a separate run
@@ -155,8 +186,8 @@ def test_cli_simulate_norms_equal_collected_snapshot_norms(tmp_path):
     sim = SimConfig(n_points=256, half_length=60.0, t_final=2.0, n_snapshots=4)
     traj, snapshots = run_collecting(sim, default_nonlinearity())
     t = np.array(traj.times)
-    na = [norms(s.first, ti) for s, ti in zip(snapshots, t)]
-    nb = [norms(s.second, ti) for s, ti in zip(snapshots, t)]
+    na = [norms(s.first) for s in snapshots]
+    nb = [norms(s.second) for s in snapshots]
     expected = {
         "t": t,
         "sup_fourier": np.array([max(a.sup_fourier, b.sup_fourier) for a, b in zip(na, nb)]),
@@ -244,7 +275,12 @@ def _warnings_of(tmp_path, text: str, *argv) -> tuple[int, list]:
      "snapshots = 4\nscheme = ETD-Heun\ndealias = 0.5\n", "simulate",
      ["config key [simulate] scheme is not read by simulate",
       "config key [simulate] dealias is not read by simulate"]),
-], ids=["misspelt", "removed"])
+    # nor are the profile grid's extent and the fixed point's tolerance
+    ("[profiles]\nalpha = 0.5\ngamma = 0.1\nn_max = 1\ntol = 1e-8\nz_max = 40.0\n",
+     "profiles",
+     ["config key [profiles] tol is not read by profiles",
+      "config key [profiles] z_max is not read by profiles"]),
+], ids=["misspelt", "removed", "removed-profiles"])
 def test_cli_warns_about_a_key_that_does_nothing(tmp_path, capsys, text, command, expected):
     # a misspelt key, or one for a removed setting, would run the default
     # silently; the exit code stays
@@ -358,13 +394,13 @@ require_tail = false   # the tail ranking needs later times than this scale
     assert manifest["verdicts"]["snapshots_recorded"] == 50
 
 
-def test_cli_verify_linear_writes_the_n1_series(tmp_path):
-    # every fitted series is written, the linear subtraction's N1 too, and
-    # the slope in decay_fits.csv is the fit of the values written
+def test_cli_verify_writes_every_fitted_series(tmp_path):
+    # every fitted series is written, and the slope in decay_fits.csv is the
+    # fit of the values written
     cfg = tmp_path / "v.cfg"
     cfg.write_text("[grid]\nn_points = 2048\nhalf_length = 450.0\n"
                    "[simulate]\nt_final = 150.0\nsnapshots = 40\n"
-                   "[verify]\nsubtract = linear\nd1_tolerance = 10.0\n"
+                   "[verify]\nsubtract = full\nd1_tolerance = 10.0\n"
                    "require_tail = false\n")
     main(["-c", str(cfg), "-o", str(tmp_path), "verify"])
     with open(tmp_path / "remainder_norms.csv") as fh:
@@ -372,12 +408,22 @@ def test_cli_verify_linear_writes_the_n1_series(tmp_path):
     with open(tmp_path / "decay_fits.csv") as fh:
         fits = {r["quantity"]: float(r["slope"]) for r in csv.DictReader(fh)}
     written = {r["quantity"] for r in rows}
-    assert written == {"+_N0_raw", "+_N1", "-_N0_raw", "-_N1"} == set(fits)
+    assert written == {f"{side}_{tag}" for side in "+-"
+                       for tag in ("N0_raw", "N0", "N1", "N1_D")} == set(fits)
     for quantity in written:
         t = np.array([float(r["t"]) for r in rows if r["quantity"] == quantity])
         v = np.array([float(r["l2_norm"]) for r in rows if r["quantity"] == quantity])
         slope = np.polyfit(np.log(1.0 + t), np.log(v), 1)[0]
         assert slope == fits[quantity], quantity
+
+
+@pytest.mark.parametrize("subtract", ["linear", "none"])
+def test_cli_verify_refuses_a_subtraction_other_than_full(tmp_path, capsys, subtract):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"[verify]\nsubtract = {subtract}\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "verify"]) == 2
+    assert capsys.readouterr().err == (f"config error: [verify] subtract = {subtract!r}: "
+                                       "the pipeline subtracts 'full' only\n")
 
 
 def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):
@@ -391,7 +437,8 @@ def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):
             if t >= config.t_final / 2.0:
                 bumped = state.first.coeffs.copy()
                 bumped[0] += 3e-6 / (2.0 * state.grid.half_length)
-                state = StateVector(SpectralField(state.grid, bumped), state.second)
+                state = StateVector(SpectralField(state.grid, bumped), state.second,
+                                    "physical")
             on_snapshot(state, t)
         return solver.run(config, nl, feed, initial)
 

@@ -21,7 +21,7 @@ def test_source_validation():
     with pytest.raises(ValueError):
         make_source(1, 3, "gaussian")
     with pytest.raises(ValueError):
-        HeatSourceSpec(0, 1, heat.gaussian_shape())
+        HeatSourceSpec(0, 1, heat.gaussian_shape(), heat.gaussian_fhat())
 
 
 def test_mass_of_shapes():

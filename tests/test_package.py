@@ -1,6 +1,6 @@
 """Guards on the shape of the package: no public name, method or dataclass
-field that nothing in it uses, no more settable values than today, one home
-for each shared numerical primitive, every call the benchmark tracer wraps
+field that nothing in it uses, no more settable values or config keys than
+today, one home for each shared numerical primitive, every call the benchmark tracer wraps
 still resolves, and the command loads no heavy scipy subpackage."""
 
 import ast
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import ptails
+from ptails import cli
 
 PACKAGE = Path(ptails.__file__).resolve().parent
 SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
@@ -33,9 +34,8 @@ UNUSED_BY_DESIGN = {
     # `converged` is true on return)
     "profiles.FixedPointInfo.contraction_factor",
     "profiles.FixedPointInfo.converged",
-    # the report's time stamp, and the x^2-weighted norm of the growth bound
-    # that test_solver checks along a trajectory
-    "spectral.NormReport.t",
+    # the x^2-weighted norm of the growth bound that test_solver checks along
+    # a trajectory
     "spectral.NormReport.weighted_l2",
 }
 
@@ -125,7 +125,7 @@ def test_every_public_member_is_read_in_the_package():
 # Parameters with a default plus dataclass fields with a default, in the
 # whole package.  Raise it only with a new value that a caller needs, and
 # lower it with every one removed, so that no slack builds up.
-SETTABLE_VALUES = 78
+SETTABLE_VALUES = 43
 
 
 def _settable_values() -> int:
@@ -147,6 +147,29 @@ def test_settable_values_do_not_grow():
         f"{count} settable values, not the {SETTABLE_VALUES} recorded: a new "
         "parameter or field default, or a removed one that SETTABLE_VALUES "
         "does not reflect yet")
+
+
+# (section, key) pairs the command reads from a config file, held to the
+# same rule as SETTABLE_VALUES
+CONFIG_KEYS = 29
+
+
+def _config_keys() -> set:
+    """The constant (section, key) arguments of every ``get_typed`` call in
+    ``cli``, plus the simulation keys of ``cli._SIM_KEYS``."""
+    keys = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "get_typed" \
+                and all(isinstance(a, ast.Constant) for a in node.args[1:3]):
+            keys.add((node.args[1].value, node.args[2].value))
+    return keys | {(section, key) for section, key, _ in cli._SIM_KEYS.values()}
+
+
+def test_config_keys_do_not_grow():
+    keys = _config_keys()
+    assert len(keys) == CONFIG_KEYS, (
+        f"{len(keys)} config keys, not the {CONFIG_KEYS} recorded: a new key, "
+        f"or a removed one that CONFIG_KEYS does not reflect yet: {sorted(keys)}")
 
 
 # call -> the one module that may make it: the Gauss-Legendre rule and the

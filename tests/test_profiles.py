@@ -42,7 +42,7 @@ def test_g0_small_gamma_approaches_gaussian(zgrid):
 
 
 def test_g0_pole_guard():
-    z = graded_grid(z_max=20.0, h0=1e-2)
+    z = graded_grid()
     with pytest.raises(ValueError):
         g0_profile(40.0, 1.0, z)
 
@@ -100,14 +100,14 @@ def test_gn_gamma_zero_returns_fn(zgrid):
 
 def test_gn_contraction_regime_guard(zgrid):
     with pytest.raises(ValueError):
-        gn_fixed_point(1, 2.0, 0.2, zgrid)
+        gn_fixed_point(1, 2.0, 0.2, zgrid, "+")
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_gn_fixed_point_residual_and_mass(zgrid, sign):
     alpha, gam = 0.5, 0.1
     g0 = g0_profile(alpha, gam, zgrid)
-    gn, rn, info = gn_fixed_point(1, alpha, gam, zgrid, tol=1e-10, sign=sign)
+    gn, rn, info = gn_fixed_point(1, alpha, gam, zgrid, sign)
     assert info.converged and info.iterations <= 50
     assert gn_equation_residual(gn, g0, 1, gam) < 1e-8
     assert abs(gn_total_mass(gn, 1)) < 1e-6
@@ -115,8 +115,8 @@ def test_gn_fixed_point_residual_and_mass(zgrid, sign):
 
 
 def test_gn_contraction_factor_scales_with_alpha_gamma(zgrid):
-    _, _, i1 = gn_fixed_point(1, 0.5, 0.05, zgrid)
-    _, _, i2 = gn_fixed_point(1, 0.5, 0.1, zgrid)
+    _, _, i1 = gn_fixed_point(1, 0.5, 0.05, zgrid, "+")
+    _, _, i2 = gn_fixed_point(1, 0.5, 0.1, zgrid, "+")
     assert i1.contraction_factor < i2.contraction_factor < 1.0
 
 
@@ -124,13 +124,13 @@ def test_gn_residual_orders_2_to_4(zgrid):
     alpha, gam = 0.5, 0.1
     g0 = g0_profile(alpha, gam, zgrid)
     for n in (2, 3, 4):
-        gn, rn, info = gn_fixed_point(n, alpha, gam, zgrid, tol=1e-10)
+        gn, rn, info = gn_fixed_point(n, alpha, gam, zgrid, "+")
         assert gn_equation_residual(gn, g0, n, gam) < 1e-7
         assert abs(gn_total_mass(gn, n)) < 1e-6
 
 
 def test_gn_derivatives_vs_finite_differences(zgrid):
-    gn, rn, _ = gn_fixed_point(1, 0.5, 0.1, zgrid)
+    gn, rn, _ = gn_fixed_point(1, 0.5, 0.1, zgrid, "+")
     from scipy.interpolate import CubicSpline
     z = np.linspace(-6, 6, 31)
     h = 1e-4

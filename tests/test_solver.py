@@ -193,7 +193,7 @@ def test_run_records_and_conserves():
     cfg = SimConfig(n_points=2 ** 10, half_length=120.0, t_final=20.0,
                     n_snapshots=12)
     traj, snapshots = run_collecting(cfg, default_nonlinearity())
-    assert not traj.aborted
+    assert not traj.abort_reason
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(20.0)
     assert traj.times == snapshot_times(cfg)
     assert traj.mass_drift() < 1e-10
@@ -212,7 +212,7 @@ def test_run_warns_on_data_above_the_amplitude_guard():
     with pytest.warns(UserWarning, match="initial amplitude 0.15 above the "
                                          "epsilon0 guard 0.05; continuing"):
         traj = run(cfg, default_nonlinearity(), lambda state, t: None, big)
-    assert not traj.aborted
+    assert not traj.abort_reason
 
 
 def test_weighted_l2_component_bounded():

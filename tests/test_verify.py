@@ -23,7 +23,7 @@ from ptails.verify import (B0_EXPONENTS, USED_KERNEL_PARAMS, BoundKernelParams,
 def test_fit_decay_exact_power():
     t = np.geomspace(1, 200, 20)
     v = 3.0 * (1 + t) ** -0.5
-    rep = fit_decay(t, v, "q", -0.5, 0.05)
+    rep = fit_decay(t, v, "q", -0.5, 0.05, two_sided=True)
     assert rep.slope == pytest.approx(-0.5, abs=1e-12)
     assert rep.passed and rep.residual < 1e-12
 
@@ -31,7 +31,7 @@ def test_fit_decay_exact_power():
 def test_fit_decay_window_guard():
     t = np.linspace(10, 40, 10)
     with pytest.raises(ValueError):
-        fit_decay(t, np.ones_like(t), "q", -1.0, 0.1)
+        fit_decay(t, np.ones_like(t), "q", -1.0, 0.1, two_sided=True)
 
 
 def test_fit_decay_one_sided():
@@ -47,7 +47,7 @@ def test_fit_decay_residual_cap():
     t = np.geomspace(1, 100, 40)
     rng = np.random.default_rng(3)
     v = (1 + t) ** -0.5 * np.exp(rng.normal(0, 1.0, t.size))
-    rep = fit_decay(t, v, "noisy", -0.5, 0.5)
+    rep = fit_decay(t, v, "noisy", -0.5, 0.5, two_sided=True)
     assert not rep.passed                   # residual above the cap
 
 
@@ -93,28 +93,28 @@ def test_B_panels_match_quadpack(params):
 
 def test_B_hypotheses_validated():
     with pytest.raises(ValueError):
-        BoundKernelParams(0.5, 0.5, p2=1.0)
+        BoundKernelParams(0.5, 0.5, 0.0, 1.0, 0.5, 0.0, 0, "")
     with pytest.raises(ValueError):
-        BoundKernelParams(0.5, 0.5, p2=0.5, r2=0.9)
+        BoundKernelParams(0.5, 0.5, 0.0, 0.5, 0.5, 0.9, 0, "")
     with pytest.raises(ValueError):
-        BoundKernelParams(0.5, 0.5, r3=2)
+        BoundKernelParams(0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 2, "")
 
 
 def test_B_monotone_in_q():
-    base = dict(r1=0.0, p2=0.5, q2=0.75, r2=0.0, r3=0)
+    base = dict(r1=0.0, p2=0.5, q2=0.75, r2=0.0, r3=0, name="")
     lo = BoundKernelParams(0.5, 0.75, **base)
     hi = BoundKernelParams(0.5, 1.25, **base)
     for t in (3.0, 30.0, 300.0):
         assert bound_kernel_B(hi, t) < bound_kernel_B(lo, t)
-    lo_q2 = BoundKernelParams(0.5, 0.75, 0.0, 0.5, 0.75, 0.0, 0)
-    hi_q2 = BoundKernelParams(0.5, 0.75, 0.0, 0.5, 1.25, 0.0, 0)
+    lo_q2 = BoundKernelParams(0.5, 0.75, 0.0, 0.5, 0.75, 0.0, 0, "")
+    hi_q2 = BoundKernelParams(0.5, 0.75, 0.0, 0.5, 1.25, 0.0, 0, "")
     for t in (3.0, 30.0):
         assert bound_kernel_B(hi_q2, t) < bound_kernel_B(lo_q2, t)
 
 
 def test_B_decay_matches_beta_with_log_regressor():
     # the second-derivative tuple: beta = 5/4 with a unit log power
-    p = BoundKernelParams(1.5, 0.75, 0.0, 0.5, 1.25, 0.5, 0)
+    p = BoundKernelParams(1.5, 0.75, 0.0, 0.5, 1.25, 0.5, 0, "")
     assert p.beta_decay == pytest.approx(1.25)
     assert p.alpha_log == 1
     ts = np.geomspace(5, 1000, 30)
@@ -126,7 +126,7 @@ def test_B_decay_matches_beta_with_log_regressor():
 
 
 def test_bound_check_all_used_tuples_finite():
-    rows = bound_check()
+    rows = bound_check(np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 60)]))
     assert len(rows) == len(USED_KERNEL_PARAMS) + 2
     for r in rows:
         assert r.finite, r.name
@@ -172,12 +172,11 @@ def medium_model(medium_run):
 
 @pytest.fixture(scope="module")
 def medium_fed(medium_run, medium_model):
-    return {"full": _fed(medium_run, medium_model, subtract="full", tail_time=150.0),
-            "linear": _fed(medium_run, medium_model, subtract="linear")}
+    return _fed(medium_run, medium_model, tail_time=150.0)
 
 
 def test_pipeline_reports_and_d1(medium_run, medium_fed):
-    res = remainder_pipeline(medium_run[0], medium_fed["full"])
+    res = remainder_pipeline(medium_run[0], medium_fed)
     names = {r.quantity for r in res.reports}
     assert {"+_N0_raw", "+_N0", "+_N1", "+_N1_D"} <= names
     # raw remainder decays at least at the N = 1 target rate
@@ -190,20 +189,15 @@ def test_pipeline_reports_and_d1(medium_run, medium_fed):
 
 
 def test_pipeline_monotone_improvement(medium_run, medium_fed):
-    res = remainder_pipeline(medium_run[0], medium_fed["full"])
+    res = remainder_pipeline(medium_run[0], medium_fed)
     assert _fit(res, "+_N1").slope <= _fit(res, "+_N0").slope + 0.02
-
-
-def test_pipeline_rejects_bad_subtract(medium_run, medium_model):
-    with pytest.raises(ValueError):
-        RemainderAccumulator(medium_model, medium_run[0].config, subtract="everything")
 
 
 def test_pipeline_linear_run_heat_asymptotics():
     # with the source off the raw remainder follows pure heat asymptotics
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=60)
-    model, acc, traj = _stream(cfg, zero_nonlinearity(), subtract="none", sides="+")
+    model, acc, traj = _stream(cfg, zero_nonlinearity(), sides="+")
     assert model.coeffs.c_plus == 0.0
     res = remainder_pipeline(traj, acc)
     assert _fit(res, "+_N0_raw").slope <= -0.75 + 0.05
@@ -215,7 +209,7 @@ def _drifted(snap: StateVector) -> StateVector:
     """The snapshot with 3e-6 added to the mass of its first component."""
     bumped = snap.first.coeffs.copy()
     bumped[0] += 3e-6 / (2.0 * snap.grid.half_length)
-    return StateVector(SpectralField(snap.grid, bumped), snap.second)
+    return StateVector(SpectralField(snap.grid, bumped), snap.second, "physical")
 
 
 def _drift_message(snap: StateVector, t: float, model) -> str:
@@ -258,15 +252,14 @@ def test_pipeline_refuses_mass_drift_before_the_expensive_work():
 
 
 def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
-    # one run feeds a full and a linear accumulator as it goes and keeps no
-    # snapshot; a separate run's snapshots, stored by a list consumer and fed
-    # afterwards, give the same bits: the run hands out each snapshot as
-    # recorded and never changes it afterwards
+    # one run feeds two accumulators as it goes, one keeping a tail snapshot
+    # and one not, and keeps no snapshot; a separate run's snapshots, stored
+    # by a list consumer and fed afterwards, give the same bits: the run
+    # hands out each snapshot as recorded and never changes it afterwards
     stored_traj = medium_run[0]
     cfg = stored_traj.config
-    accs = {sub: RemainderAccumulator(medium_model, cfg, subtract=sub,
-                                      tail_time=150.0 if sub == "full" else None)
-            for sub in ("full", "linear")}
+    accs = {"tail": RemainderAccumulator(medium_model, cfg, tail_time=150.0),
+            "no_tail": RemainderAccumulator(medium_model, cfg)}
 
     def feed(state, t):
         for acc in accs.values():
@@ -275,10 +268,9 @@ def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
     traj = run(cfg, default_nonlinearity(), feed)
     assert traj.times == stored_traj.times == snapshot_times(cfg)
     assert traj.mass_a == stored_traj.mass_a and traj.mass_b == stored_traj.mass_b
-    for sub, acc in accs.items():
+    stored = remainder_pipeline(stored_traj, medium_fed)
+    for acc in accs.values():
         streamed = remainder_pipeline(traj, acc)
-        stored = remainder_pipeline(stored_traj, medium_fed[sub])
-        assert streamed.subtract == stored.subtract == sub
         assert streamed.d1_fit == stored.d1_fit
         assert streamed.mass_error == stored.mass_error
         assert streamed.series.keys() == stored.series.keys()
@@ -287,14 +279,14 @@ def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
             assert np.array_equal(t_s, t)
             assert np.array_equal(values_s, values), quantity
         assert streamed.reports == stored.reports
-    assert tail_precedence_check(accs["full"]) == tail_precedence_check(medium_fed["full"])
+    assert tail_precedence_check(accs["tail"]) == tail_precedence_check(medium_fed)
     with pytest.raises(ValueError):
-        tail_precedence_check(accs["linear"])        # it kept no tail snapshot
+        tail_precedence_check(accs["no_tail"])       # it kept no tail snapshot
 
 
 def test_n0_from_inner_products_matches_whole_fields(medium_run, medium_model, medium_fed):
     traj, snapshots = medium_run
-    res = remainder_pipeline(traj, medium_fed["full"])
+    res = remainder_pipeline(traj, medium_fed)
     window = (traj.config.t_final / 20.0, traj.config.t_final)
     for side in "+-":
         times, n0 = full_remainder_norms(snapshots, traj.times, medium_model, side, window)
@@ -394,17 +386,18 @@ def test_d1_fit_window_falls_back_on_short_series():
 
 
 def test_pipeline_reports_d1_fit_window_fallback():
-    # 12 geometric snapshots to t = 150 leave 4 in the d1 fit's last decade
-    cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
-                    epsilon0=0.05, n_snapshots=12)
-    _, acc, traj = _stream(cfg, default_nonlinearity(), subtract="linear",
-                           window=(1.0, 150.0))
+    # 10 geometric snapshots over 200 steps to t = 150 leave 6 in the fit
+    # window t >= 7.5 and 4 of those in the d1 fit's last decade
+    cfg = SimConfig(n_points=2 ** 9, half_length=450.0, t_final=150.0, dt=0.75,
+                    epsilon0=0.05, n_snapshots=10)
+    _, acc, traj = _stream(cfg, default_nonlinearity())
+    assert not traj.abort_reason
     res = remainder_pipeline(traj, acc)
     assert res.d1_fit_window_fallback == {"+": True, "-": True}
 
 
 def test_tail_precedence_nonlinear(medium_fed):
-    rep = tail_precedence_check(medium_fed["full"])
+    rep = tail_precedence_check(medium_fed)
     assert rep.conclusive
     assert rep.ahead_is_algebraic
     assert rep.behind_is_gaussian
@@ -413,7 +406,7 @@ def test_tail_precedence_nonlinear(medium_fed):
 def test_pipeline_zero_data_trivially_passes():
     cfg = SimConfig(n_points=2 ** 10, half_length=450.0, t_final=150.0,
                     epsilon0=0.0, n_snapshots=40)
-    model, acc, traj = _stream(cfg, default_nonlinearity(), subtract="full", sides="+")
+    model, acc, traj = _stream(cfg, default_nonlinearity(), sides="+")
     res = remainder_pipeline(traj, acc)
     assert all(r.passed for r in res.reports)
     assert res.d1_fit["+"] == 0.0
@@ -427,7 +420,7 @@ def test_d1_fit_stable_under_discretization_refinement():
     for tag, n_pts, dt in (("coarse", 2 ** 13, None), ("fine", 2 ** 14, 0.04)):
         cfg = SimConfig(n_points=n_pts, half_length=800.0, t_final=200.0,
                         dt=dt, epsilon0=0.05, b_fraction=0.3, n_snapshots=80)
-        _, acc, traj = _stream(cfg, nl, subtract="full", sides="+")
+        _, acc, traj = _stream(cfg, nl, sides="+")
         fits[tag] = remainder_pipeline(traj, acc).d1_fit["+"]
     assert fits["fine"] == pytest.approx(fits["coarse"], rel=0.02)
 
@@ -435,7 +428,7 @@ def test_d1_fit_stable_under_discretization_refinement():
 def test_tail_precedence_linear_inconclusive():
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=40)
-    _, acc, _ = _stream(cfg, zero_nonlinearity(), subtract="none", tail_time=100.0)
+    _, acc, _ = _stream(cfg, zero_nonlinearity(), tail_time=100.0)
     rep = tail_precedence_check(acc)
     assert not rep.conclusive        # both sides Gaussian: nothing to fit
 
