@@ -217,11 +217,12 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     d1_tol = get_typed(cfg, "verify", "d1_tolerance", float, 0.10)
     require_tail = get_typed(cfg, "verify", "require_tail", bool, True)
     # the model needs only the initial masses, so the remainders are taken as
-    # the run makes each snapshot, and no snapshot is stored but the tail's
-    initial = gaussian_initial_state(sim_cfg)
-    model = verify.build_model_from_trajectory(initial, nl, N=1)
+    # the run makes each snapshot and no snapshot is stored: of the one
+    # nearest t_final / 2 the accumulator keeps the samples the tail check
+    # reads.  The run builds its own initial state, so none is held here
+    model = verify.build_model_from_trajectory(gaussian_initial_state(sim_cfg), nl, N=1)
     acc = verify.RemainderAccumulator(model, sim_cfg, tail_time=sim_cfg.t_final / 2.0)
-    traj = run(sim_cfg, nl, acc.add, initial)
+    traj = run(sim_cfg, nl, acc.add)
     manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
                              snapshots_recorded=len(traj.times) - 1)
     if traj.abort_reason:

@@ -332,10 +332,18 @@ def _continuum_norms(spec: HeatSourceSpec, t: float):
 def convergence_check(spec: HeatSourceSpec, t_grid) -> ConvergenceReport:
     """Weighted remainder sups of the limit-profile approximation over a
     time grid; pass requires the running sup to stabilize (the last decade
-    contributes < 5% growth)."""
+    contributes < 5% growth).  The grid must be strictly increasing and
+    reach below its last decade, or there is no earlier sup to compare."""
     if abs(spec.sigma) != 1:
         raise ValueError("convergence_check requires |sigma| = 1")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("convergence_check needs a strictly increasing time grid")
+    in_last_decade = t_grid >= t_grid[-1] / 10.0
+    if in_last_decade.all():
+        raise ValueError(f"no time of the grid lies before its last decade "
+                         f"[{t_grid[-1] / 10.0:g}, {t_grid[-1]:g}], so stabilisation "
+                         f"cannot be judged")
     r0 = np.empty(t_grid.size)
     r1 = np.empty(t_grid.size)
     cc = 0.0
@@ -345,9 +353,7 @@ def convergence_check(spec: HeatSourceSpec, t_grid) -> ConvergenceReport:
     weighted = (1.0 + t_grid) ** 0.75 / np.log(2.0 + t_grid) * r0
     weighted_d = (1.0 + t_grid) ** 1.25 / np.log(2.0 + t_grid) * r1
     sup0 = np.maximum.accumulate(weighted)
-    in_last_decade = t_grid >= t_grid[-1] / 10.0
-    prev = sup0[~in_last_decade].max() if np.any(~in_last_decade) else sup0[-1]
-    stabilized = bool(sup0[-1] <= prev * 1.05)
+    stabilized = bool(sup0[-1] <= sup0[~in_last_decade].max() * 1.05)
     msk = t_grid >= max(t_grid[0], 1.0)
     slope, _ = special.loglog_fit(1.0 + t_grid[msk], r0[msk])
     return ConvergenceReport(

@@ -14,15 +14,18 @@ forms them once.
 A step works on a fixed set of work arrays: ``Stepper.step`` allocates
 ``_STEP_ARRAYS`` spectrum-sized arrays per call, and it, ``source`` and
 ``_apply`` write every product, sum and transform into them (``out=``, with
-the out-taking transforms ``coeffs_into`` and ``samples_into``).  The
-operands and their order are the formulas', so the bits are the same as with
-a new array per operation.
+the out-taking transforms ``coeffs_into`` and ``samples_into``).  The new
+state is two of them, symmetrized in place (``spectral.symmetrize``, with
+one half-size temporary), so a step makes no other grid-sized array but the
+nonlinearity's products.  The operands and their order are the formulas',
+so the bits are the same as with a new array per operation.
 
 ``run`` records snapshots at the times ``snapshot_times`` gives and hands
 each to an ``on_snapshot(state, t)`` consumer as it is made.  It stores
 none, so memory does not grow with the snapshot count: the consumer keeps
 what it needs (``verify.RemainderAccumulator`` for ``ptails verify``, a
-series of norms and a few states for ``ptails simulate``).
+series of norms and a few states for ``ptails simulate``).  Of the initial
+state it keeps only the symmetrized copy it starts from.
 
 One source evaluation costs three transforms: inverse transforms of ``a`` and
 ``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
@@ -42,7 +45,7 @@ import numpy as np
 from .nonlinearity import Nonlinearity
 from .semigroup import propagator_entries
 from .spectral import (Grid, SpectralField, StateVector, coeffs_into, mass,
-                       norms, samples_into, transform_forward)
+                       norms, samples_into, symmetrize, transform_forward)
 
 __all__ = [
     "SimConfig",
@@ -201,10 +204,9 @@ class Stepper:
         _axpy(e1, dt, x1, x1)                               #   + dt ek3
         self.source((x0, x1), h, sw)                        # h = k4
         np.add(s1, h, out=s1)
-        out = StateVector(SpectralField(self.grid, _axpy(e0, dt / 6, s0, s0)),
-                          SpectralField(self.grid, _axpy(e1, dt / 6, s1, s1)),
-                          "physical")
-        return out.symmetrized()
+        a = symmetrize(_axpy(e0, dt / 6, s0, s0))
+        b = symmetrize(_axpy(e1, dt / 6, s1, s1))
+        return StateVector(SpectralField(self.grid, a), SpectralField(self.grid, b), "physical")
 
 
 def gaussian_initial_state(config: SimConfig) -> StateVector:
@@ -273,6 +275,7 @@ def run(config: SimConfig, nl: Nonlinearity,
 
     t0 = time.perf_counter()
     state = initial.symmetrized()
+    del initial              # the run reads only the symmetrized copy
     record(state, 0.0)
     for i in range(1, n_steps + 1):
         state = stepper.step(state)
@@ -298,11 +301,11 @@ def to_characteristic_frame(state: StateVector, phases: tuple) -> StateVector:
     if state.frame != "physical":
         raise ValueError("expected a physical-frame state")
     a, b = state.first.coeffs, state.second.coeffs
+    u, v = np.add(a, b), np.subtract(a, b)
     # not ``phases[0] * (a + b)``: numpy would write that product into the
     # temporary a + b with the operands swapped, and a complex product's
     # fused multiply-add rounds differently in the two orders
-    u = np.multiply(phases[0], a + b)
-    v = np.multiply(phases[1], a - b)
-    return StateVector(SpectralField(state.grid, u).symmetrized(),
-                       SpectralField(state.grid, v).symmetrized(),
-                       "characteristic")
+    np.multiply(phases[0], u, out=u)
+    np.multiply(phases[1], v, out=v)
+    return StateVector(SpectralField(state.grid, symmetrize(u)),
+                       SpectralField(state.grid, symmetrize(v)), "characteristic")

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   integral of the field.
 
 Real-valued fields are stored as full complex spectra with Hermitian
-symmetry re-enforced after multiplier applications.
+symmetry re-enforced after multiplier applications, in place by
+``symmetrize``.
 
 Transforms on the simulation grid go through one complex-to-complex pair,
 ``coeffs_into`` and ``samples_into`` (numpy's pocketfft with
@@ -38,6 +39,7 @@ __all__ = [
     "coeffs_into",
     "samples_of",
     "samples_into",
+    "symmetrize",
     "transform_forward",
     "derivative",
     "mass",
@@ -134,17 +136,32 @@ class SpectralField:
 
     def symmetrized(self) -> "SpectralField":
         """Enforce Hermitian symmetry c(-k) = conj(c(k)); zero Nyquist imag."""
-        c = self.coeffs
-        n = self.grid.n_points
-        sym = np.empty_like(c)
-        sym[0] = c[0].real
-        # 0.5 (c[m] + conj(c[n - m])) for m >= 1, built in the result itself
-        tail = sym[1:]
-        np.conjugate(c[:0:-1], out=tail)
-        np.add(c[1:], tail, out=tail)
-        np.multiply(0.5, tail, out=tail)
-        sym[n // 2] = sym[n // 2].real
-        return SpectralField(self.grid, sym)
+        return SpectralField(self.grid, symmetrize(self.coeffs.copy()))
+
+
+def symmetrize(c: np.ndarray) -> np.ndarray:
+    """Hermitian symmetrization of a full spectrum, in place, returning it:
+    c[0] and c[n/2] keep their real parts and every other c[m] becomes
+    0.5 (c[m] + conj(c[n - m])).  Each entry is formed by that formula,
+    operands in that order, not as the conjugate of its mirror: the two
+    differ in the sign of a zero imaginary part where c[m] and c[n - m]
+    cancel.  Holds one half-size temporary, the old lower half."""
+    n = c.size
+    h = n // 2
+    low, high = c[1:h], c[h + 1:]
+    old_low = low.copy()
+    np.conjugate(high[::-1], out=low)
+    np.add(old_low, low, out=low)
+    np.multiply(0.5, low, out=low)
+    np.conjugate(old_low, out=old_low)
+    np.add(high, old_low[::-1], out=high)
+    np.multiply(0.5, high, out=high)
+    nyquist = c[h:h + 1]
+    np.add(nyquist, np.conjugate(nyquist), out=nyquist)
+    np.multiply(0.5, nyquist, out=nyquist)
+    c[0] = c[0].real
+    c[h] = c[h].real
+    return c
 
 
 def _mode_parity(grid: Grid) -> np.ndarray:

@@ -28,10 +28,15 @@ only scalars; it is ``solver.run``'s ``on_snapshot`` consumer, the one
 route by which the pipeline sees a run, so no snapshot is stored: per side
 and fit-window snapshot, the raw norm, <r_lin, G> and ||G||^2 with
 G = (1+t)^{-3/4} g_1, the N1 and N1_D norms, ||r_lin - w||^2 and
-<r_lin - w, G>, where w is the transient.  The snapshot times, the window
-and the tail time are known before the run, and the model needs only the
-initial masses.  N0 needs the fitted d_1, so it comes afterwards, in
-``remainder_pipeline``, from the identity
+<r_lin - w, G>, where w is the transient.  Of the snapshot nearest the
+tail time it keeps the samples the tail check reads, taken from the same
+transform as the window work.  The snapshot times, the window and the tail
+time are known before the run, and the model needs only the initial
+masses.  Between snapshots it holds no grid-sized array but the initial
+state, the leading profiles' transforms and the transient's sources; each
+snapshot's frame change and linear reference are arrays of its own, which
+its remainders are transformed in.  N0 needs the fitted d_1, so it comes
+afterwards, in ``remainder_pipeline``, from the identity
 
     ||r_lin - w + d_1 G||^2 = ||r_lin - w||^2 + 2 d_1 <r_lin - w, G> + d_1^2 ||G||^2,
 
@@ -50,8 +55,8 @@ from .profiles import ExpansionModel
 from .semigroup import propagator_entries
 from .solver import (TrajectoryRecord, frame_phases, snapshot_times,
                      to_characteristic_frame)
-from .spectral import (StateVector, coeffs_of, field_from_continuum_fhat, mass,
-                       samples_of, transform_forward)
+from .spectral import (StateVector, coeffs_into, field_from_continuum_fhat, mass,
+                       samples_into, transform_forward)
 
 __all__ = [
     "DecayFitReport",
@@ -305,18 +310,26 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
     the char frame] minus [decoupled heat evolution of the sampled leading
     profile]: the sum of the data's intertwining defect and the mass-matched
     mismatch.  The propagator and the heat factor are formed once for both
-    sides; ``phases`` are the frame's multipliers at t (``frame_phases``)."""
+    sides; ``phases`` are the frame's multipliers at t (``frame_phases``).
+    Each side's row is built in its result array, through one scratch array
+    shared by the sides."""
     k = initial.grid.k
     a0, b0 = initial.first.coeffs, initial.second.coeffs
     P, Q, R = propagator_entries(k, t)
     heat_factor = np.exp(-k * k * t)
+    work = np.empty_like(a0)
     out = {}
-    if "+" in g0_hat:
-        row = (P + Q) * a0 + (Q + R) * b0
-        out["+"] = phases[0] * row - heat_factor * g0_hat["+"]
-    if "-" in g0_hat:
-        row = (P - Q) * a0 + (Q - R) * b0
-        out["-"] = phases[1] * row - heat_factor * g0_hat["-"]
+    for side, combine, phase in (("+", np.add, phases[0]),
+                                 ("-", np.subtract, phases[1])):
+        if side not in g0_hat:
+            continue
+        # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
+        row = combine(P, Q)
+        np.multiply(row, a0, out=row)
+        np.multiply(combine(Q, R, out=work), b0, out=work)
+        np.add(row, work, out=row)
+        np.multiply(phase, row, out=row)
+        out[side] = np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
     return out
 
 
@@ -341,26 +354,36 @@ def _transient_sweep(coeff: float, c_osc: float, qhat, grid, times):
     grid-convention coefficients.  Its large-time limit is the d_1 g_1 term,
     so W minus that term is the finite-time transient.  One marched
     quadrature covers all times, and each row is marched when it is drawn,
-    so the sweep holds one row and the source's interpolant, not a row per
-    time; modes beyond k^2 (1+t) ~ 72 are negligible and drop out as t
-    grows."""
+    so between draws the sweep holds the march's per-mode sums and the
+    source's interpolant, nothing grid-sized; modes beyond k^2 (1+t) ~ 72
+    are negligible and drop out as t grows."""
     n = grid.n_points
     if coeff == 0.0 or qhat is None:
         for _ in times:
             yield np.zeros(n, dtype=complex)
         return
-    k = grid.k
     kcut = 8.5 / np.sqrt(1.0 + np.asarray(times)) + 0.3
-    sel = (k >= 0) & (k <= kcut[0])
-    ks = k[sel]
+    # the modes k >= 0 are the first n/2, in increasing order, so those up
+    # to the first cut lead them.  A suspended generator keeps its locals,
+    # so none of them is a grid-sized array
+    k = grid.k[:n // 2]
+    ks = k[:np.count_nonzero(k <= kcut[0])].copy()
+    del k
     rows = heat._duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
-    conj_idx = (-np.arange(n)) % n
-    neg = k < 0
     for row in rows:
-        what = np.zeros(n, dtype=complex)
-        what[sel] = coeff * 1j * ks * row
-        what[neg] = np.conj(what[conj_idx][neg])
-        yield field_from_continuum_fhat(grid, what).coeffs
+        yield _real_field_coeffs(grid, coeff * 1j * ks * row)
+
+
+def _real_field_coeffs(grid, fhat_low) -> np.ndarray:
+    """Coefficients of the real field whose continuum transform is
+    ``fhat_low`` on the leading modes k >= 0 and zero on the other k >= 0;
+    each mode k < 0 but the Nyquist one holds the conjugate of its mirror."""
+    n = grid.n_points
+    h = n // 2
+    fhat = np.zeros(n, dtype=complex)
+    fhat[:fhat_low.size] = fhat_low
+    np.conjugate(fhat[h - 1:0:-1], out=fhat[h + 1:])
+    return field_from_continuum_fhat(grid, fhat).coeffs
 
 
 def _d1_fit_window(t: np.ndarray):
@@ -431,9 +454,11 @@ class RemainderAccumulator:
     does the work of each snapshot in the fit window [t_final/20, t_final]
     once for both sides and keeps only scalars (see the module docstring).
     The first snapshot is the initial state, which the linear reference
-    reads.  With a ``tail_time`` it also keeps the one snapshot nearest that
-    time, for ``tail_precedence_check``.  A window snapshot whose mass
-    drifts is refused before it is transformed, which ends the run.
+    reads.  With a ``tail_time``, of the one snapshot nearest that time it
+    keeps what ``tail_precedence_check`` reads: the samples of the +
+    component in the two z-windows and their largest magnitude, bit-equal
+    to those of the whole snapshot.  A window snapshot whose mass drifts is
+    refused before it is transformed, which ends the run.
     """
 
     def __init__(self, model: ExpansionModel, config, sides: str = "+-",
@@ -445,7 +470,7 @@ class RemainderAccumulator:
         if sum(self._in_window) < 6:
             raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
         self.times = np.array([t for t, w in zip(self.snapshot_times, self._in_window) if w])
-        self.tail = None               # (state, t) for the tail check
+        self.tail = None               # (t, level, windows) for the tail check
         self._tail_index = (None if tail_time is None else int(np.argmin(
             np.abs(np.asarray(self.snapshot_times) - tail_time))))
         self.n_fed = 0
@@ -456,14 +481,14 @@ class RemainderAccumulator:
         # norm), rG = <r_lin, G>, GG = ||G||^2, n1 and n1_d (norms),
         # rwrw = ||r_lin - w||^2 and rwG = <r_lin - w, G>
         self.scalars = {side: {} for side in sides}
+        # grid.x and grid.k are built on each read; a snapshot's work reads
+        # them, so they are not held between snapshots
         self.grid = grid = config.grid()
-        # grid.x and grid.k are properties that build a new array each read
-        self._x, self._k = grid.x, grid.k
-        self._ik = 1j * self._k
         interp = model.interpolants()
         self._g0 = {side: interp[f"g0{side}"] for side in sides}
         self._g1 = {side: interp[f"g1{side}"] for side in sides}
-        self._g0_hat = {side: transform_forward(self._g0[side](self._x), grid).coeffs
+        x = grid.x
+        self._g0_hat = {side: transform_forward(self._g0[side](x), grid).coeffs
                         for side in sides}
         self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
                                                grid, self.times)
@@ -474,6 +499,19 @@ class RemainderAccumulator:
         for name, value in values.items():
             row.setdefault(name, []).append(value)
 
+    def _keep_tail(self, samples: np.ndarray, t: float) -> None:
+        """Keep what ``tail_precedence_check`` reads of the + component's
+        samples at t: the samples and their x in the two z-windows, ahead
+        (x > 0) and behind, and the largest sample magnitude."""
+        x = self.grid.x
+        root = np.sqrt(1.0 + t)
+        lo, hi = TAIL_Z_WINDOW[0] * root, TAIL_Z_WINDOW[1] * root
+        windows = {}
+        for sign in (+1, -1):
+            msk = (sign * x >= lo) & (sign * x <= hi)
+            windows[sign] = (x[msk], samples[msk])
+        self.tail = (t, float(np.abs(samples).max()), windows)
+
     def add(self, state: StateVector, t: float) -> None:
         i = self.n_fed
         if i >= len(self.snapshot_times) or t != self.snapshot_times[i]:
@@ -481,8 +519,11 @@ class RemainderAccumulator:
         self.n_fed += 1
         if i == 0:
             self._initial = state
-        if i == self._tail_index:
-            self.tail = (state, t)
+        # the window work below transforms the + component of a window
+        # snapshot anyway; any other tail snapshot is transformed here
+        tail = i == self._tail_index
+        if tail and not (self._in_window[i] and "+" in self.sides):
+            self._keep_tail(_char_component(state, t, "+").samples(), t)
         if not self._in_window[i]:
             return
         self.mass_error = max(self.mass_error,
@@ -494,25 +535,39 @@ class RemainderAccumulator:
             )
         self.peak = max(self.peak, float(np.abs(state.first.coeffs).max()
                                          + np.abs(state.second.coeffs).max()))
-        phases = frame_phases(self._k, t)
-        uv = to_characteristic_frame(state, phases)
+        phases = frame_phases(self.grid.k, t)
         lin = _linear_reference_coeffs(self._initial, t, self._g0_hat, phases)
+        uv = to_characteristic_frame(state, phases)
+        frame = {"+": uv.first.coeffs, "-": uv.second.coeffs}
+        del phases, uv
+        for side in self.sides:
+            self._add_side(side, t, frame.pop(side), lin.pop(side), tail and side == "+")
+
+    def _add_side(self, side: str, t: float, u_hat, lin_hat, keep_tail: bool) -> None:
+        """One side's scalars at window snapshot t from its frame component
+        and linear reference, this snapshot's own arrays: both are
+        transformed in place, and ``u_hat``, once read, holds the derivative
+        of the remainder."""
+        # drawn first, while the fewest arrays are alive
+        w = next(self._sweeps[side])
         dx = self.grid.dx
         root = np.sqrt(1.0 + t)
-        z = self._x / root
-        for side in self.sides:
-            u = uv.first if side == "+" else uv.second
-            r = u.samples() - self._g0[side](z) / root
-            self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
-            r = r - samples_of(lin[side]).real
-            G = (1.0 + t) ** -0.75 * self._g1[side](z)
-            self._keep(side, rG=float(r @ G), GG=float(G @ G))
-            # r becomes r_lin - w, the N1 remainder
-            r = r - samples_of(next(self._sweeps[side])).real
-            rr = np.sum(r ** 2)
-            dr = samples_of(self._ik * coeffs_of(r)).real
-            self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
-                       rwrw=rr, rwG=float(r @ G))
+        z = self.grid.x / root
+        u = samples_into(u_hat, u_hat).real
+        if keep_tail:
+            self._keep_tail(u, t)
+        r = u - self._g0[side](z) / root
+        self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
+        np.subtract(r, samples_into(lin_hat, lin_hat).real, out=r)
+        G = (1.0 + t) ** -0.75 * self._g1[side](z)
+        self._keep(side, rG=float(r @ G), GG=float(G @ G))
+        # r becomes r_lin - w, the N1 remainder
+        np.subtract(r, samples_into(w, w).real, out=r)
+        rr = np.sum(r ** 2)
+        ik = 1j * self.grid.k
+        dr = samples_into(np.multiply(ik, coeffs_into(r, u_hat), out=u_hat), u_hat).real
+        self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
+                   rwrw=rr, rwG=float(r @ G))
 
 
 def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> PipelineResult:
@@ -588,27 +643,23 @@ class TailPrecedenceReport:
 
 def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
-    characteristic at the snapshot ``fed`` kept, the one nearest its
-    ``tail_time``.  Ahead should carry the slow algebraic tail with the
-    stated exponent; behind should be Gaussian-like (steep or below the
-    measurement floor).  The window starts beyond z ~ 6.5 where the
-    algebraic tail overtakes the Gaussian shoulder of the leading profile."""
+    characteristic at the snapshot nearest the ``tail_time`` of ``fed``, from
+    the samples it kept of that snapshot.  Ahead should carry the slow
+    algebraic tail with the stated exponent; behind should be Gaussian-like
+    (steep or below the measurement floor).  The window starts beyond
+    z ~ 6.5 where the algebraic tail overtakes the Gaussian shoulder of the
+    leading profile."""
     if fed.tail is None:
-        raise ValueError("the accumulator kept no snapshot for the tail check")
-    snapshot, t = fed.tail
-    u = _char_component(snapshot, t, "+")
-    samples = u.samples()
-    x = u.grid.x
+        raise ValueError("the accumulator kept no samples for the tail check")
+    t, level, windows = fed.tail
     root = np.sqrt(1.0 + t)
     lo, hi = TAIL_Z_WINDOW[0] * root, TAIL_Z_WINDOW[1] * root
-    level = float(np.abs(samples).max())
 
     def side_slope(sign: int):
-        msk = (sign * x >= lo) & (sign * x <= hi)
-        vals = np.abs(samples[msk])
-        if vals.size < 8 or np.median(vals) < TAIL_FLOOR * max(level, 1.0):
+        x, samples = windows[sign]
+        if samples.size < 8 or np.median(np.abs(samples)) < TAIL_FLOOR * max(level, 1.0):
             return None
-        sl, _, _ = special.tail_exponent_fit(sign * x[msk], samples[msk], (lo, hi))
+        sl, _, _ = special.tail_exponent_fit(sign * x, samples, (lo, hi))
         return sl
 
     ahead = side_slope(+1)

@@ -3,8 +3,9 @@
 Each function here computes a quantity the package also computes, by a
 different method (adaptive QUADPACK quadrature of f_n and of the bound
 kernels, the 2x2 propagator matrix, an inverse transform by quadrature, a
-time-stepped solution), or samples a package result in a form only the
-tests read.  None of it runs in the ``ptails`` command.
+time-stepped solution, the full-grid arrays that in-place package routines
+replaced), or samples a package result in a form only the tests read.  None
+of it runs in the ``ptails`` command.
 
 The package loads only numpy.  The scipy modules these routes and the tests
 use (``scipy.integrate`` for QUADPACK, ``scipy.interpolate`` for splines,
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ptails.heat import (HeatSourceSpec, _ascending_bins, _bin_integral,
-                         solve_inhom_modes, un_reference_hat)
+                         _duhamel_integral, solve_inhom_modes, un_reference_hat)
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
 from ptails.solver import frame_phases
@@ -177,6 +178,25 @@ def Jn_infinity_extrapolated(n: int, z_base: float = 400.0) -> complex:
     b = [(a[i + 1] - r1 * a[i]) / (1 - r1) for i in range(2)]
     r2 = 2.0 ** (beta - 3.0)
     return (b[1] - r2 * b[0]) / (1 - r2)
+
+
+# --------------------------------------------------------------------------
+# spectral
+
+
+def symmetrized_by_formula(c: np.ndarray) -> np.ndarray:
+    """Hermitian symmetrization into a new array, every entry
+    0.5 (c[m] + conj(c[n - m])) formed from the untouched input: the
+    out-of-place route that ``spectral.symmetrize`` replaced."""
+    n = c.size
+    sym = np.empty_like(c)
+    sym[0] = c[0].real
+    tail = sym[1:]
+    np.conjugate(c[:0:-1], out=tail)
+    np.add(c[1:], tail, out=tail)
+    np.multiply(0.5, tail, out=tail)
+    sym[n // 2] = sym[n // 2].real
+    return sym
 
 
 # --------------------------------------------------------------------------
@@ -447,3 +467,22 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     n0 = [np.sqrt(np.sum((r - (samples_of(w).real - d1 * G)) ** 2) * dx)
           for (r, G), w in zip(fields, sweep)]
     return times, np.array(n0)
+
+
+def transient_sweep_full_grid(coeff: float, c_osc: float, qhat, grid: Grid, times):
+    """The rows of ``verify._transient_sweep`` built on full-grid index
+    arrays: the modes picked by a mask over ``grid.k``, and each mode k < 0
+    set from its mirror through a (-j) mod n index array."""
+    n = grid.n_points
+    k = grid.k
+    kcut = 8.5 / np.sqrt(1.0 + np.asarray(times)) + 0.3
+    sel = (k >= 0) & (k <= kcut[0])
+    ks = k[sel]
+    rows = _duhamel_integral(ks, times, -0.5, c_osc, qhat, k_cut=kcut)
+    conj_idx = (-np.arange(n)) % n
+    neg = k < 0
+    for row in rows:
+        what = np.zeros(n, dtype=complex)
+        what[sel] = coeff * 1j * ks * row
+        what[neg] = np.conj(what[conj_idx][neg])
+        yield field_from_continuum_fhat(grid, what).coeffs

@@ -268,7 +268,7 @@ def _warnings_of(tmp_path, text: str, *argv) -> tuple[int, list]:
 
 
 @pytest.mark.parametrize("text,command,expected", [
-    ("[heat]\nt_lo = 10.0\nt_hi = 100.0\nn_tims = 3\n", "heat",
+    ("[heat]\nt_lo = 1.0\nt_hi = 100.0\nn_tims = 3\n", "heat",
      ["config key [heat] n_tims is not read by heat"]),
     # the time stepper and the dealias fraction are no longer settable
     ("[grid]\nn_points = 256\nhalf_length = 60.0\n[simulate]\nt_final = 2.0\n"
@@ -289,6 +289,24 @@ def test_cli_warns_about_a_key_that_does_nothing(tmp_path, capsys, text, command
     assert found == expected
     err = capsys.readouterr().err
     assert all(f"warning: {message}\n" in err for message in found)
+
+
+@pytest.mark.parametrize("times,message", [
+    ("n_times = 1\n", "no time of the grid lies before its last decade [0.1, 1]"),
+    ("t_lo = 100.0\nt_hi = 10.0\nn_times = 5\n",
+     "convergence_check needs a strictly increasing time grid"),
+], ids=["one-time", "decreasing"])
+def test_cli_heat_refuses_a_grid_that_cannot_show_stabilisation(tmp_path, capsys, times,
+                                                                message):
+    # every time of either grid lies in its last decade, so the running sup
+    # would be compared with itself and read as stabilised
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("[heat]\nn = 1\nsigma = 1\nshape = gaussian\n" + times)
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "heat"]) == 1
+    verdicts = json.loads((tmp_path / "manifest_heat.json").read_text())["verdicts"]
+    assert verdicts["passed"] is False
+    assert verdicts["error"].startswith(message)
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_warns_about_a_section_no_subcommand_reads(tmp_path):

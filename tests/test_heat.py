@@ -98,6 +98,13 @@ def test_convergence_check_gaussian(gauss_spec):
     assert rep.measured_C < 100.0
 
 
+@pytest.mark.parametrize("times", [[100.0], [100.0, 50.0, 10.0], [1.0, 10.0, 10.0, 100.0],
+                                   np.geomspace(10.0, 100.0, 25)])
+def test_convergence_check_refuses_a_grid_that_cannot_show_stabilisation(gauss_spec, times):
+    with pytest.raises(ValueError):
+        convergence_check(gauss_spec, times)
+
+
 def test_convergence_check_zero_mass_source():
     spec = make_source(1, 1, "dgaussian")
     rep = convergence_check(spec, np.geomspace(1, 300, 12))
@@ -291,9 +298,10 @@ def test_streamed_march_matches_the_materialised_table():
 
 
 def test_transient_sweep_holds_one_row():
-    # after its first yield the sweep holds its grid-sized index arrays, the
-    # row it yielded and the march's per-mode sums: a few spectra, where the
-    # (times, modes) table would be about 23 of them
+    # between draws the sweep holds the march's per-mode sums and no
+    # grid-sized array: about half a spectrum, where the (times, modes)
+    # table would be about 23 of them.  With its full-grid mode mask, mirror
+    # index and last row kept between draws it held 2.7
     g = Grid(2 ** 13, 600.0)
     times = np.geomspace(2.5, 50.0, 200)
     fh = heat._numeric_fhat(heat.gaussian_shape())
@@ -310,7 +318,7 @@ def test_transient_sweep_holds_one_row():
     spectrum = 16 * g.n_points
     modes = np.count_nonzero((g.k >= 0) & (g.k <= 8.5 / np.sqrt(1.0 + times[0]) + 0.3))
     assert times.size * modes * 16 > 20 * spectrum
-    assert max(held) < 5 * spectrum, [h / spectrum for h in held]
+    assert max(held) < 1 * spectrum, [h / spectrum for h in held]
 
 
 def test_duhamel_marched_rejects_bad_times():

@@ -246,7 +246,7 @@ def test_command_loads_no_heavy_scipy_subpackage(tmp_path):
         "[simulate]\nt_final = 50.0\nsnapshots = 40\n"
         "[verify]\nd1_tolerance = 10.0\nrequire_tail = false\n")
     (tmp_path / "p.cfg").write_text("[profiles]\nalpha = 0.5\ngamma = 0.1\nn_max = 1\n")
-    (tmp_path / "h.cfg").write_text("[heat]\nt_lo = 10.0\nt_hi = 100.0\nn_times = 3\n")
+    (tmp_path / "h.cfg").write_text("[heat]\nt_lo = 1.0\nt_hi = 100.0\nn_times = 3\n")
     (tmp_path / "g.cfg").write_text("[semigroup]\nn_k = 51\n")
     script = textwrap.dedent("""
         import sys

@@ -3,11 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_real_field, run_collecting
+from oracles import symmetrized_by_formula
 from ptails.nonlinearity import default_nonlinearity
 from ptails.solver import SimConfig
 from ptails.spectral import (Grid, NormReport, SpectralField, coeffs_of,
                              derivative, field_from_continuum_fhat, mass,
-                             norms, samples_of, transform_forward)
+                             norms, samples_of, symmetrize, transform_forward)
 
 
 def test_grid_invariants():
@@ -179,6 +180,51 @@ def test_hermitian_symmetrization(grid_small, rng):
     c = SpectralField(grid_small, coeffs).symmetrized().coeffs
     assert np.abs(c[1:] - np.conj(c[1:][::-1])).max() < 1e-14
     assert np.abs(samples_of(c).imag).max() < 1e-12
+
+
+def _spectra_to_symmetrize(n: int, rng) -> dict:
+    """Random spectra, spectra with Nyquist content, and spectra whose
+    mirrored pairs cancel exactly: c[n - m] and c[m] with equal imaginary
+    parts, whose sums c[m] + conj(c[n - m]) then have a zero imaginary part
+    of either sign, and pairs with an equal real part and opposite-signed
+    zeros."""
+    def draw():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    h = n // 2
+    random = draw()
+    nyquist = 1e-3 * draw()
+    nyquist[h] = complex(0.7, -0.3)
+    cancel = draw()
+    cancel.imag[h + 1:] = cancel.imag[h - 1:0:-1]
+    cancel.real[h + 1::2] = cancel.real[h - 1:0:-1][::2]
+    zeros = np.zeros(n, dtype=complex)
+    zeros.real[1::3] = -0.0
+    zeros.imag[2::3] = -0.0
+    zeros[h] = complex(-0.0, 2.0)
+    return {"random": random, "nyquist": nyquist, "cancel": cancel, "zeros": zeros}
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 2 ** 12])
+def test_symmetrize_in_place_matches_the_formula_bytewise(n, rng):
+    # the in-place symmetrization, and symmetrized() through it, give the
+    # bytes of the out-of-place formula; building half the entries as the
+    # conjugates of the others would flip the sign of the zeros that the
+    # cancelling pairs leave
+    grid = Grid(n, 10.0)
+    for name, c in _spectra_to_symmetrize(n, rng).items():
+        want = symmetrized_by_formula(c)
+        copy = c.copy()
+        got = symmetrize(copy)
+        assert got is copy
+        assert got.tobytes() == want.tobytes(), name
+        field = SpectralField(grid, c)
+        assert field.symmetrized().coeffs.tobytes() == want.tobytes(), name
+        assert field.coeffs.tobytes() == c.tobytes()          # input untouched
+    if n > 2:
+        sym = symmetrized_by_formula(_spectra_to_symmetrize(n, rng)["cancel"])
+        h = n // 2
+        assert sym[h + 1:].tobytes() != np.conj(sym[h - 1:0:-1]).tobytes()
 
 
 def test_fhat_matches_continuum_transform():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 
 from conftest import run_collecting
 from oracles import (bound_kernel_B0_quad, bound_kernel_B_quad,
-                     fhat_on_largest_grid, full_remainder_norms)
-from ptails import profiles, verify
+                     fhat_on_largest_grid, full_remainder_norms,
+                     transient_sweep_full_grid)
+from ptails import profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
-from ptails.spectral import SpectralField, StateVector, mass
+from ptails.spectral import Grid, SpectralField, StateVector, mass
 from ptails.verify import (B0_EXPONENTS, USED_KERNEL_PARAMS, BoundKernelParams,
                            DecayFitReport, RemainderAccumulator, bound_check,
                            bound_kernel_B, bound_kernel_B0,
@@ -252,7 +254,7 @@ def test_pipeline_refuses_mass_drift_before_the_expensive_work():
 
 
 def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
-    # one run feeds two accumulators as it goes, one keeping a tail snapshot
+    # one run feeds two accumulators as it goes, one keeping tail samples
     # and one not, and keeps no snapshot; a separate run's snapshots, stored
     # by a list consumer and fed afterwards, give the same bits: the run
     # hands out each snapshot as recorded and never changes it afterwards
@@ -281,7 +283,93 @@ def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
         assert streamed.reports == stored.reports
     assert tail_precedence_check(accs["tail"]) == tail_precedence_check(medium_fed)
     with pytest.raises(ValueError):
-        tail_precedence_check(accs["no_tail"])       # it kept no tail snapshot
+        tail_precedence_check(accs["no_tail"])       # it kept no tail samples
+
+
+def _tail_report_from_snapshot(snapshot: StateVector, t: float):
+    """The tail check made from a stored snapshot, as it was before the
+    accumulator kept only the samples it reads: the + component's samples
+    over the whole grid, then the two z-windows picked from them."""
+    u = verify._char_component(snapshot, t, "+")
+    samples = u.samples()
+    x = u.grid.x
+    root = np.sqrt(1.0 + t)
+    lo, hi = verify.TAIL_Z_WINDOW[0] * root, verify.TAIL_Z_WINDOW[1] * root
+    level = float(np.abs(samples).max())
+
+    def side_slope(sign: int):
+        msk = (sign * x >= lo) & (sign * x <= hi)
+        vals = np.abs(samples[msk])
+        if vals.size < 8 or np.median(vals) < verify.TAIL_FLOOR * max(level, 1.0):
+            return None
+        return special.tail_exponent_fit(sign * x[msk], samples[msk], (lo, hi))[0]
+
+    ahead, behind = side_slope(+1), side_slope(-1)
+    return verify.TailPrecedenceReport(
+        ahead_slope=ahead, behind_slope=behind,
+        ahead_is_algebraic=(ahead is not None and abs(ahead - verify.TAIL_EXPONENT)
+                            <= verify.TAIL_EXPONENT_TOLERANCE),
+        behind_is_gaussian=behind is None or behind <= -4.0,
+        conclusive=ahead is not None and -4.0 < ahead < 0.0)
+
+
+@pytest.mark.parametrize("sides,tail_time,in_window", [
+    ("+-", 150.0, True), ("+-", 5.0, False), ("-", 150.0, True),
+], ids=["window", "before-window", "minus-side-only"])
+def test_tail_report_from_kept_samples_equals_stored_snapshot(
+        medium_run, medium_model, medium_fed, sides, tail_time, in_window):
+    # the samples the accumulator keeps come from its window work on the +
+    # component, or from a transform of their own for a snapshot outside
+    # the fit window or a run that fits only the - side: the report is the
+    # one the whole stored snapshot gives, bit for bit
+    traj, snapshots = medium_run
+    acc = (medium_fed if (sides, tail_time) == ("+-", 150.0)
+           else _fed(medium_run, medium_model, sides=sides, tail_time=tail_time))
+    i = int(np.argmin(np.abs(np.asarray(traj.times) - tail_time)))
+    assert (traj.times[i] >= traj.config.t_final / 20.0) == in_window
+    got = tail_precedence_check(acc)
+    assert got == _tail_report_from_snapshot(snapshots[i], traj.times[i])
+    assert got.ahead_slope is not None
+
+
+def test_streamed_accumulator_holds_no_state_but_the_initial():
+    # after a streamed run with a tail check, the only state left alive is
+    # the initial one that the linear reference reads
+    cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
+                    epsilon0=0.05, n_snapshots=40)
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, StateVector)}
+    _, acc, traj = _stream(cfg, default_nonlinearity(), tail_time=75.0)
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, StateVector) and id(o) not in before]
+    assert len(alive) == 1 and alive[0] is acc._initial
+    assert acc.tail is not None and acc.n_fed == len(traj.times)
+
+
+def test_streamed_verify_working_set_is_bounded():
+    # a streamed run holds the stepper's tables, the current and initial
+    # states and the accumulator's sweeps, with a step's or a snapshot's
+    # work arrays on top: 24.5 spectra above the level before the run.
+    # Holding the tail snapshot, the unsymmetrized initial state and the
+    # sweeps' full-grid index arrays, with an out-of-place symmetrization,
+    # took it to 34.5
+    cfg = SimConfig(n_points=2 ** 13, half_length=300.0, t_final=50.0,
+                    epsilon0=0.05, b_fraction=0.3, n_snapshots=60)
+    nl = default_nonlinearity()
+    model = build_model_from_trajectory(gaussian_initial_state(cfg), nl, N=1)
+    tracemalloc.start()
+    try:
+        acc = RemainderAccumulator(model, cfg, tail_time=25.0)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = run(cfg, nl, acc.add)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not traj.abort_reason and acc.tail is not None
+    spectrum = 16 * cfg.n_points
+    assert peak < 28 * spectrum, peak / spectrum
 
 
 def test_n0_from_inner_products_matches_whole_fields(medium_run, medium_model, medium_fed):
@@ -340,6 +428,26 @@ def test_transient_source_matches_largest_grid(flagship_model, side):
     assert np.abs(fhat(k) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("n_points,half_length", [(2 ** 13, 600.0), (16, 4.0), (2, 1.0)],
+                         ids=["some-modes", "all-modes", "two-points"])
+def test_transient_sweep_matches_the_full_grid_mirror(flagship_model, side, n_points,
+                                                      half_length):
+    # the sweep's rows, mirrored to k < 0 by slices, are byte-equal to the
+    # rows built with a full-grid mode mask and mirror index; on 16 points
+    # every mode k >= 0 lies below the first cut, and on 2 the only one is
+    # k = 0
+    grid = Grid(n_points, half_length)
+    times = np.geomspace(0.5, 50.0, 12)
+    source = verify._transient_source_fhat(flagship_model, side)
+    got = list(verify._transient_sweep(*source, grid, times))
+    want = list(transient_sweep_full_grid(*source, grid, times))
+    assert len(got) == len(want) == times.size
+    for row, ref in zip(got, want):
+        assert row.tobytes() == ref.tobytes()
+    assert (np.abs(got[0]).max() > 0.0) == (n_points > 2)
+
+
 def test_transient_source_memory_is_small(flagship_model):
     verify._transient_source_fhat(flagship_model, "+")
     tracemalloc.start()
@@ -368,8 +476,8 @@ def test_streamed_mass_check_refuses_before_transforming(
         raise AssertionError("transformed a snapshot whose mass drifted")
 
     monkeypatch.setattr(verify, "to_characteristic_frame", unreachable)
-    monkeypatch.setattr(verify, "samples_of", unreachable)
-    monkeypatch.setattr(verify, "coeffs_of", unreachable)
+    monkeypatch.setattr(verify, "samples_into", unreachable)
+    monkeypatch.setattr(verify, "coeffs_into", unreachable)
     with pytest.raises(ValueError) as exc:
         acc.add(drifted, t)
     assert str(exc.value) == expected
