@@ -156,9 +156,6 @@ def symmetrize(c: np.ndarray) -> np.ndarray:
     np.conjugate(old_low, out=old_low)
     np.add(high, old_low[::-1], out=high)
     np.multiply(0.5, high, out=high)
-    nyquist = c[h:h + 1]
-    np.add(nyquist, np.conjugate(nyquist), out=nyquist)
-    np.multiply(0.5, nyquist, out=nyquist)
     c[0] = c[0].real
     c[h] = c[h].real
     return c

@@ -29,14 +29,15 @@ route by which the pipeline sees a run, so no snapshot is stored: per side
 and fit-window snapshot, the raw norm, <r_lin, G> and ||G||^2 with
 G = (1+t)^{-3/4} g_1, the N1 and N1_D norms, ||r_lin - w||^2 and
 <r_lin - w, G>, where w is the transient.  Of the snapshot nearest the
-tail time it keeps the samples the tail check reads, taken from the same
-transform as the window work.  The snapshot times, the window and the tail
-time are known before the run, and the model needs only the initial
-masses.  Between snapshots it holds no grid-sized array but the initial
-state, the leading profiles' transforms and the transient's sources; each
-snapshot's frame change and linear reference are arrays of its own, which
-its remainders are transformed in.  N0 needs the fitted d_1, so it comes
-afterwards, in ``remainder_pipeline``, from the identity
+tail time it keeps the samples the tail check reads, from a transform of
+that snapshot's + component made before its window work.  The snapshot
+times, the window and the tail time are known before the run, and the
+model needs only the initial masses.  Between snapshots it holds no
+grid-sized array but the initial state, the leading profiles' transforms
+and the transient's sources; each snapshot's frame change and linear
+reference are arrays of its own, which its remainders are transformed
+in.  N0 needs the fitted d_1, so it comes afterwards, in
+``remainder_pipeline``, from the identity
 
     ||r_lin - w + d_1 G||^2 = ||r_lin - w||^2 + 2 d_1 <r_lin - w, G> + d_1^2 ||G||^2,
 
@@ -458,7 +459,7 @@ class RemainderAccumulator:
     keeps what ``tail_precedence_check`` reads: the samples of the +
     component in the two z-windows and their largest magnitude, bit-equal
     to those of the whole snapshot.  A window snapshot whose mass drifts is
-    refused before it is transformed, which ends the run.
+    refused before its window work, which ends the run.
     """
 
     def __init__(self, model: ExpansionModel, config, sides: str = "+-",
@@ -519,10 +520,7 @@ class RemainderAccumulator:
         self.n_fed += 1
         if i == 0:
             self._initial = state
-        # the window work below transforms the + component of a window
-        # snapshot anyway; any other tail snapshot is transformed here
-        tail = i == self._tail_index
-        if tail and not (self._in_window[i] and "+" in self.sides):
+        if i == self._tail_index:
             self._keep_tail(_char_component(state, t, "+").samples(), t)
         if not self._in_window[i]:
             return
@@ -541,9 +539,9 @@ class RemainderAccumulator:
         frame = {"+": uv.first.coeffs, "-": uv.second.coeffs}
         del phases, uv
         for side in self.sides:
-            self._add_side(side, t, frame.pop(side), lin.pop(side), tail and side == "+")
+            self._add_side(side, t, frame.pop(side), lin.pop(side))
 
-    def _add_side(self, side: str, t: float, u_hat, lin_hat, keep_tail: bool) -> None:
+    def _add_side(self, side: str, t: float, u_hat, lin_hat) -> None:
         """One side's scalars at window snapshot t from its frame component
         and linear reference, this snapshot's own arrays: both are
         transformed in place, and ``u_hat``, once read, holds the derivative
@@ -554,8 +552,6 @@ class RemainderAccumulator:
         root = np.sqrt(1.0 + t)
         z = self.grid.x / root
         u = samples_into(u_hat, u_hat).real
-        if keep_tail:
-            self._keep_tail(u, t)
         r = u - self._g0[side](z) / root
         self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
         np.subtract(r, samples_into(lin_hat, lin_hat).real, out=r)

@@ -318,10 +318,10 @@ def _tail_report_from_snapshot(snapshot: StateVector, t: float):
 ], ids=["window", "before-window", "minus-side-only"])
 def test_tail_report_from_kept_samples_equals_stored_snapshot(
         medium_run, medium_model, medium_fed, sides, tail_time, in_window):
-    # the samples the accumulator keeps come from its window work on the +
-    # component, or from a transform of their own for a snapshot outside
-    # the fit window or a run that fits only the - side: the report is the
-    # one the whole stored snapshot gives, bit for bit
+    # the samples the accumulator keeps come from a transform of the +
+    # component of its own, inside or outside the fit window and whichever
+    # sides are fitted: the report is the one the whole stored snapshot
+    # gives, bit for bit
     traj, snapshots = medium_run
     acc = (medium_fed if (sides, tail_time) == ("+-", 150.0)
            else _fed(medium_run, medium_model, sides=sides, tail_time=tail_time))
