@@ -30,6 +30,7 @@ __all__ = [
     "BRANCH_THRESHOLD",
     "propagator_cs",
     "propagator_entries",
+    "propagated_sums",
     "kernel_bound_check",
     "intertwining_defect",
     "KernelBoundReport",
@@ -107,6 +108,29 @@ def propagator_entries(k: np.ndarray, t: float):
     k = np.asarray(k, dtype=float)
     C, S = propagator_cs(k, t)
     return (C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex)
+
+
+def propagated_sums(k: np.ndarray, t: float, a: np.ndarray, b: np.ndarray,
+                    sides: str) -> dict:
+    """{side: first +- second component of e^{Lt}(k) (a, b)} for each side
+    ("+" or "-") in ``sides``: the rows (P +- Q) a + (Q +- R) b.  Of the
+    entries (P, Q, R), formed and stored complex as ``propagator_entries``
+    forms them, Q and one of P and R are held at a time."""
+    combines = {side: np.add if side == "+" else np.subtract for side in sides}
+    k = np.asarray(k, dtype=float)
+    C, S = propagator_cs(k, t)
+    Q = 1j * S
+    P = (C + k * S).astype(complex)
+    out = {side: combine(P, Q) for side, combine in combines.items()}
+    for row in out.values():
+        np.multiply(row, a, out=row)
+    del P
+    R = (C - k * S).astype(complex)
+    del C, S
+    work = np.empty_like(Q)
+    for side, combine in combines.items():
+        np.add(out[side], np.multiply(combine(Q, R, out=work), b, out=work), out=out[side])
+    return out
 
 
 @dataclass(frozen=True)

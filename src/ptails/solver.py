@@ -137,12 +137,11 @@ class Stepper:
         self.grid = grid
         self.dt = dt
         self.nl = nl
-        self.k = grid.k
-        self.ik = 1j * self.k
-        kmax = float(np.abs(self.k).max())
-        self.dealias = np.abs(self.k) <= DEALIAS_FRACTION * kmax
-        self.ik_dealias = self.ik * self.dealias
-        self._tables = {tag: propagator_entries(self.k, tt)
+        k = grid.k
+        self.ik = 1j * k
+        dealias = np.abs(k) <= DEALIAS_FRACTION * float(np.abs(k).max())
+        self.ik_dealias = self.ik * dealias
+        self._tables = {tag: propagator_entries(k, tt)
                         for tag, tt in (("half", dt / 2.0), ("full", dt))}
 
     def _apply(self, pair, tag, out, work):
@@ -221,7 +220,8 @@ def _snapshot_steps(n_steps: int, n_snapshots: int) -> set:
     if n_snapshots >= n_steps:
         return set(range(1, n_steps + 1))
     geo = np.geomspace(1, n_steps, n_snapshots)
-    return set(np.unique(np.round(geo).astype(int)))
+    # a set, not np.unique, which imports numpy.ma
+    return set(np.round(geo).astype(int).tolist())
 
 
 def _schedule(config: SimConfig) -> tuple[float, int, dict]:

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import heat, profiles, special
 from .profiles import ExpansionModel
-from .semigroup import propagator_entries
+from .semigroup import propagated_sums
 from .solver import (TrajectoryRecord, frame_phases, snapshot_times,
                      to_characteristic_frame)
 from .spectral import (StateVector, coeffs_into, field_from_continuum_fhat, mass,
@@ -199,6 +199,15 @@ def _panel_sum(edges: np.ndarray, integrand) -> float:
     return float(np.sum(weights * integrand(nodes)))
 
 
+def _b0_edges(t: float) -> np.ndarray:
+    """The panel edges of ``bound_kernel_B0`` in w: the graded edges and the
+    multiples of 4 below min(sqrt(t), 24), merged distinct and ascending by
+    one sort (np.union1d gives the same values but imports numpy.ma)."""
+    w = np.sort(np.concatenate((np.sqrt(t - _graded_edges(t)),
+                                np.arange(0.0, min(np.sqrt(t), 24.0), 4.0))))
+    return w[np.concatenate(([True], w[1:] != w[:-1]))]
+
+
 def bound_kernel_B0(q: float, t: float) -> float:
     """B0[q](t) = int_0^t e^{-(t-s)/8} / (sqrt(t-s) (1+s)^q) ds in w = sqrt(t-s),
     free of the endpoint singularity, on panels across which 1 + s grows at
@@ -207,8 +216,8 @@ def bound_kernel_B0(q: float, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    w = np.union1d(np.sqrt(t - _graded_edges(t)), np.arange(0.0, min(np.sqrt(t), 24.0), 4.0))
-    return _panel_sum(w, lambda w: 2.0 * np.exp(-w * w / 8.0) * (1.0 + t - w * w) ** (-q))
+    return _panel_sum(_b0_edges(t),
+                      lambda w: 2.0 * np.exp(-w * w / 8.0) * (1.0 + t - w * w) ** (-q))
 
 
 def bound_kernel_B(params: BoundKernelParams, t: float) -> float:
@@ -315,22 +324,16 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
     Each side's row is built in its result array, through one scratch array
     shared by the sides."""
     k = initial.grid.k
-    a0, b0 = initial.first.coeffs, initial.second.coeffs
-    P, Q, R = propagator_entries(k, t)
+    # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
+    out = propagated_sums(k, t, initial.first.coeffs, initial.second.coeffs,
+                          "".join(side for side in "+-" if side in g0_hat))
     heat_factor = np.exp(-k * k * t)
-    work = np.empty_like(a0)
-    out = {}
-    for side, combine, phase in (("+", np.add, phases[0]),
-                                 ("-", np.subtract, phases[1])):
-        if side not in g0_hat:
-            continue
-        # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
-        row = combine(P, Q)
-        np.multiply(row, a0, out=row)
-        np.multiply(combine(Q, R, out=work), b0, out=work)
-        np.add(row, work, out=row)
-        np.multiply(phase, row, out=row)
-        out[side] = np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
+    work = np.empty_like(initial.first.coeffs)
+    for side, phase in zip("+-", phases):
+        if side in out:
+            row = out[side]
+            np.multiply(phase, row, out=row)
+            np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
     return out
 
 
@@ -637,6 +640,16 @@ class TailPrecedenceReport:
         return self.conclusive and self.ahead_is_algebraic and self.behind_is_gaussian
 
 
+def _median(x: np.ndarray):
+    """``np.median`` of a 1-d array, bit-equal, by one sort (np.median
+    imports numpy.ma); a NaN anywhere gives NaN, as np.median does."""
+    s = np.sort(x)
+    mid = s.size // 2
+    if np.isnan(s[-1]):
+        return s[-1]
+    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
     characteristic at the snapshot nearest the ``tail_time`` of ``fed``, from
@@ -653,7 +666,7 @@ def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
 
     def side_slope(sign: int):
         x, samples = windows[sign]
-        if samples.size < 8 or np.median(np.abs(samples)) < TAIL_FLOOR * max(level, 1.0):
+        if samples.size < 8 or _median(np.abs(samples)) < TAIL_FLOOR * max(level, 1.0):
             return None
         sl, _, _ = special.tail_exponent_fit(sign * x, samples, (lo, hi))
         return sl

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from ptails.heat import (HeatSourceSpec, _ascending_bins, _bin_integral,
                          _duhamel_integral, solve_inhom_modes, un_reference_hat)
 from ptails.profiles import ExpansionModel
-from ptails.semigroup import _cs_direct, _cs_series, propagator_cs
+from ptails.semigroup import _cs_direct, _cs_series, propagator_cs, propagator_entries
 from ptails.solver import frame_phases
 from ptails.special import (_GRADE_LEVELS, _MASS_PANEL, _POLYS, ProfileSample,
                             _check_n, fn_value, hermite_interpolant, lcal_apply)
@@ -467,6 +467,30 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     n0 = [np.sqrt(np.sum((r - (samples_of(w).real - d1 * G)) ** 2) * dx)
           for (r, G), w in zip(fields, sweep)]
     return times, np.array(n0)
+
+
+def linear_reference_three_tables(initial: StateVector, t: float, g0_hat: dict,
+                                  phases: tuple) -> dict:
+    """``verify._linear_reference_coeffs`` with the three complex propagator
+    tables (P, Q, R) of ``propagator_entries`` held at once: the route that
+    forms P and R one at a time from (C, S) replaced."""
+    k = initial.grid.k
+    a0, b0 = initial.first.coeffs, initial.second.coeffs
+    P, Q, R = propagator_entries(k, t)
+    heat_factor = np.exp(-k * k * t)
+    work = np.empty_like(a0)
+    out = {}
+    for side, combine, phase in (("+", np.add, phases[0]),
+                                 ("-", np.subtract, phases[1])):
+        if side not in g0_hat:
+            continue
+        row = combine(P, Q)
+        np.multiply(row, a0, out=row)
+        np.multiply(combine(Q, R, out=work), b0, out=work)
+        np.add(row, work, out=row)
+        np.multiply(phase, row, out=row)
+        out[side] = np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
+    return out
 
 
 def transient_sweep_full_grid(coeff: float, c_osc: float, qhat, grid: Grid, times):

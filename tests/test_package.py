@@ -236,11 +236,12 @@ def test_benchmark_span_counters_find_their_arguments():
         assert params[index] == param, (modname, path, params)
 
 
-def test_command_loads_no_heavy_scipy_subpackage(tmp_path):
+def test_command_loads_no_scipy_numpy_random_or_numpy_ma(tmp_path):
     # the package needs only numpy: loading any scipy module costs tens of MB
-    # of resident memory (scipy.fft alone about 27 MB).  Every subcommand of
-    # the benchmark's workloads runs, small, in a fresh interpreter, so no
-    # test's own import counts
+    # of resident memory (scipy.fft alone about 27 MB), numpy.random (with
+    # hashlib and OpenSSL's libcrypto) about 6 MB and numpy.ma about 1 MB,
+    # both loaded by numpy on first use.  Every subcommand runs, small, in a
+    # fresh interpreter, so no test's own import counts
     (tmp_path / "v.cfg").write_text(
         "[grid]\nn_points = 2048\nhalf_length = 250.0\n"
         "[simulate]\nt_final = 50.0\nsnapshots = 40\n"
@@ -253,18 +254,20 @@ def test_command_loads_no_heavy_scipy_subpackage(tmp_path):
         from ptails import cli
         for argv in (["-o", "bounds", "bounds"],
                      ["-c", "v.cfg", "-o", "verify", "verify"],
+                     ["-c", "v.cfg", "-o", "simulate", "simulate"],
                      ["-c", "p.cfg", "-o", "profiles", "profiles"],
                      ["-o", "special", "special", "--n", "2", "--points", "101"],
                      ["-c", "h.cfg", "-o", "heat", "heat"],
                      ["-c", "g.cfg", "-o", "semigroup", "semigroup"]):
             assert cli.main(argv) == 0, argv
-        print("loaded:", *(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print("loaded:", *(m for m in sys.modules if m.split(".")[0] == "scipy"
+                           or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])))
     """)
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     verdicts = json.loads((tmp_path / "verify" / "manifest_verify.json").read_text())["verdicts"]
     assert "fits" in verdicts and "error" not in verdicts
-    for name in ("bounds", "profiles", "special", "heat", "semigroup"):
+    for name in ("bounds", "simulate", "profiles", "special", "heat", "semigroup"):
         assert (tmp_path / name / f"manifest_{name}.json").exists()
     assert done.stdout.splitlines()[-1] == "loaded:"

@@ -8,9 +8,9 @@ from oracles import apply_eLt, from_characteristic_frame
 from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import propagator_cs, propagator_entries
-from ptails.solver import (SimConfig, Stepper, gaussian_initial_state, run,
-                           snapshot_times, frame_phases,
-                           to_characteristic_frame)
+from ptails.solver import (DEALIAS_FRACTION, SimConfig, Stepper, _snapshot_steps,
+                           gaussian_initial_state, run, snapshot_times,
+                           frame_phases, to_characteristic_frame)
 from ptails.spectral import (Grid, SpectralField, StateVector, mass, norms,
                              samples_of, transform_forward)
 
@@ -259,26 +259,30 @@ def test_weighted_norm_growth_at_most_exponential():
 def test_stepper_tables_are_the_propagator_entries():
     # byte for byte, and equal to the entries formed from the (C, S) pair
     st = Stepper(Grid(512, 80.0), 0.07, default_nonlinearity())
+    k = st.grid.k
     for tag, t in (("half", st.dt / 2.0), ("full", st.dt)):
-        C, S = propagator_cs(st.k, t)
-        formed = ((C + st.k * S).astype(complex), 1j * S, (C - st.k * S).astype(complex))
-        for table, entry, direct in zip(st._tables[tag], propagator_entries(st.k, t), formed):
+        C, S = propagator_cs(k, t)
+        formed = ((C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex))
+        for table, entry, direct in zip(st._tables[tag], propagator_entries(k, t), formed):
             assert table.tobytes() == entry.tobytes() == direct.tobytes()
 
 
 class _ReferenceStepper:
     """Integrating-factor RK4 and ETD-Heun written out in full: propagator
     symbols formed on every apply and an explicit zero first source
-    component.  The package steps by the first; the second cross-checks it."""
+    component.  The package steps by the first; the second cross-checks it.
+    The wavenumbers and the 2/3 dealias mask are built here from the grid."""
 
     def __init__(self, st: Stepper):
         self.st = st
-        self.tables = {tag: propagator_cs(st.k, tt)
+        self.k = st.grid.k
+        self.dealias = np.abs(self.k) <= DEALIAS_FRACTION * np.abs(self.k).max()
+        self.tables = {tag: propagator_cs(self.k, tt)
                        for tag, tt in (("half", st.dt / 2.0), ("full", st.dt))}
 
     def apply(self, pair, tag):
         C, S = self.tables[tag]
-        k = self.st.k
+        k = self.k
         a, b = pair
         return ((C + k * S) * a + 1j * S * b, 1j * S * a + (C - k * S) * b)
 
@@ -287,10 +291,10 @@ class _ReferenceStepper:
         n = st.grid.n_points
         a = np.fft.ifft(pair[0]).real * n
         b = np.fft.ifft(pair[1]).real * n
-        bx = np.fft.ifft(1j * st.k * pair[1]).real * n
+        bx = np.fft.ifft(1j * self.k * pair[1]).real * n
         h = st.nl.source(a, b, bx)
-        hh = np.fft.fft(h) * st.dealias / n
-        return (np.zeros_like(hh), 1j * st.k * hh)
+        hh = np.fft.fft(h) * self.dealias / n
+        return (np.zeros_like(hh), 1j * self.k * hh)
 
     def step(self, state, scheme):
         dt = self.st.dt
@@ -343,6 +347,43 @@ def test_stepper_matches_reference_formulas_bitwise(scheme, case):
     assert np.array_equal(s.first.coeffs, r.first.coeffs)
     assert np.array_equal(s.second.coeffs, r.second.coeffs)
     assert np.abs(s.second.coeffs).max() > 0.0
+
+
+@pytest.mark.parametrize("n_snapshots", [1, 2, 7, 80, 100, 999, 1000, 1001, 5000])
+@pytest.mark.parametrize("n_steps", [1, 2, 10, 656, 1000, 13108])
+def test_snapshot_steps_match_the_unique_formula(n_steps, n_snapshots):
+    # the set built from the rounded list is np.unique's, as Python ints;
+    # from n_snapshots >= n_steps on every step is a snapshot step
+    got = _snapshot_steps(n_steps, n_snapshots)
+    assert all(type(i) is int for i in got)
+    if n_snapshots >= n_steps:
+        assert got == set(range(1, n_steps + 1))
+    else:
+        geo = np.geomspace(1, n_steps, n_snapshots)
+        assert sorted(got) == np.unique(np.round(geo).astype(int)).tolist()
+
+
+def test_admissibility_samples_a_grid_without_the_origin():
+    seen = []
+
+    def g(a, b):
+        seen.append((a.copy(), b.copy()))
+        return a * a
+    Nonlinearity(g=g, f=lambda a, b: a, hessian=np.diag([2.0, 0.0])).admissibility()
+    a, b = max(seen, key=lambda ab: ab[0].size)
+    assert a.size == 64
+    assert np.hypot(a, b).min() > 0.0
+    assert len(set(zip(a.tolist(), b.tolist()))) == 64
+    assert np.abs(a).max() < 1e-2 and np.abs(b).max() < 1e-2
+
+
+@pytest.mark.parametrize("nl", [default_nonlinearity(),
+                                quadratic_nonlinearity(gaa=1.0, gab=0.5, fa=1.0, fb=-0.5)],
+                         ids=["default", "with-gab"])
+def test_admissible_nonlinearities_pass_the_grid_samples(nl):
+    rep = nl.admissibility()
+    assert rep.admissible
+    assert 0.0 < rep.C_quadratic < 2.0 and 0.0 < rep.C_linear < 2.0
 
 
 def test_factories_declare_whether_b_is_read():

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import run_collecting
+from conftest import random_real_field, run_collecting
 from oracles import (bound_kernel_B0_quad, bound_kernel_B_quad,
                      fhat_on_largest_grid, full_remainder_norms,
-                     transient_sweep_full_grid)
+                     linear_reference_three_tables, transient_sweep_full_grid)
 from ptails import profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
-from ptails.solver import SimConfig, gaussian_initial_state, run, snapshot_times
+from ptails.solver import (SimConfig, frame_phases, gaussian_initial_state, run,
+                           snapshot_times)
 from ptails.spectral import Grid, SpectralField, StateVector, mass
 from ptails.verify import (B0_EXPONENTS, USED_KERNEL_PARAMS, BoundKernelParams,
                            DecayFitReport, RemainderAccumulator, bound_check,
@@ -84,6 +85,44 @@ def test_B0_panels_match_quadpack(q):
     got = np.array([bound_kernel_B0(q, t) for t in _KERNEL_TIMES])
     ref = np.array([bound_kernel_B0_quad(q, t) for t in _KERNEL_TIMES])
     assert np.abs(got / ref - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 3.0, 15.9, 16.0, 16.1, 100.0, 575.0, 576.0,
+                               577.0, 1e3, 1e5])
+def test_B0_edges_equal_union1d(t):
+    # below t = 16 the step-4 edges are 0 alone; above 576, sqrt(t) > 24
+    # and they stop at 20
+    ref = np.union1d(np.sqrt(t - verify._graded_edges(t)),
+                     np.arange(0.0, min(np.sqrt(t), 24.0), 4.0))
+    assert verify._b0_edges(t).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("size", [8, 9, 10, 11, 64, 101, 1000, 1001])
+def test_tail_median_equals_np_median_bitwise(size):
+    rng = np.random.default_rng(size)
+    for x in (np.abs(rng.standard_normal(size)),
+              np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-30, 0, size),
+              np.round(rng.uniform(0.0, 3.0, size))):       # ties
+        assert np.float64(verify._median(x)).tobytes() == np.float64(np.median(x)).tobytes()
+    x = np.abs(rng.standard_normal(size))
+    x[size // 3] = np.nan
+    assert np.isnan(verify._median(x)) and np.isnan(np.median(x))
+
+
+@pytest.mark.parametrize("sides", ["+-", "+", "-"])
+@pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
+def test_linear_reference_equals_three_table_form_bytewise(sides, t):
+    rng = np.random.default_rng(11)
+    grid = Grid(2 ** 12, 400.0)
+    initial = StateVector(random_real_field(grid, rng), random_real_field(grid, rng),
+                          "physical")
+    g0_hat = {side: random_real_field(grid, rng).coeffs for side in sides}
+    phases = frame_phases(grid.k, t)
+    got = verify._linear_reference_coeffs(initial, t, g0_hat, phases)
+    ref = linear_reference_three_tables(initial, t, g0_hat, phases)
+    assert got.keys() == ref.keys() == set(sides)
+    for side in sides:
+        assert got[side].tobytes() == ref[side].tobytes()
 
 
 @pytest.mark.parametrize("params", USED_KERNEL_PARAMS, ids=lambda p: p.name)
