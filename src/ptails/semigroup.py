@@ -30,7 +30,6 @@ __all__ = [
     "BRANCH_THRESHOLD",
     "propagator_cs",
     "propagator_entries",
-    "propagated_sums",
     "kernel_bound_check",
     "intertwining_defect",
     "KernelBoundReport",
@@ -57,46 +56,40 @@ def _cs_series(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     return ek * c, ek * (k * t) * s
 
 
-def _cs_direct(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) including the damping, trig for |k|<1 and hyperbolic for |k|>1."""
-    d2 = 1.0 - k * k
-    C = np.empty_like(k)
-    S = np.empty_like(k)
-    trig = d2 > 0
-    if np.any(trig):
-        d = np.sqrt(d2[trig])
-        x = k[trig] * t * d
-        ek = np.exp(-k[trig] ** 2 * t)
-        C[trig] = ek * np.cos(x)
-        S[trig] = ek * np.sin(x) / d
-    hyp = ~trig
-    if np.any(hyp):
-        dp = np.sqrt(-d2[hyp])
-        x = k[hyp] * t * dp
-        a = -k[hyp] ** 2 * t
-        # a +- x <= 0 always, so both exponentials stay bounded
-        e1 = np.exp(a + x)
-        e2 = np.exp(a - x)
-        C[hyp] = 0.5 * (e1 + e2)
-        S[hyp] = 0.5 * (e1 - e2) / dp
-    return C, S
-
-
 def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped symbol pair (C, S) such that
-    e^{Lt}(k) = [[C + kS, iS], [iS, C - kS]]."""
+    e^{Lt}(k) = [[C + kS, iS], [iS, C - kS]]: the series in the branch
+    window, trig for |k| < 1 and hyperbolic for |k| > 1 outside it."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = np.asarray(k, dtype=float)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    near = np.abs(1.0 - k * k) < BRANCH_THRESHOLD
+    d2 = 1.0 - k * k
+    near = np.abs(d2) < BRANCH_THRESHOLD
+    trig = ~near & (d2 > 0)
+    hyp = ~(near | trig)
     C = np.empty_like(k)
     S = np.empty_like(k)
     if np.any(near):
         C[near], S[near] = _cs_series(k[near], t)
-    if np.any(~near):
-        C[~near], S[~near] = _cs_direct(k[~near], t)
+    if np.any(trig):
+        kt = k[trig]
+        d = np.sqrt(d2[trig])
+        x = kt * t * d
+        ek = np.exp(-kt ** 2 * t)
+        C[trig] = ek * np.cos(x)
+        S[trig] = ek * np.sin(x) / d
+    if np.any(hyp):
+        kh = k[hyp]
+        dp = np.sqrt(-d2[hyp])
+        x = kh * t * dp
+        a = -kh ** 2 * t
+        # a +- x <= 0 always, so both exponentials stay bounded
+        e1 = np.exp(a + x)
+        e2 = np.exp(a - x)
+        C[hyp] = 0.5 * (e1 + e2)
+        S[hyp] = 0.5 * (e1 - e2) / dp
     if scalar:
         return C[0], S[0]
     return C, S
@@ -108,29 +101,6 @@ def propagator_entries(k: np.ndarray, t: float):
     k = np.asarray(k, dtype=float)
     C, S = propagator_cs(k, t)
     return (C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex)
-
-
-def propagated_sums(k: np.ndarray, t: float, a: np.ndarray, b: np.ndarray,
-                    sides: str) -> dict:
-    """{side: first +- second component of e^{Lt}(k) (a, b)} for each side
-    ("+" or "-") in ``sides``: the rows (P +- Q) a + (Q +- R) b.  Of the
-    entries (P, Q, R), formed and stored complex as ``propagator_entries``
-    forms them, Q and one of P and R are held at a time."""
-    combines = {side: np.add if side == "+" else np.subtract for side in sides}
-    k = np.asarray(k, dtype=float)
-    C, S = propagator_cs(k, t)
-    Q = 1j * S
-    P = (C + k * S).astype(complex)
-    out = {side: combine(P, Q) for side, combine in combines.items()}
-    for row in out.values():
-        np.multiply(row, a, out=row)
-    del P
-    R = (C - k * S).astype(complex)
-    del C, S
-    work = np.empty_like(Q)
-    for side, combine in combines.items():
-        np.add(out[side], np.multiply(combine(Q, R, out=work), b, out=work), out=out[side])
-    return out
 
 
 @dataclass(frozen=True)

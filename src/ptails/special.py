@@ -246,10 +246,9 @@ def Jn_infinity(n: int) -> complex:
 
 
 def tail_exponent_fit(z: np.ndarray, values: np.ndarray,
-                      window: tuple[float, float],
-                      side: str = "right") -> tuple[float, float, bool]:
-    """Least-squares slope of log|values| against log|z| over the window on
-    one side (side = 'right' fits z in [lo, hi], 'left' fits z in [-hi, -lo]).
+                      window: tuple[float, float]) -> tuple[float, float, bool]:
+    """Least-squares slope of log|values| against log z over the z in the
+    window [lo, hi]; a left tail is fitted by passing -z.
 
     Returns (slope, fit residual rms, sign_change_flag); a sign change inside
     the window is reported and the fit proceeds on |values|.
@@ -259,12 +258,7 @@ def tail_exponent_fit(z: np.ndarray, values: np.ndarray,
     lo, hi = window
     if lo >= hi or lo <= 0:
         raise ValueError("window must be 0 < lo < hi (absolute coordinates)")
-    if side == "right":
-        msk = (z >= lo) & (z <= hi)
-    elif side == "left":
-        msk = (z <= -lo) & (z >= -hi)
-    else:
-        raise ValueError("side must be 'right' or 'left'")
+    msk = (z >= lo) & (z <= hi)
     if msk.sum() < 4:
         raise ValueError("window contains fewer than 4 samples")
     vals = values[msk]

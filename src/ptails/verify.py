@@ -28,10 +28,10 @@ only scalars; it is ``solver.run``'s ``on_snapshot`` consumer, the one
 route by which the pipeline sees a run, so no snapshot is stored: per side
 and fit-window snapshot, the raw norm, <r_lin, G> and ||G||^2 with
 G = (1+t)^{-3/4} g_1, the N1 and N1_D norms, ||r_lin - w||^2 and
-<r_lin - w, G>, where w is the transient.  Of the snapshot nearest the
-tail time it keeps the samples the tail check reads, from a transform of
+<r_lin - w, G>, where w is the transient.  Of the snapshot nearest
+t_final / 2 it keeps the samples the tail check reads, from a transform of
 that snapshot's + component made before its window work.  The snapshot
-times, the window and the tail time are known before the run, and the
+times, the window and the tail snapshot are known before the run, and the
 model needs only the initial masses.  Between snapshots it holds no
 grid-sized array but the initial state, the leading profiles' transforms
 and the transient's sources; each snapshot's frame change and linear
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import heat, profiles, special
 from .profiles import ExpansionModel
-from .semigroup import propagated_sums
+from .semigroup import propagator_entries
 from .solver import (TrajectoryRecord, frame_phases, snapshot_times,
                      to_characteristic_frame)
 from .spectral import (StateVector, coeffs_into, field_from_continuum_fhat, mass,
@@ -290,9 +290,9 @@ def bound_check(t_grid) -> list[KernelCheckRow]:
 # remainder pipeline
 
 
-def build_model_from_trajectory(initial: StateVector, nl, N: int = 1) -> ExpansionModel:
+def build_model_from_trajectory(initial: StateVector, nl) -> ExpansionModel:
     """Mass-match the leading profiles to a trajectory's initial state and
-    construct the correction profiles on ``profiles.graded_grid()``.
+    construct the N = 1 correction profiles on ``profiles.graded_grid()``.
 
     Only the masses of ``initial`` are read, so the state ``solver.run``
     starts from and its symmetrized t = 0 snapshot give the same model, and
@@ -300,7 +300,7 @@ def build_model_from_trajectory(initial: StateVector, nl, N: int = 1) -> Expansi
     alpha_p, alpha_m = _characteristic_masses(initial)
     cp, cm, _ = profiles.hessian_constants(nl)
     co = profiles.ExpansionCoefficients(
-        alpha_plus=alpha_p, alpha_minus=alpha_m, c_plus=cp, c_minus=cm, N=N)
+        alpha_plus=alpha_p, alpha_minus=alpha_m, c_plus=cp, c_minus=cm, N=1)
     if not co.contraction_ok():
         raise ValueError("initial masses put the construction outside the "
                          "contraction regime |alpha*gamma| <= 0.1")
@@ -316,24 +316,27 @@ def _char_component(snapshot, t: float, side: str):
 
 def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
                              phases: tuple) -> dict:
-    """Per side in ``g0_hat``, the coefficients of [linear evolution of z0 in
-    the char frame] minus [decoupled heat evolution of the sampled leading
-    profile]: the sum of the data's intertwining defect and the mass-matched
-    mismatch.  The propagator and the heat factor are formed once for both
-    sides; ``phases`` are the frame's multipliers at t (``frame_phases``).
-    Each side's row is built in its result array, through one scratch array
-    shared by the sides."""
+    """Per side, the coefficients of [linear evolution of z0 in the char
+    frame] minus [decoupled heat evolution of the sampled leading profile]:
+    the sum of the data's intertwining defect and the mass-matched mismatch.
+    The propagator entries (P, Q, R) and the heat factor are formed once for
+    both sides; ``phases`` are the frame's multipliers at t
+    (``frame_phases``).  Each side's row is built in its result array,
+    through one scratch array shared by the sides."""
     k = initial.grid.k
-    # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
-    out = propagated_sums(k, t, initial.first.coeffs, initial.second.coeffs,
-                          "".join(side for side in "+-" if side in g0_hat))
+    a0, b0 = initial.first.coeffs, initial.second.coeffs
+    P, Q, R = propagator_entries(k, t)
     heat_factor = np.exp(-k * k * t)
-    work = np.empty_like(initial.first.coeffs)
-    for side, phase in zip("+-", phases):
-        if side in out:
-            row = out[side]
-            np.multiply(phase, row, out=row)
-            np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
+    work = np.empty_like(a0)
+    out = {}
+    for side, combine, phase in zip("+-", (np.add, np.subtract), phases):
+        # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
+        row = combine(P, Q)
+        np.multiply(row, a0, out=row)
+        np.add(row, np.multiply(combine(Q, R, out=work), b0, out=work), out=row)
+        np.multiply(phase, row, out=row)
+        out[side] = np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work),
+                                out=row)
     return out
 
 
@@ -441,13 +444,11 @@ def _characteristic_masses(state: StateVector) -> tuple[float, float]:
     return ma + mb, ma - mb
 
 
-def _mass_error(state: StateVector, co, sides: str) -> float:
+def _mass_error(state: StateVector, co) -> float:
     """Largest drift of the characteristic masses from the matched values
     ``co.alpha_plus``/``co.alpha_minus``."""
     alpha_p, alpha_m = _characteristic_masses(state)
-    return max(abs(alpha_p - co.alpha_plus) if side == "+"
-               else abs(alpha_m - co.alpha_minus)
-               for side in sides)
+    return max(abs(alpha_p - co.alpha_plus), abs(alpha_m - co.alpha_minus))
 
 
 class RemainderAccumulator:
@@ -458,16 +459,15 @@ class RemainderAccumulator:
     does the work of each snapshot in the fit window [t_final/20, t_final]
     once for both sides and keeps only scalars (see the module docstring).
     The first snapshot is the initial state, which the linear reference
-    reads.  With a ``tail_time``, of the one snapshot nearest that time it
-    keeps what ``tail_precedence_check`` reads: the samples of the +
-    component in the two z-windows and their largest magnitude, bit-equal
-    to those of the whole snapshot.  A window snapshot whose mass drifts is
+    reads.  Of the one snapshot nearest t_final / 2 it keeps what
+    ``tail_precedence_check`` reads: the samples of the + component in the
+    two z-windows and their largest magnitude, bit-equal to those of the
+    whole snapshot.  A window snapshot whose mass drifts is
     refused before its window work, which ends the run.
     """
 
-    def __init__(self, model: ExpansionModel, config, sides: str = "+-",
-                 tail_time: float | None = None):
-        self.model, self.sides = model, sides
+    def __init__(self, model: ExpansionModel, config):
+        self.model = model
         t_lo, t_hi = config.t_final / 20.0, config.t_final
         self.snapshot_times = snapshot_times(config)
         self._in_window = [t_lo <= t <= t_hi and t > 0 for t in self.snapshot_times]
@@ -475,8 +475,8 @@ class RemainderAccumulator:
             raise ValueError("trajectory has fewer than 6 snapshots in the fit window")
         self.times = np.array([t for t, w in zip(self.snapshot_times, self._in_window) if w])
         self.tail = None               # (t, level, windows) for the tail check
-        self._tail_index = (None if tail_time is None else int(np.argmin(
-            np.abs(np.asarray(self.snapshot_times) - tail_time))))
+        self._tail_index = int(np.argmin(
+            np.abs(np.asarray(self.snapshot_times) - config.t_final / 2.0)))
         self.n_fed = 0
         self._initial = None           # the first snapshot fed
         self.peak = 0.0                # largest coefficient amplitude in the window
@@ -484,19 +484,19 @@ class RemainderAccumulator:
         # side -> name -> one value per window snapshot: raw (the N0_raw
         # norm), rG = <r_lin, G>, GG = ||G||^2, n1 and n1_d (norms),
         # rwrw = ||r_lin - w||^2 and rwG = <r_lin - w, G>
-        self.scalars = {side: {} for side in sides}
+        self.scalars = {side: {} for side in "+-"}
         # grid.x and grid.k are built on each read; a snapshot's work reads
         # them, so they are not held between snapshots
         self.grid = grid = config.grid()
         interp = model.interpolants()
-        self._g0 = {side: interp[f"g0{side}"] for side in sides}
-        self._g1 = {side: interp[f"g1{side}"] for side in sides}
+        self._g0 = {side: interp[f"g0{side}"] for side in "+-"}
+        self._g1 = {side: interp[f"g1{side}"] for side in "+-"}
         x = grid.x
         self._g0_hat = {side: transform_forward(self._g0[side](x), grid).coeffs
-                        for side in sides}
+                        for side in "+-"}
         self._sweeps = {side: _transient_sweep(*_transient_source_fhat(model, side),
                                                grid, self.times)
-                        for side in sides}
+                        for side in "+-"}
 
     def _keep(self, side: str, **values) -> None:
         row = self.scalars[side]
@@ -527,8 +527,7 @@ class RemainderAccumulator:
             self._keep_tail(_char_component(state, t, "+").samples(), t)
         if not self._in_window[i]:
             return
-        self.mass_error = max(self.mass_error,
-                              _mass_error(state, self.model.coeffs, self.sides))
+        self.mass_error = max(self.mass_error, _mass_error(state, self.model.coeffs))
         if self.mass_error > MASS_TOLERANCE:
             raise ValueError(
                 f"mass of the characteristic field drifts from the matched value "
@@ -541,7 +540,7 @@ class RemainderAccumulator:
         uv = to_characteristic_frame(state, phases)
         frame = {"+": uv.first.coeffs, "-": uv.second.coeffs}
         del phases, uv
-        for side in self.sides:
+        for side in "+-":
             self._add_side(side, t, frame.pop(side), lin.pop(side))
 
     def _add_side(self, side: str, t: float, u_hat, lin_hat) -> None:
@@ -573,7 +572,7 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
     """Fit the decay of expansion remainders against the predicted exponents.
 
     ``fed`` is the accumulator that was the ``on_snapshot`` consumer of the
-    run ``traj`` records; its model, window and sides are the pipeline's.
+    run ``traj`` records; its model and window are the pipeline's.
     Produces, per side, reports named '<side>_N0_raw', '<side>_N0',
     '<side>_N1' and '<side>_N1_D' with targets -(3/4 - 2^{-(N+2)}) for the
     L2 fits and -(5/4 - 2^{-(N+2)}) for the derivative fit, each within
@@ -582,7 +581,7 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
     if fed.n_fed != len(traj.times):
         raise ValueError(f"the accumulator was fed {fed.n_fed} of "
                          f"{len(traj.times)} snapshots")
-    times, sides = fed.times, fed.sides
+    times = fed.times
     dx = fed.grid.dx
     co = fed.model.coeffs
     # tag -> (target, two-sided) of each reported fit
@@ -593,7 +592,7 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
     # identically-zero trajectories have nothing to fit: report trivially
     trivial = fed.peak < 1e-14
     reports, d1_fit, series, fallback = [], {}, {}, {}
-    for side in sides:
+    for side in "+-":
         if trivial:
             for tag, (target, two) in targets.items():
                 reports.append(DecayFitReport(
@@ -652,14 +651,12 @@ def _median(x: np.ndarray):
 
 def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
     """Compare the spatial decay of u ahead of (x > 0) and behind (x < 0) the
-    characteristic at the snapshot nearest the ``tail_time`` of ``fed``, from
-    the samples it kept of that snapshot.  Ahead should carry the slow
+    characteristic at the snapshot nearest t_final / 2, from the samples
+    ``fed`` kept of that snapshot.  Ahead should carry the slow
     algebraic tail with the stated exponent; behind should be Gaussian-like
     (steep or below the measurement floor).  The window starts beyond
     z ~ 6.5 where the algebraic tail overtakes the Gaussian shoulder of the
     leading profile."""
-    if fed.tail is None:
-        raise ValueError("the accumulator kept no samples for the tail check")
     t, level, windows = fed.tail
     root = np.sqrt(1.0 + t)
     lo, hi = TAIL_Z_WINDOW[0] * root, TAIL_Z_WINDOW[1] * root

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from ptails.heat import (HeatSourceSpec, _ascending_bins, _bin_integral,
                          _duhamel_integral, solve_inhom_modes, un_reference_hat)
 from ptails.profiles import ExpansionModel
-from ptails.semigroup import _cs_direct, _cs_series, propagator_cs, propagator_entries
+from ptails.semigroup import BRANCH_THRESHOLD, _cs_series, propagator_cs
 from ptails.solver import frame_phases
 from ptails.special import (_GRADE_LEVELS, _MASS_PANEL, _POLYS, ProfileSample,
                             _check_n, fn_value, hermite_interpolant, lcal_apply)
@@ -201,6 +201,45 @@ def symmetrized_by_formula(c: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # semigroup
+
+
+def _cs_direct(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) including the damping by the closed form alone, trig for
+    |k| < 1 and hyperbolic for |k| > 1, on a copy of each branch's k; at
+    k = +-1 it is 0/0."""
+    d2 = 1.0 - k * k
+    C = np.empty_like(k)
+    S = np.empty_like(k)
+    trig = d2 > 0
+    if np.any(trig):
+        d = np.sqrt(d2[trig])
+        x = k[trig] * t * d
+        ek = np.exp(-k[trig] ** 2 * t)
+        C[trig] = ek * np.cos(x)
+        S[trig] = ek * np.sin(x) / d
+    hyp = ~trig
+    if np.any(hyp):
+        dp = np.sqrt(-d2[hyp])
+        x = k[hyp] * t * dp
+        a = -k[hyp] ** 2 * t
+        e1 = np.exp(a + x)
+        e2 = np.exp(a - x)
+        C[hyp] = 0.5 * (e1 + e2)
+        S[hyp] = 0.5 * (e1 - e2) / dp
+    return C, S
+
+
+def propagator_cs_by_branches(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``semigroup.propagator_cs`` on 1-d k as two routes scattered by the
+    branch window: ``_cs_series`` on a copy of the k inside it, the direct
+    form on a copy of the k outside it, as the package computed it before
+    one pass over three masks replaced this."""
+    near = np.abs(1.0 - k * k) < BRANCH_THRESHOLD
+    C = np.empty_like(k)
+    S = np.empty_like(k)
+    C[near], S[near] = _cs_series(k[near], t)
+    C[~near], S[~near] = _cs_direct(k[~near], t)
+    return C, S
 
 
 def _entries_from_cs(k, C, S):
@@ -448,7 +487,7 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     x, dx = grid.x, grid.dx
     interp = model.interpolants()
     g0, g1 = interp[f"g0{side}"], interp[f"g1{side}"]
-    g0_hat = {side: transform_forward(g0(x), grid).coeffs}
+    g0_hat = {s: transform_forward(interp[f"g0{s}"](x), grid).coeffs for s in "+-"}
     t_lo, t_hi = window
     picked = [(s, t) for s, t in zip(snapshots, times)
               if t_lo <= t <= t_hi and t > 0]
@@ -467,30 +506,6 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     n0 = [np.sqrt(np.sum((r - (samples_of(w).real - d1 * G)) ** 2) * dx)
           for (r, G), w in zip(fields, sweep)]
     return times, np.array(n0)
-
-
-def linear_reference_three_tables(initial: StateVector, t: float, g0_hat: dict,
-                                  phases: tuple) -> dict:
-    """``verify._linear_reference_coeffs`` with the three complex propagator
-    tables (P, Q, R) of ``propagator_entries`` held at once: the route that
-    forms P and R one at a time from (C, S) replaced."""
-    k = initial.grid.k
-    a0, b0 = initial.first.coeffs, initial.second.coeffs
-    P, Q, R = propagator_entries(k, t)
-    heat_factor = np.exp(-k * k * t)
-    work = np.empty_like(a0)
-    out = {}
-    for side, combine, phase in (("+", np.add, phases[0]),
-                                 ("-", np.subtract, phases[1])):
-        if side not in g0_hat:
-            continue
-        row = combine(P, Q)
-        np.multiply(row, a0, out=row)
-        np.multiply(combine(Q, R, out=work), b0, out=work)
-        np.add(row, work, out=row)
-        np.multiply(phase, row, out=row)
-        out[side] = np.subtract(row, np.multiply(heat_factor, g0_hat[side], out=work), out=row)
-    return out
 
 
 def transient_sweep_full_grid(coeff: float, c_osc: float, qhat, grid: Grid, times):

@@ -71,8 +71,7 @@ def test_criterion_2_profile_construction():
     gn, rn, info = profiles.gn_fixed_point(1, alpha, gam, z, "+")
     res1 = profiles.gn_equation_residual(gn, g0c, 1, gam)
     m1 = profiles.gn_total_mass(gn, 1)
-    slope, _, _ = special.tail_exponent_fit(z, gn.values, (20.0, 60.0),
-                                            side="right")
+    slope, _, _ = special.tail_exponent_fit(z, gn.values, (20.0, 60.0))
     wall = time.perf_counter() - t0
     ok = (res0 <= 1e-8 and info.converged and info.iterations <= 50
           and res1 <= 1e-6 and abs(m1) <= 1e-6
@@ -155,14 +154,15 @@ def test_criterion_4_heat_bound_and_stability(heat_results):
 
 @pytest.fixture(scope="session")
 def default_run():
-    # streamed: the accumulator keeps the remainder scalars and the tail
-    # snapshot, and a second consumer the ||u|| series of criterion 5b
+    # streamed: the accumulator keeps the remainder scalars of both sides
+    # and the tail samples, and a second consumer the ||u|| series of
+    # criterion 5b
     cfg = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=1000.0,
                     epsilon0=0.05, b_fraction=0.3, n_snapshots=100)
     nl = default_nonlinearity()
     initial = gaussian_initial_state(cfg)
-    model = verify.build_model_from_trajectory(initial, nl, N=1)
-    acc = verify.RemainderAccumulator(model, cfg, sides="+", tail_time=500.0)
+    model = verify.build_model_from_trajectory(initial, nl)
+    acc = verify.RemainderAccumulator(model, cfg)
     dx = cfg.grid().dx
     u_norms = []
 
@@ -227,6 +227,16 @@ def test_criterion_5_d1_agreement(default_run):
     ok = rel <= 0.10
     _report("5e (analytic vs fit d1)", ok,
             f"fit={result.d1_fit['+']:.4e} analytic={result.d1_analytic['+']:.4e} "
+            f"rel diff={rel:.3f} <= 0.10")
+    assert ok
+
+
+def test_criterion_5_d1_agreement_minus(default_run):
+    result = default_run.result
+    rel = result.d1_relative_difference("-")
+    ok = rel <= 0.10
+    _report("5e- (analytic vs fit d1, - side)", ok,
+            f"fit={result.d1_fit['-']:.4e} analytic={result.d1_analytic['-']:.4e} "
             f"rel diff={rel:.3f} <= 0.10")
     assert ok
 

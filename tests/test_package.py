@@ -1,7 +1,8 @@
 """Guards on the shape of the package: no public name, method or dataclass
 field that nothing in it uses, no more settable values or config keys than
-today, one home for each shared numerical primitive, every call the benchmark tracer wraps
-still resolves, and the command loads no heavy scipy subpackage."""
+today, one home for each shared numerical primitive, one place that forms
+the propagator's entries, every call the benchmark tracer wraps still
+resolves, and the command loads no heavy scipy subpackage."""
 
 import ast
 import importlib
@@ -125,7 +126,7 @@ def test_every_public_member_is_read_in_the_package():
 # Parameters with a default plus dataclass fields with a default, in the
 # whole package.  Raise it only with a new value that a caller needs, and
 # lower it with every one removed, so that no slack builds up.
-SETTABLE_VALUES = 43
+SETTABLE_VALUES = 39
 
 
 def _settable_values() -> int:
@@ -180,18 +181,39 @@ _PRIMITIVE_HOMES = {"leggauss": "special", "polyfit": "special",
                     "ifft": "spectral"}
 
 
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_each_primitive_is_called_from_its_home_module_only():
     strays = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = _called_name(node)
             home = _PRIMITIVE_HOMES.get(name)
             if home is not None and path.stem != home:
                 strays.append(f"{path.stem}.py:{node.lineno} calls {name}")
     assert strays == [], f"a second copy of a shared primitive: {strays}"
+
+
+def test_propagator_entries_alone_forms_the_symbol():
+    # the entries (C+kS, iS, C-kS) are formed in one place, which every
+    # route that applies e^{Lt} calls: the one call of propagator_cs in the
+    # package is in propagator_entries
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), "<module>")]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            elif isinstance(node, ast.Call) and _called_name(node) == "propagator_cs":
+                callers.append(f"{path.stem}.{scope}")
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert callers == ["semigroup.propagator_entries"], callers
 
 
 def _span_targets():

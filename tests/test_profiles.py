@@ -145,7 +145,7 @@ def test_gn_derivatives_vs_finite_differences(zgrid):
 
 def test_gn_tail_dichotomy(zgrid):
     gn, _, _ = gn_fixed_point(1, 0.5, 0.1, zgrid, sign="+")
-    slope, _, _ = special.tail_exponent_fit(zgrid, gn.values, (20.0, 60.0), side="right")
+    slope, _, _ = special.tail_exponent_fit(zgrid, gn.values, (20.0, 60.0))
     assert slope == pytest.approx(-1.5, abs=0.05)
     # Gaussian side: remainder envelope constant finite and O(|alpha gamma|)
     gn2, rn2, _ = gn_fixed_point(1, 0.5, 0.05, zgrid, sign="+")

@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_real_field
-from oracles import apply_eLt, eval_eLt, eval_eLt_direct, eval_eLt_series
+from oracles import (apply_eLt, eval_eLt, eval_eLt_direct, eval_eLt_series,
+                     propagator_cs_by_branches)
 from ptails.semigroup import (intertwining_defect, kernel_bound_check,
                               propagator_cs, propagator_entries,
                               weighted_defect_entries)
-from ptails.spectral import StateVector, samples_of
+from ptails.spectral import Grid, StateVector, samples_of
 
 
 def generator(k: float) -> np.ndarray:
@@ -67,6 +68,35 @@ def test_semigroup_property(rng):
         err = np.abs(eval_eLt(k, t1 + t2) - eval_eLt(k, t1) @ eval_eLt(k, t2)).max()
         worst = max(worst, err)
     assert worst < 1e-9
+
+
+# the flagship grid; the CLI's k grid, which holds k = +-1 exactly; a dense
+# grid across the branch window |1 - k^2| < 1e-4; random k
+_CS_GRIDS = {
+    "flagship": Grid(2 ** 15, 2500.0).k,
+    "cli": np.linspace(-8.0, 8.0, 801),
+    "window": np.concatenate([np.linspace(1.0 - 1e-4, 1.0 + 1e-4, 2001),
+                              np.linspace(-1.0 - 1e-4, -1.0 + 1e-4, 2001)]),
+    "random": np.random.default_rng(5).uniform(-40.0, 40.0, 5000),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", _CS_GRIDS)
+def test_propagator_cs_equals_the_branch_routes_bytewise(grid):
+    # one pass over the three branch masks gives the bits of the series
+    # inside the window and the direct form outside it, each on its own
+    # copy of k; no 0/0 of the direct form at k = +-1 is ever evaluated
+    k = _CS_GRIDS[grid]
+    for t in (0.0, 0.01, 0.3, 1.0, 2.5, 10.0, 50.0, 250.0, 1000.0):
+        C, S = propagator_cs(k, t)
+        C_ref, S_ref = propagator_cs_by_branches(k, t)
+        assert C.tobytes() == C_ref.tobytes() and S.tobytes() == S_ref.tobytes()
+        for kk in (0.0, 0.5, 1.0, -1.0, 1.0 + 3e-5, 3.0):
+            c, s = propagator_cs(kk, t)
+            c_ref, s_ref = propagator_cs_by_branches(np.array([kk]), t)
+            assert np.ndim(c) == np.ndim(s) == 0
+            assert c.tobytes() == c_ref[0].tobytes() and s.tobytes() == s_ref[0].tobytes()
 
 
 def test_branch_continuity():

@@ -247,14 +247,14 @@ def test_panel_rule_exact_to_degree_2n_minus_1(n):
 def test_tail_fit_f1_left_tail():
     z = -np.geomspace(20.0, 200.0, 60)[::-1]
     vals = fn_value(1, z)
-    slope, _, _ = tail_exponent_fit(z, vals, (20.0, 200.0), side="left")
+    slope, _, _ = tail_exponent_fit(-z, vals, (20.0, 200.0))
     assert slope == pytest.approx(-1.5, abs=0.05)
 
 
 def test_tail_fit_f2_left_tail():
     z = -np.geomspace(20.0, 200.0, 60)[::-1]
     vals = fn_value(2, z)
-    slope, _, _ = tail_exponent_fit(z, vals, (20.0, 200.0), side="left")
+    slope, _, _ = tail_exponent_fit(-z, vals, (20.0, 200.0))
     assert slope == pytest.approx(-1.75, abs=0.05)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field, run_collecting
-from oracles import (bound_kernel_B0_quad, bound_kernel_B_quad,
+from oracles import (apply_eLt, bound_kernel_B0_quad, bound_kernel_B_quad,
                      fhat_on_largest_grid, full_remainder_norms,
-                     linear_reference_three_tables, transient_sweep_full_grid)
+                     transient_sweep_full_grid)
 from ptails import profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import (SimConfig, frame_phases, gaussian_initial_state, run,
@@ -109,20 +109,24 @@ def test_tail_median_equals_np_median_bitwise(size):
     assert np.isnan(verify._median(x)) and np.isnan(np.median(x))
 
 
-@pytest.mark.parametrize("sides", ["+-", "+", "-"])
 @pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
-def test_linear_reference_equals_three_table_form_bytewise(sides, t):
+def test_linear_reference_equals_the_propagated_matrix(t):
+    # row+- = phase+- (first +- second component of e^{Lt} z0) - e^{-k^2 t} g0+-,
+    # with e^{Lt} z0 by the 2x2 matrix applied mode by mode
     rng = np.random.default_rng(11)
     grid = Grid(2 ** 12, 400.0)
     initial = StateVector(random_real_field(grid, rng), random_real_field(grid, rng),
                           "physical")
-    g0_hat = {side: random_real_field(grid, rng).coeffs for side in sides}
+    g0_hat = {side: random_real_field(grid, rng).coeffs for side in "+-"}
     phases = frame_phases(grid.k, t)
     got = verify._linear_reference_coeffs(initial, t, g0_hat, phases)
-    ref = linear_reference_three_tables(initial, t, g0_hat, phases)
-    assert got.keys() == ref.keys() == set(sides)
-    for side in sides:
-        assert got[side].tobytes() == ref[side].tobytes()
+    z = apply_eLt(initial, t)
+    heat_factor = np.exp(-grid.k ** 2 * t)
+    want = {"+": phases[0] * (z.first.coeffs + z.second.coeffs) - heat_factor * g0_hat["+"],
+            "-": phases[1] * (z.first.coeffs - z.second.coeffs) - heat_factor * g0_hat["-"]}
+    assert got.keys() == want.keys()
+    for side in "+-":
+        assert np.abs(got[side] - want[side]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("params", USED_KERNEL_PARAMS, ids=lambda p: p.name)
@@ -180,22 +184,13 @@ def _fit(result, quantity: str) -> DecayFitReport:
     return {r.quantity: r for r in result.reports}[quantity]
 
 
-def _fed(run_and_snapshots, model, **kwargs) -> RemainderAccumulator:
-    """An accumulator fed a run's collected snapshots in order."""
-    traj, snapshots = run_and_snapshots
-    acc = RemainderAccumulator(model, traj.config, **kwargs)
-    for state, t in zip(snapshots, traj.times):
-        acc.add(state, t)
-    return acc
-
-
-def _stream(cfg, nl, **kwargs):
+def _stream(cfg, nl):
     """The library route: the model from the initial masses, an accumulator
     as the run's consumer; returns the model, the accumulator and the run's
     record."""
     initial = gaussian_initial_state(cfg)
-    model = build_model_from_trajectory(initial, nl, N=1)
-    acc = RemainderAccumulator(model, cfg, **kwargs)
+    model = build_model_from_trajectory(initial, nl)
+    acc = RemainderAccumulator(model, cfg)
     return model, acc, run(cfg, nl, acc.add, initial)
 
 
@@ -208,12 +203,17 @@ def medium_run():
 
 @pytest.fixture(scope="module")
 def medium_model(medium_run):
-    return build_model_from_trajectory(medium_run[1][0], default_nonlinearity(), N=1)
+    return build_model_from_trajectory(medium_run[1][0], default_nonlinearity())
 
 
 @pytest.fixture(scope="module")
 def medium_fed(medium_run, medium_model):
-    return _fed(medium_run, medium_model, tail_time=150.0)
+    # an accumulator fed the run's collected snapshots in order
+    traj, snapshots = medium_run
+    acc = RemainderAccumulator(medium_model, traj.config)
+    for state, t in zip(snapshots, traj.times):
+        acc.add(state, t)
+    return acc
 
 
 def test_pipeline_reports_and_d1(medium_run, medium_fed):
@@ -238,7 +238,7 @@ def test_pipeline_linear_run_heat_asymptotics():
     # with the source off the raw remainder follows pure heat asymptotics
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=60)
-    model, acc, traj = _stream(cfg, zero_nonlinearity(), sides="+")
+    model, acc, traj = _stream(cfg, zero_nonlinearity())
     assert model.coeffs.c_plus == 0.0
     res = remainder_pipeline(traj, acc)
     assert _fit(res, "+_N0_raw").slope <= -0.75 + 0.05
@@ -271,7 +271,7 @@ def test_pipeline_refuses_mass_drift_before_the_expensive_work():
                     epsilon0=0.05, n_snapshots=40)
     nl = default_nonlinearity()
     initial = gaussian_initial_state(cfg)
-    model = build_model_from_trajectory(initial, nl, N=1)
+    model = build_model_from_trajectory(initial, nl)
     acc = RemainderAccumulator(model, cfg)
     times = snapshot_times(cfg)
     i = len(times) - 3
@@ -293,36 +293,27 @@ def test_pipeline_refuses_mass_drift_before_the_expensive_work():
 
 
 def test_streamed_pipeline_equals_stored(medium_run, medium_model, medium_fed):
-    # one run feeds two accumulators as it goes, one keeping tail samples
-    # and one not, and keeps no snapshot; a separate run's snapshots, stored
-    # by a list consumer and fed afterwards, give the same bits: the run
-    # hands out each snapshot as recorded and never changes it afterwards
+    # one run feeds an accumulator as it goes and keeps no snapshot; a
+    # separate run's snapshots, stored by a list consumer and fed
+    # afterwards, give the same bits: the run hands out each snapshot as
+    # recorded and never changes it afterwards
     stored_traj = medium_run[0]
     cfg = stored_traj.config
-    accs = {"tail": RemainderAccumulator(medium_model, cfg, tail_time=150.0),
-            "no_tail": RemainderAccumulator(medium_model, cfg)}
-
-    def feed(state, t):
-        for acc in accs.values():
-            acc.add(state, t)
-
-    traj = run(cfg, default_nonlinearity(), feed)
+    acc = RemainderAccumulator(medium_model, cfg)
+    traj = run(cfg, default_nonlinearity(), acc.add)
     assert traj.times == stored_traj.times == snapshot_times(cfg)
     assert traj.mass_a == stored_traj.mass_a and traj.mass_b == stored_traj.mass_b
     stored = remainder_pipeline(stored_traj, medium_fed)
-    for acc in accs.values():
-        streamed = remainder_pipeline(traj, acc)
-        assert streamed.d1_fit == stored.d1_fit
-        assert streamed.mass_error == stored.mass_error
-        assert streamed.series.keys() == stored.series.keys()
-        for quantity, (t, values) in stored.series.items():
-            t_s, values_s = streamed.series[quantity]
-            assert np.array_equal(t_s, t)
-            assert np.array_equal(values_s, values), quantity
-        assert streamed.reports == stored.reports
-    assert tail_precedence_check(accs["tail"]) == tail_precedence_check(medium_fed)
-    with pytest.raises(ValueError):
-        tail_precedence_check(accs["no_tail"])       # it kept no tail samples
+    streamed = remainder_pipeline(traj, acc)
+    assert streamed.d1_fit == stored.d1_fit
+    assert streamed.mass_error == stored.mass_error
+    assert streamed.series.keys() == stored.series.keys()
+    for quantity, (t, values) in stored.series.items():
+        t_s, values_s = streamed.series[quantity]
+        assert np.array_equal(t_s, t)
+        assert np.array_equal(values_s, values), quantity
+    assert streamed.reports == stored.reports
+    assert tail_precedence_check(acc) == tail_precedence_check(medium_fed)
 
 
 def _tail_report_from_snapshot(snapshot: StateVector, t: float):
@@ -352,33 +343,29 @@ def _tail_report_from_snapshot(snapshot: StateVector, t: float):
         conclusive=ahead is not None and -4.0 < ahead < 0.0)
 
 
-@pytest.mark.parametrize("sides,tail_time,in_window", [
-    ("+-", 150.0, True), ("+-", 5.0, False), ("-", 150.0, True),
-], ids=["window", "before-window", "minus-side-only"])
+@pytest.mark.parametrize("in_window", [True], ids=["window"])
 def test_tail_report_from_kept_samples_equals_stored_snapshot(
-        medium_run, medium_model, medium_fed, sides, tail_time, in_window):
-    # the samples the accumulator keeps come from a transform of the +
-    # component of its own, inside or outside the fit window and whichever
-    # sides are fitted: the report is the one the whole stored snapshot
-    # gives, bit for bit
+        medium_run, medium_fed, in_window):
+    # the samples the accumulator keeps of the snapshot nearest t_final / 2,
+    # inside the fit window, come from a transform of the + component of
+    # its own: the report is the one the whole stored snapshot gives, bit
+    # for bit
     traj, snapshots = medium_run
-    acc = (medium_fed if (sides, tail_time) == ("+-", 150.0)
-           else _fed(medium_run, medium_model, sides=sides, tail_time=tail_time))
-    i = int(np.argmin(np.abs(np.asarray(traj.times) - tail_time)))
+    i = int(np.argmin(np.abs(np.asarray(traj.times) - traj.config.t_final / 2.0)))
     assert (traj.times[i] >= traj.config.t_final / 20.0) == in_window
-    got = tail_precedence_check(acc)
+    got = tail_precedence_check(medium_fed)
     assert got == _tail_report_from_snapshot(snapshots[i], traj.times[i])
     assert got.ahead_slope is not None
 
 
 def test_streamed_accumulator_holds_no_state_but_the_initial():
-    # after a streamed run with a tail check, the only state left alive is
-    # the initial one that the linear reference reads
+    # after a streamed run, which keeps the tail samples, the only state
+    # left alive is the initial one that the linear reference reads
     cfg = SimConfig(n_points=2 ** 11, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=40)
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, StateVector)}
-    _, acc, traj = _stream(cfg, default_nonlinearity(), tail_time=75.0)
+    _, acc, traj = _stream(cfg, default_nonlinearity())
     gc.collect()
     alive = [o for o in gc.get_objects()
              if isinstance(o, StateVector) and id(o) not in before]
@@ -396,10 +383,10 @@ def test_streamed_verify_working_set_is_bounded():
     cfg = SimConfig(n_points=2 ** 13, half_length=300.0, t_final=50.0,
                     epsilon0=0.05, b_fraction=0.3, n_snapshots=60)
     nl = default_nonlinearity()
-    model = build_model_from_trajectory(gaussian_initial_state(cfg), nl, N=1)
+    model = build_model_from_trajectory(gaussian_initial_state(cfg), nl)
     tracemalloc.start()
     try:
-        acc = RemainderAccumulator(model, cfg, tail_time=25.0)
+        acc = RemainderAccumulator(model, cfg)
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         traj = run(cfg, nl, acc.add)
@@ -429,7 +416,7 @@ def test_streamed_memory_does_not_grow_with_snapshots():
     base = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=100.0,
                      epsilon0=0.05)
     initial = gaussian_initial_state(base)
-    model = build_model_from_trajectory(initial, nl, N=1)
+    model = build_model_from_trajectory(initial, nl)
     peaks = {}
     for n_snapshots in (20, 200):
         cfg = dataclasses.replace(base, n_snapshots=n_snapshots)
@@ -450,7 +437,7 @@ def flagship_model():
     cfg = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=50.0,
                     epsilon0=0.055933, b_fraction=0.211725)
     return build_model_from_trajectory(gaussian_initial_state(cfg),
-                                       default_nonlinearity(), N=1)
+                                       default_nonlinearity())
 
 
 @pytest.mark.parametrize("side", ["+", "-"])
@@ -553,7 +540,7 @@ def test_tail_precedence_nonlinear(medium_fed):
 def test_pipeline_zero_data_trivially_passes():
     cfg = SimConfig(n_points=2 ** 10, half_length=450.0, t_final=150.0,
                     epsilon0=0.0, n_snapshots=40)
-    model, acc, traj = _stream(cfg, default_nonlinearity(), sides="+")
+    model, acc, traj = _stream(cfg, default_nonlinearity())
     res = remainder_pipeline(traj, acc)
     assert all(r.passed for r in res.reports)
     assert res.d1_fit["+"] == 0.0
@@ -567,7 +554,7 @@ def test_d1_fit_stable_under_discretization_refinement():
     for tag, n_pts, dt in (("coarse", 2 ** 13, None), ("fine", 2 ** 14, 0.04)):
         cfg = SimConfig(n_points=n_pts, half_length=800.0, t_final=200.0,
                         dt=dt, epsilon0=0.05, b_fraction=0.3, n_snapshots=80)
-        _, acc, traj = _stream(cfg, nl, sides="+")
+        _, acc, traj = _stream(cfg, nl)
         fits[tag] = remainder_pipeline(traj, acc).d1_fit["+"]
     assert fits["fine"] == pytest.approx(fits["coarse"], rel=0.02)
 
@@ -575,8 +562,8 @@ def test_d1_fit_stable_under_discretization_refinement():
 def test_tail_precedence_linear_inconclusive():
     cfg = SimConfig(n_points=2 ** 12, half_length=450.0, t_final=150.0,
                     epsilon0=0.05, n_snapshots=40)
-    _, acc, _ = _stream(cfg, zero_nonlinearity(), tail_time=100.0)
-    rep = tail_precedence_check(acc)
+    _, acc, _ = _stream(cfg, zero_nonlinearity())
+    rep = tail_precedence_check(acc)     # at the snapshot nearest t = 75
     assert not rep.conclusive        # both sides Gaussian: nothing to fit
 
 
