@@ -316,9 +316,10 @@ def _char_component(snapshot, t: float, side: str):
 
 def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
                              phases: tuple) -> dict:
-    """Per side, the coefficients of [linear evolution of z0 in the char
-    frame] minus [decoupled heat evolution of the sampled leading profile]:
-    the sum of the data's intertwining defect and the mass-matched mismatch.
+    """Per side in ``g0_hat``, the coefficients of [linear evolution of z0 in
+    the char frame] minus [decoupled heat evolution of the sampled leading
+    profile]: the sum of the data's intertwining defect and the mass-matched
+    mismatch.
     The propagator entries (P, Q, R) and the heat factor are formed once for
     both sides; ``phases`` are the frame's multipliers at t
     (``frame_phases``).  Each side's row is built in its result array,
@@ -330,6 +331,8 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
     work = np.empty_like(a0)
     out = {}
     for side, combine, phase in zip("+-", (np.add, np.subtract), phases):
+        if side not in g0_hat:
+            continue
         # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
         row = combine(P, Q)
         np.multiply(row, a0, out=row)

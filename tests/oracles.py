@@ -508,6 +508,26 @@ def full_remainder_norms(snapshots, times, model: ExpansionModel, side: str,
     return times, np.array(n0)
 
 
+def linear_reference_three_tables(initial: StateVector, t: float, g0_hat: dict,
+                                  phases: tuple) -> dict:
+    """``verify._linear_reference_coeffs`` as plain expressions, one new array
+    per operation, on the three complex propagator tables (P, Q, R) formed
+    from the (C, S) of ``propagator_cs_by_branches``: per side in ``g0_hat``,
+    phase ((P +- Q) a0 + (Q +- R) b0) - e^{-k^2 t} g0_hat."""
+    k = initial.grid.k
+    a0, b0 = initial.first.coeffs, initial.second.coeffs
+    C, S = propagator_cs_by_branches(k, t)
+    P, Q, R = (C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex)
+    heat_factor = np.exp(-k * k * t)
+    out = {}
+    for side, combine, phase in (("+", np.add, phases[0]),
+                                 ("-", np.subtract, phases[1])):
+        if side in g0_hat:
+            row = combine(P, Q) * a0 + combine(Q, R) * b0
+            out[side] = phase * row - heat_factor * g0_hat[side]
+    return out
+
+
 def transient_sweep_full_grid(coeff: float, c_osc: float, qhat, grid: Grid, times):
     """The rows of ``verify._transient_sweep`` built on full-grid index
     arrays: the modes picked by a mask over ``grid.k``, and each mode k < 0

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_real_field, run_collecting
 from oracles import (apply_eLt, bound_kernel_B0_quad, bound_kernel_B_quad,
                      fhat_on_largest_grid, full_remainder_norms,
-                     transient_sweep_full_grid)
+                     linear_reference_three_tables, transient_sweep_full_grid)
 from ptails import profiles, special, verify
 from ptails.nonlinearity import default_nonlinearity, zero_nonlinearity
 from ptails.solver import (SimConfig, frame_phases, gaussian_initial_state, run,
@@ -107,6 +107,24 @@ def test_tail_median_equals_np_median_bitwise(size):
     x = np.abs(rng.standard_normal(size))
     x[size // 3] = np.nan
     assert np.isnan(verify._median(x)) and np.isnan(np.median(x))
+
+
+@pytest.mark.parametrize("sides", ["+-", "+", "-"])
+@pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
+def test_linear_reference_equals_three_table_form_bytewise(sides, t):
+    # the rows built in place through one shared scratch array are the plain
+    # expressions' bits, and a side not in g0_hat is neither read nor formed
+    rng = np.random.default_rng(11)
+    grid = Grid(2 ** 12, 400.0)
+    initial = StateVector(random_real_field(grid, rng), random_real_field(grid, rng),
+                          "physical")
+    g0_hat = {side: random_real_field(grid, rng).coeffs for side in sides}
+    phases = frame_phases(grid.k, t)
+    got = verify._linear_reference_coeffs(initial, t, g0_hat, phases)
+    ref = linear_reference_three_tables(initial, t, g0_hat, phases)
+    assert got.keys() == ref.keys() == set(sides)
+    for side in sides:
+        assert got[side].tobytes() == ref[side].tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
