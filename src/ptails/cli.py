@@ -1,8 +1,10 @@
 """Command-line orchestration: special, profiles, simulate, heat, verify, bounds.
 
 Every subcommand writes deterministic CSV tables plus a JSON run manifest
-listing the resolved configuration, all output files and the verdicts.
-Exit codes: 0 success (all verdicts pass), 1 failed verdict, 2 usage or
+listing the resolved configuration, all output files and the verdicts.  A
+subcommand records its verdicts in the manifest and ``main`` alone turns
+them into the exit code: 0 when the ``passed`` verdict is true, 1 otherwise
+(a failed verdict, an aborted run or an error), 2 for a usage or
 configuration error.
 """
 
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import heat, profiles, special, verify
-from .config import ConfigError, RunManifest, Stopwatch, get_typed, parse_config
+from .config import (ConfigError, RunManifest, Stopwatch, _Sections, get_typed,
+                     parse_config)
 from .nonlinearity import default_nonlinearity, quadratic_nonlinearity, zero_nonlinearity
 from .semigroup import intertwining_defect, kernel_bound_check
 from .solver import SimConfig, gaussian_initial_state, run, snapshot_times
@@ -30,8 +33,11 @@ _SECTIONS = ("grid", "simulate", "nonlinearity", "profiles", "heat", "verify",
              "bounds", "semigroup")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows, manifest: RunManifest) -> None:
+    """The table at ``path``, listed in the manifest's outputs as soon as the
+    file exists."""
     with open(path, "w", newline="") as fh:
+        manifest.add_output(path)
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -76,34 +82,29 @@ def _sim_config(cfg: dict) -> SimConfig:
     return SimConfig(**{name: v for name, v in values.items() if v is not None})
 
 
-def cmd_special(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_special(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     lo, hi = args.range
     z = np.linspace(lo, hi, args.points)
     n = args.n
     vals = special.fn_value(n, z, (0, 1, 2, 3))
     res = special.lcal_apply(vals[0], vals[1], vals[2], z, n)
-    path = out / f"fn_n{n}.csv"
-    _write_csv(path, ["z", "fn", "fn_d1", "fn_d2", "fn_d3", "ode_residual"],
-               zip(z, *vals, res))
-    manifest.add_output(path)
+    _write_csv(out / f"fn_n{n}.csv", ["z", "fn", "fn_d1", "fn_d2", "fn_d3", "ode_residual"],
+               zip(z, *vals, res), manifest)
     sup_res = float(np.abs(res).max())
     manifest.verdicts["ode_residual_sup"] = sup_res
     manifest.verdicts["mass"] = special.fn_mass(n)
     manifest.verdicts["passed"] = bool(sup_res < 1e-8)
-    return 0 if manifest.verdicts["passed"] else 1
 
 
-def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     alpha = get_typed(cfg, "profiles", "alpha", float, 0.5)
     gamma = get_typed(cfg, "profiles", "gamma", float, 0.1)
     n_max = get_typed(cfg, "profiles", "n_max", int, 1)
     z = profiles.graded_grid()
     g0 = profiles.g0_profile(alpha, gamma, z)
     res0 = profiles.burgers_residual(g0)
-    path = out / "g0.csv"
-    _write_csv(path, ["z", "g0", "g0_d1", "g0_d2"],
-               zip(z, g0.sample.values, g0.sample.derivs[1], g0.sample.derivs[2]))
-    manifest.add_output(path)
+    _write_csv(out / "g0.csv", ["z", "g0", "g0_d1", "g0_d2"],
+               zip(z, g0.sample.values, g0.sample.derivs[1], g0.sample.derivs[2]), manifest)
     verd = {"g0_residual": res0, "g0_mass_error": g0.mass_error}
     ok = res0 < 1e-8 and g0.mass_error < 1e-8
     for n in range(1, n_max + 1):
@@ -111,11 +112,10 @@ def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         res = profiles.gn_equation_residual(gn, g0, n, gamma)
         m_g = profiles.gn_total_mass(gn, n)
         m_r = profiles.profile_mass(rn)
-        path = out / f"g{n}{'p' if args.sign == '+' else 'm'}.csv"
-        _write_csv(path, ["z", "gn", "gn_d1", "Rn", "mass_gn", "residual"],
+        _write_csv(out / f"g{n}{'p' if args.sign == '+' else 'm'}.csv",
+                   ["z", "gn", "gn_d1", "Rn", "mass_gn", "residual"],
                    [(z[i], gn.values[i], gn.derivs[1][i], rn.values[i], m_g, res)
-                    for i in range(z.size)])
-        manifest.add_output(path)
+                    for i in range(z.size)], manifest)
         verd[f"g{n}_residual"] = res
         verd[f"g{n}_mass"] = m_g
         verd[f"R{n}_mass"] = m_r
@@ -123,10 +123,9 @@ def cmd_profiles(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         ok = ok and res < 1e-6 and abs(m_g) < 1e-6 and info.iterations <= 50
     verd["passed"] = bool(ok)
     manifest.verdicts.update(verd)
-    return 0 if ok else 1
 
 
-def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     sim_cfg = _sim_config(cfg)
     nl = _nonlinearity_from_config(cfg)
     # the run is streamed: per snapshot the consumer keeps its unweighted
@@ -140,15 +139,15 @@ def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         if len(rows) in pick:
             kept.append((state, t))
         na, nb = norms(state.first), norms(state.second)
-        rows.append((max(na.sup_fourier, nb.sup_fourier), np.hypot(na.l2(0), nb.l2(0)),
-                     np.hypot(na.l2(1), nb.l2(1)), nb.l2(2)))
+        rows.append((max(na.sup_fourier, nb.sup_fourier), np.hypot(na.l2[0], nb.l2[0]),
+                     np.hypot(na.l2[1], nb.l2[1]), nb.l2[2]))
 
     traj = run(sim_cfg, nl, consume)
     manifest.verdicts.update(snapshots_requested=sim_cfg.n_snapshots,
                              snapshots_recorded=len(traj.times) - 1)
     if traj.abort_reason:
         manifest.verdicts["aborted"] = traj.abort_reason
-        return 1
+        return
     t = np.asarray(traj.times)
     sup_f, l2, dl2, d2b = (np.array(col) for col in zip(*rows))
     series = {
@@ -158,27 +157,22 @@ def cmd_simulate(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         "dl2_weighted": (1.0 + t) ** 0.75 * dl2,
         "d2b_weighted_star": (1.0 + t) ** 1.25 / np.log(2.0 + t) * d2b,
     }
-    path = out / "norms.csv"
-    _write_csv(path,
+    _write_csv(out / "norms.csv",
                ["t", "sup_fourier", "l2_weighted", "dl2_weighted",
                 "d2b_weighted_star", "mass_a", "mass_b"],
-               zip(*series.values(), traj.mass_a, traj.mass_b))
-    manifest.add_output(path)
+               zip(*series.values(), traj.mass_a, traj.mass_b), manifest)
     for snap, t_snap in kept:
-        path = out / f"snapshot_t{t_snap:.6g}.csv"
-        _write_csv(path, ["x", "a", "b"],
-                   zip(snap.grid.x, snap.first.samples(), snap.second.samples()))
-        manifest.add_output(path)
+        _write_csv(out / f"snapshot_t{t_snap:.6g}.csv", ["x", "a", "b"],
+                   zip(snap.grid.x, snap.first.samples(), snap.second.samples()), manifest)
     manifest.verdicts["mass_drift"] = traj.mass_drift()
     manifest.verdicts["n_steps"] = traj.n_steps
     manifest.verdicts["norm_series"] = {
         key: [float(v) for v in vals] for key, vals in series.items()
     }
     manifest.verdicts["passed"] = bool(traj.mass_drift() < 1e-9 * max(1, traj.n_steps / 1000))
-    return 0 if manifest.verdicts["passed"] else 1
 
 
-def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     n = get_typed(cfg, "heat", "n", int, 1)
     sigma = get_typed(cfg, "heat", "sigma", int, 1)
     shape = get_typed(cfg, "heat", "shape", str, "gaussian")
@@ -188,13 +182,11 @@ def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
     spec = heat.make_source(n, sigma, shape)
     t_grid = np.geomspace(t_lo, t_hi, n_times)
     rep = heat.convergence_check(spec, t_grid)
-    path = out / "heat_remainders.csv"
-    _write_csv(path,
+    _write_csv(out / "heat_remainders.csv",
                ["t", "remainder_l2", "remainder_dl2",
                 "weighted_l2", "weighted_dl2"],
                zip(rep.times, rep.remainder_l2, rep.remainder_dl2,
-                   rep.weighted_l2, rep.weighted_dl2))
-    manifest.add_output(path)
+                   rep.weighted_l2, rep.weighted_dl2), manifest)
     manifest.verdicts.update({
         "weighted_sup": rep.weighted_sup,
         "weighted_sup_d": rep.weighted_sup_d,
@@ -203,10 +195,9 @@ def cmd_heat(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         "stabilized": rep.stabilized,
         "passed": bool(rep.passed),
     })
-    return 0 if rep.passed else 1
 
 
-def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     sim_cfg = _sim_config(cfg)
     nl = _nonlinearity_from_config(cfg)
     # a config may name the one subtraction there is; any other is refused
@@ -228,21 +219,17 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
                              snapshots_recorded=len(traj.times) - 1)
     if traj.abort_reason:
         manifest.verdicts["aborted"] = traj.abort_reason
-        return 1
+        return
     result = verify.remainder_pipeline(traj, acc)
-    path = out / "decay_fits.csv"
-    _write_csv(path,
+    _write_csv(out / "decay_fits.csv",
                ["quantity", "t_lo", "t_hi", "slope", "residual", "target",
                 "tolerance", "passed"],
                [(r.quantity, r.t_lo, r.t_hi, r.slope, r.residual, r.target,
-                 r.tolerance, r.passed) for r in result.reports])
-    manifest.add_output(path)
-    path = out / "remainder_norms.csv"
+                 r.tolerance, r.passed) for r in result.reports], manifest)
     rows = []
     for quantity, (ts, vals) in sorted(result.series.items()):
         rows.extend((quantity, float(t), float(v)) for t, v in zip(ts, vals))
-    _write_csv(path, ["quantity", "t", "l2_norm"], rows)
-    manifest.add_output(path)
+    _write_csv(out / "remainder_norms.csv", ["quantity", "t", "l2_norm"], rows, manifest)
     tail = verify.tail_precedence_check(acc)
     manifest.verdicts.update({
         "fits": [r.row() for r in result.reports],
@@ -263,31 +250,26 @@ def cmd_verify(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
           and (tail.passed or not require_tail)
           and result.d1_relative_difference("+") <= d1_tol)
     manifest.verdicts["passed"] = bool(ok)
-    return 0 if ok else 1
 
 
-def cmd_bounds(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_bounds(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     t_max = get_typed(cfg, "bounds", "t_max", float, 1000.0)
     n_t = get_typed(cfg, "bounds", "n_t", int, 60)
     t_grid = np.concatenate([[0.0], np.geomspace(1e-2, t_max, n_t)])
     rows = verify.bound_check(t_grid)
-    path = out / "bound_kernels.csv"
-    _write_csv(path, ["name", "measured_C", "finite"],
-               [(r.name, r.measured_C, r.finite) for r in rows])
-    manifest.add_output(path)
+    _write_csv(out / "bound_kernels.csv", ["name", "measured_C", "finite"],
+               [(r.name, r.measured_C, r.finite) for r in rows], manifest)
     ok = all(r.finite for r in rows)
     manifest.verdicts["kernels"] = {r.name: r.measured_C for r in rows}
     manifest.verdicts["passed"] = bool(ok)
-    return 0 if ok else 1
 
 
-def cmd_semigroup(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
+def cmd_semigroup(args, cfg: dict, out: Path, manifest: RunManifest) -> None:
     k_grid = np.linspace(-8.0, 8.0, get_typed(cfg, "semigroup", "n_k", int, 801))
     t_grid = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 60)])
     kb = kernel_bound_check(k_grid, t_grid)
     defect_k = np.linspace(-4, 4, 801)
     it = intertwining_defect(defect_k, t_grid)
-    path = out / "semigroup_bounds.csv"
     grid_desc = lambda k, t: (float(k.min()), float(k.max()), int(k.size),
                               float(t.max()), int(t.size))
     rows = [("matrix", *grid_desc(k_grid, t_grid), kb.C_matrix),
@@ -296,13 +278,12 @@ def cmd_semigroup(args, cfg: dict, out: Path, manifest: RunManifest) -> int:
         for j in range(2):
             rows.append((f"defect_{i}{j}", *grid_desc(defect_k, t_grid),
                          it.sup_entries[i, j]))
-    _write_csv(path, ["entry", "k_min", "k_max", "n_k", "t_max", "n_t",
-                      "measured_C"], rows)
-    manifest.add_output(path)
+    _write_csv(out / "semigroup_bounds.csv",
+               ["entry", "k_min", "k_max", "n_k", "t_max", "n_t", "measured_C"],
+               rows, manifest)
     ok = not kb.violation and np.isfinite(it.sup)
     manifest.verdicts.update({"kernel_C": kb.C_matrix, "defect_sup": it.sup,
                               "passed": bool(ok)})
-    return 0 if ok else 1
 
 
 _COMMANDS = {
@@ -387,7 +368,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else {}
+        cfg = parse_config(args.config) if args.config else _Sections()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -405,16 +386,14 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = record_warning
             try:
-                code = _COMMANDS[args.command](args, cfg, out, manifest)
+                _COMMANDS[args.command](args, cfg, out, manifest)
             except (ValueError, RuntimeError) as exc:
                 # the manifest still lists what was written before the error
                 print(f"error: {exc}", file=sys.stderr)
                 manifest.verdicts.update({"passed": False, "error": str(exc)})
-                code = 1
-            if args.config:
-                # a key that does nothing is reported, not silently accepted
-                for message in cfg.unread(_SECTIONS, args.command):
-                    warnings.warn(message)
+            # a key that does nothing is reported, not silently accepted
+            for message in cfg.unread(_SECTIONS, args.command):
+                warnings.warn(message)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -422,7 +401,8 @@ def main(argv=None) -> int:
     manifest_path = out / f"manifest_{args.command}.json"
     manifest.write(manifest_path)
     print(f"wrote {len(manifest.outputs)} output file(s) + {manifest_path}")
-    return code
+    # an aborted run records no "passed" verdict, so it exits 1 too
+    return 0 if manifest.verdicts.get("passed") is True else 1
 
 
 if __name__ == "__main__":

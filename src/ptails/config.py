@@ -44,7 +44,7 @@ class _Sections(dict):
                             for key in keys if (section, key) not in self.looked_up)
 
 
-def parse_config(path: str | Path) -> dict:
+def parse_config(path: str | Path) -> _Sections:
     """Sections of key = value pairs; values stay strings, typed on access."""
     sections = _Sections()
     current = None
@@ -75,9 +75,8 @@ def parse_config(path: str | Path) -> dict:
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def get_typed(sections: dict, section: str, key: str, typ, default=None):
-    if isinstance(sections, _Sections):
-        sections.looked_up.add((section, key))
+def get_typed(sections: _Sections, section: str, key: str, typ, default=None):
+    sections.looked_up.add((section, key))
     sec = sections.get(section, {})
     if key not in sec:
         return default

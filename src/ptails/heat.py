@@ -42,8 +42,6 @@ from .spectral import Grid, coeffs_of
 
 __all__ = [
     "HeatSourceSpec",
-    "gaussian_shape",
-    "dgaussian_shape",
     "solve_inhom_modes",
     "un_reference_hat",
     "convergence_check",
@@ -64,12 +62,11 @@ _CHUNK = 1 << 15       # (mode, node) integrand values evaluated at once
 
 @dataclass
 class HeatSourceSpec:
-    """Source specification: order n, translation index sigma, the shape f
-    and its exact transform fhat."""
+    """Source specification: order n, translation index sigma and the
+    exact transform fhat of the source's profile."""
 
     n: int
     sigma: int
-    shape: Callable[[np.ndarray], np.ndarray]
     fhat: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -88,16 +85,8 @@ class HeatSourceSpec:
         return self._mass
 
 
-def gaussian_shape():
-    return lambda x: np.exp(-x * x / 4.0) / np.sqrt(4.0 * np.pi)
-
-
 def gaussian_fhat():
     return lambda k: np.exp(-k * k)
-
-
-def dgaussian_shape():
-    return lambda x: -(x / 2.0) * np.exp(-x * x / 4.0) / np.sqrt(4.0 * np.pi)
 
 
 def dgaussian_fhat():
@@ -105,10 +94,12 @@ def dgaussian_fhat():
 
 
 def make_source(n: int, sigma: int, shape_name: str) -> HeatSourceSpec:
+    """The source of a named shape through its exact transform: "gaussian"
+    is f(x) = e^{-x^2/4} / sqrt(4 pi), of unit mass, and "dgaussian" is f'."""
     if shape_name == "gaussian":
-        return HeatSourceSpec(n, sigma, gaussian_shape(), gaussian_fhat())
+        return HeatSourceSpec(n, sigma, gaussian_fhat())
     if shape_name == "dgaussian":
-        return HeatSourceSpec(n, sigma, dgaussian_shape(), dgaussian_fhat())
+        return HeatSourceSpec(n, sigma, dgaussian_fhat())
     raise ValueError(f"unknown shape {shape_name!r}")
 
 

@@ -3,7 +3,9 @@
 A nonlinearity is admissible when g vanishes quadratically at the origin
 (with quadratic part g0 and cubically small difference), and f vanishes
 linearly, each with the matching Lipschitz bounds.  The checks here sample
-those inequalities at small points rather than proving them.
+those inequalities at small points rather than proving them.  The Hessian
+of g at the origin, which fixes the expansion constants c_+-, is given
+exactly by the constructor, never differenced.
 """
 
 from __future__ import annotations
@@ -38,21 +40,11 @@ def _at(fn: Callable, a: float, b: float) -> float:
 class Nonlinearity:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hessian: np.ndarray | None = None   # Hessian of g at the origin, 2x2
+    hessian: np.ndarray                 # exact Hessian of g at the origin, 2x2
     reads_b: bool = True                # False: g and f ignore b, passed as None
 
     def __post_init__(self):
-        if self.hessian is None:
-            self.hessian = self._fd_hessian()
         self.hessian = np.asarray(self.hessian, dtype=float)
-
-    def _fd_hessian(self) -> np.ndarray:
-        h = _FD_STEP
-        g = lambda a, b: _at(self.g, a, b)
-        gaa = (g(h, 0) - 2 * g(0, 0) + g(-h, 0)) / h ** 2
-        gbb = (g(0, h) - 2 * g(0, 0) + g(0, -h)) / h ** 2
-        gab = (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4 * h ** 2)
-        return np.array([[gaa, gab], [gab, gbb]])
 
     def quadratic_part(self, a, b):
         """g0(a, b) = (1/2) (a, b) H (a, b)^T."""

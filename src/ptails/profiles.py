@@ -152,7 +152,7 @@ def g0_function(alpha: float, gamma: float):
 
 def g0_profile(alpha: float, gamma: float, z_grid: np.ndarray) -> BurgersProfile:
     """Closed-form mass-alpha self-similar Burgers profile with derivatives
-    to order 3.
+    to order 2.
 
     The values are e^{-z^2/4} times the scaled closed form of ``_g0_scaled``
     (the heat-kernel Gaussian at gamma = 0).  The derivatives come from the
@@ -163,8 +163,7 @@ def g0_profile(alpha: float, gamma: float, z_grid: np.ndarray) -> BurgersProfile
     g = g0_function(alpha, gamma)(z)
     gp = -(z / 2.0) * g - gamma * g * g
     gpp = -0.5 * g - (z / 2.0) * gp - 2.0 * gamma * g * gp
-    gppp = -gp - (z / 2.0) * gpp - 2.0 * gamma * (gp * gp + g * gpp)
-    sample = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp, 3: gppp})
+    sample = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp})
     return BurgersProfile(sample=sample, alpha=alpha, gamma=gamma)
 
 
@@ -210,7 +209,7 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
 
     Cumulative integrals use the derivative-corrected trapezoid on the graded
     grid; all e^{z^2/4}-weighted factors are combined analytically so nothing
-    overflows.  Derivative samples to order 3 are propagated through the map.
+    overflows.  Derivative samples to order 2 are propagated through the map.
     """
     if abs(alpha * gamma) > CONTRACTION_LIMIT:
         raise ValueError(
@@ -223,11 +222,10 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
     if not np.allclose(z, -z[::-1], atol=1e-12):
         raise ValueError("z_grid must be symmetric about 0 (f_n(-z) by reversal)")
     beta = 0.5 ** n
-    lam = 1.0 - 0.5 ** (n + 1)
-    F = special.fn_value(n, z, (0, 1, 2, 3))
+    F = special.fn_value(n, z, (0, 1, 2))
     Fm = F[:, ::-1].copy()   # f_n^{(m)}(-z); chain-rule signs handled per use
-    f0, f1, f2, f3 = F
-    f0m, f1m, f2m, f3m = Fm
+    f0, f1, f2 = F
+    f0m, f1m, f2m = Fm
     i0 = int(np.searchsorted(z, 0.0))
     W0 = -2.0 * f0[i0] * f1[i0]
     g0s = g0_profile(alpha, gamma, z).sample
@@ -238,10 +236,10 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
     hp = z * f0 + 2.0 * f1
     hm_p = f0m - z * f1m + 2.0 * f2m
     hp_p = f0 + z * f1 + 2.0 * f2
-    base = (f0m, -f1m, f2m, -f3m) if sign == "+" else (f0, f1, f2, f3)
-    g, gp, gpp, gppp = (b.copy() for b in base)
+    base = (f0m, -f1m, f2m) if sign == "+" else (f0, f1, f2)
+    g, gp, gpp = (b.copy() for b in base)
     weight = (1.0 + z * z) ** ((2.0 - beta) / 2.0)
-    R = Rp = Rpp = Rppp = np.zeros_like(z)
+    R = Rp = Rpp = np.zeros_like(z)
     deltas = []
     converged = gamma == 0.0
     for _ in range(MAX_PICARD_ITER):
@@ -255,20 +253,15 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
         c = -gamma / W0
         g0g = g0s.values * g
         g0g_p = g0s.derivs[1] * g + g0s.values * gp
-        g0g_pp = g0s.derivs[2] * g + 2.0 * g0s.derivs[1] * gp + g0s.values * gpp
         R = c * (f0 * I1 + f0m * I2)
         Rp = c * (f1 * I1 - f1m * I2) - 2.0 * gamma * g0g
         Rpp = c * (f2 * I1 + f2m * I2) + gamma * z * g0g - 2.0 * gamma * g0g_p
-        Rppp = (c * (f3 * I1 - f3m * I2)
-                + gamma * (2.0 * lam - z * z / 2.0 + 1.0) * g0g
-                + gamma * z * g0g_p - 2.0 * gamma * g0g_pp)
         gnew = base[0] + R
         delta = float(np.abs((gnew - g) * weight).max())
         deltas.append(delta)
         g = gnew
         gp = base[1] + Rp
         gpp = base[2] + Rpp
-        gppp = base[3] + Rppp
         if delta < FIXED_POINT_TOL:
             converged = True
             break
@@ -284,8 +277,8 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
             f"fixed point did not converge in {MAX_PICARD_ITER} iterations "
             f"(last delta {info.final_delta:.3e}, contraction ~{contraction:.3f})"
         )
-    gn = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp, 3: gppp})
-    rn = ProfileSample(z_grid=z, values=R, derivs={1: Rp, 2: Rpp, 3: Rppp})
+    gn = ProfileSample(z_grid=z, values=g, derivs={1: gp, 2: gpp})
+    rn = ProfileSample(z_grid=z, values=R, derivs={1: Rp, 2: Rpp})
     return gn, rn, info
 
 

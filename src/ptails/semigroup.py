@@ -63,8 +63,6 @@ def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
     d2 = 1.0 - k * k
     near = np.abs(d2) < BRANCH_THRESHOLD
     trig = ~near & (d2 > 0)
@@ -90,8 +88,6 @@ def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         e2 = np.exp(a - x)
         C[hyp] = 0.5 * (e1 + e2)
         S[hyp] = 0.5 * (e1 - e2) / dp
-    if scalar:
-        return C[0], S[0]
     return C, S
 
 

@@ -260,7 +260,7 @@ def run(config: SimConfig, nl: Nonlinearity,
     adm = nl.admissibility()
     if not adm.admissible:
         raise ValueError(f"nonlinearity fails admissibility sampling: {adm}")
-    init_norm = norms(initial.first).lp[0]["inf"]
+    init_norm = norms(initial.first).sup
     if init_norm > 2.0 * config.epsilon0:
         warnings.warn(f"initial amplitude {init_norm:.3g} above the epsilon0 guard "
                       f"{config.epsilon0}; continuing", stacklevel=2)

@@ -48,10 +48,11 @@ N_MIN, N_MAX = 1, 20
 _Z_MAX = 300.0
 
 # P_m with g_m(w) = P_m(w) e^{-w^2/4}, g_{m+1} = g_m'; P_{-1} = -2 so that
-# g_{-1}' = g_0 = w e^{-w^2/4}.
+# g_{-1}' = g_0 = w e^{-w^2/4}.  fn_value's order m reads P_m to P_{m+3}, so
+# order 3 needs P_6.
 _POLYS: dict[int, np.polynomial.Polynomial] = {-1: np.polynomial.Polynomial([-2.0])}
 _POLYS[0] = np.polynomial.Polynomial([0.0, 1.0])
-for _m in range(0, 8):
+for _m in range(0, 6):
     _POLYS[_m + 1] = _POLYS[_m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * _POLYS[_m]
 
 _SING_CELL = 2.0          # [0, A] carries the singular weight
@@ -129,8 +130,8 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     """
     beta = _check_n(n)
     orders = order if isinstance(order, tuple) else (order,)
-    if not orders or not all(-1 <= m <= 4 for m in orders):
-        raise ValueError("derivative order must lie in [-1, 4]")
+    if not orders or not all(-1 <= m <= 3 for m in orders):
+        raise ValueError("derivative order must lie in [-1, 3]")
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)

@@ -203,35 +203,28 @@ def mass(fld: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Instantaneous norms of a field: Lp of the field and derivatives,
-    the sup of the continuum Fourier transform, and the x^2-weighted L2."""
+    """Instantaneous norms of a field: the L2 norms of the field and its
+    first two derivatives, the field's sup, the sup of its continuum Fourier
+    transform, and its x^2-weighted L2 norm."""
 
-    lp: dict            # order m -> {1: L1, 2: L2, inf: Linf}
+    l2: tuple           # ||D^m f||_2 for m = 0, 1, 2
+    sup: float          # ||f||_inf over the samples
     sup_fourier: float
     weighted_l2: float  # || x^2 f ||_2 on the truncated domain
-
-    def l2(self, order: int) -> float:
-        return self.lp[order][2]
-
-
-NORM_MAX_ORDER = 2   # norms of the field and its first two derivatives
 
 
 def norms(fld: SpectralField) -> NormReport:
     g = fld.grid
     dx = g.dx
-    lp = {}
     s0 = fld.samples()
-    for m in range(NORM_MAX_ORDER + 1):
+    l2 = []
+    for m in range(3):
         s = derivative(fld, m).samples() if m else s0
-        lp[m] = {
-            1: float(np.sum(np.abs(s)) * dx),
-            2: float(np.sqrt(np.sum(s * s) * dx)),
-            "inf": float(np.abs(s).max()),
-        }
+        l2.append(float(np.sqrt(np.sum(s * s) * dx)))
     w = g.x ** 2 * s0
     return NormReport(
-        lp=lp,
+        l2=tuple(l2),
+        sup=float(np.abs(s0).max()),
         sup_fourier=float(np.abs(fld.fhat()).max()),
         weighted_l2=float(np.sqrt(np.sum(w * w) * dx)),
     )

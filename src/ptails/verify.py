@@ -316,10 +316,9 @@ def _char_component(snapshot, t: float, side: str):
 
 def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
                              phases: tuple) -> dict:
-    """Per side in ``g0_hat``, the coefficients of [linear evolution of z0 in
-    the char frame] minus [decoupled heat evolution of the sampled leading
-    profile]: the sum of the data's intertwining defect and the mass-matched
-    mismatch.
+    """Per side, the coefficients of [linear evolution of z0 in the char
+    frame] minus [decoupled heat evolution of the sampled leading profile]:
+    the sum of the data's intertwining defect and the mass-matched mismatch.
     The propagator entries (P, Q, R) and the heat factor are formed once for
     both sides; ``phases`` are the frame's multipliers at t
     (``frame_phases``).  Each side's row is built in its result array,
@@ -331,8 +330,6 @@ def _linear_reference_coeffs(initial: StateVector, t: float, g0_hat: dict,
     work = np.empty_like(a0)
     out = {}
     for side, combine, phase in zip("+-", (np.add, np.subtract), phases):
-        if side not in g0_hat:
-            continue
         # phase ((P +- Q) a0 + (Q +- R) b0) - heat_factor g0_hat
         row = combine(P, Q)
         np.multiply(row, a0, out=row)
@@ -660,6 +657,10 @@ def tail_precedence_check(fed: RemainderAccumulator) -> TailPrecedenceReport:
     (steep or below the measurement floor).  The window starts beyond
     z ~ 6.5 where the algebraic tail overtakes the Gaussian shoulder of the
     leading profile."""
+    if fed.tail is None:
+        raise ValueError(f"the accumulator was not fed the snapshot at "
+                         f"t = {fed.snapshot_times[fed._tail_index]}, which the "
+                         f"tail check reads")
     t, level, windows = fed.tail
     root = np.sqrt(1.0 + t)
     lo, hi = TAIL_Z_WINDOW[0] * root, TAIL_Z_WINDOW[1] * root

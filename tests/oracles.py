@@ -283,6 +283,14 @@ def apply_eLt(state: StateVector, t: float) -> StateVector:
 # heat
 
 
+# the source shapes ``heat.make_source`` names, of which the package holds
+# only the exact transforms
+SOURCE_SHAPES = {
+    "gaussian": lambda x: np.exp(-x * x / 4.0) / np.sqrt(4.0 * np.pi),
+    "dgaussian": lambda x: -(x / 2.0) * np.exp(-x * x / 4.0) / np.sqrt(4.0 * np.pi),
+}
+
+
 def fhat_on_largest_grid(shape):
     """The sampled-shape transform on a fixed 2^17 points of [-480, 480),
     cubic Hermite interpolated in k on its exact k-slopes: the largest grid
@@ -512,7 +520,7 @@ def linear_reference_three_tables(initial: StateVector, t: float, g0_hat: dict,
                                   phases: tuple) -> dict:
     """``verify._linear_reference_coeffs`` as plain expressions, one new array
     per operation, on the three complex propagator tables (P, Q, R) formed
-    from the (C, S) of ``propagator_cs_by_branches``: per side in ``g0_hat``,
+    from the (C, S) of ``propagator_cs_by_branches``: per side,
     phase ((P +- Q) a0 + (Q +- R) b0) - e^{-k^2 t} g0_hat."""
     k = initial.grid.k
     a0, b0 = initial.first.coeffs, initial.second.coeffs
@@ -522,9 +530,8 @@ def linear_reference_three_tables(initial: StateVector, t: float, g0_hat: dict,
     out = {}
     for side, combine, phase in (("+", np.add, phases[0]),
                                  ("-", np.subtract, phases[1])):
-        if side in g0_hat:
-            row = combine(P, Q) * a0 + combine(Q, R) * b0
-            out[side] = phase * row - heat_factor * g0_hat[side]
+        row = combine(P, Q) * a0 + combine(Q, R) * b0
+        out[side] = phase * row - heat_factor * g0_hat[side]
     return out
 
 

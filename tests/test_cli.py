@@ -15,9 +15,9 @@ import pytest
 
 import ptails
 from conftest import run_collecting
-from ptails import cli
+from ptails import cli, solver
 from ptails.cli import main
-from ptails.config import ConfigError, parse_config
+from ptails.config import ConfigError, _Sections, parse_config
 from ptails.nonlinearity import default_nonlinearity
 from ptails.solver import SimConfig, snapshot_times
 from ptails.spectral import mass, norms
@@ -191,12 +191,12 @@ def test_cli_simulate_norms_equal_collected_snapshot_norms(tmp_path):
     expected = {
         "t": t,
         "sup_fourier": np.array([max(a.sup_fourier, b.sup_fourier) for a, b in zip(na, nb)]),
-        "l2_weighted": (1.0 + t) ** 0.25 * np.array([np.hypot(a.l2(0), b.l2(0))
+        "l2_weighted": (1.0 + t) ** 0.25 * np.array([np.hypot(a.l2[0], b.l2[0])
                                                      for a, b in zip(na, nb)]),
-        "dl2_weighted": (1.0 + t) ** 0.75 * np.array([np.hypot(a.l2(1), b.l2(1))
+        "dl2_weighted": (1.0 + t) ** 0.75 * np.array([np.hypot(a.l2[1], b.l2[1])
                                                       for a, b in zip(na, nb)]),
         "d2b_weighted_star": (1.0 + t) ** 1.25 / np.log(2.0 + t) * np.array(
-            [b.l2(2) for b in nb]),
+            [b.l2[2] for b in nb]),
         "mass_a": np.array([mass(s.first) for s in snapshots]),
         "mass_b": np.array([mass(s.second) for s in snapshots]),
     }
@@ -354,7 +354,7 @@ def test_cli_documented_and_benchmark_configs_read_every_key(tmp_path, monkeypat
 
 
 def test_sim_config_defaults_live_in_SimConfig_only():
-    assert cli._sim_config({}) == SimConfig()
+    assert cli._sim_config(_Sections()) == SimConfig()
 
 
 _TINY_SIMULATION = """
@@ -521,3 +521,63 @@ def test_keep_freed_heap_reuses_freed_arrays():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env, timeout=60)
     assert int(out.stdout) < 1000
+
+
+_SMALL_VERIFY = ("[grid]\nn_points = 2048\nhalf_length = 250.0\n"
+                 "[simulate]\nt_final = 50.0\nsnapshots = 40\n")
+_RELAXED_VERIFY = "[verify]\nd1_tolerance = 10.0\nrequire_tail = false\n"
+
+# case -> (config text or None, arguments after -o, exit code)
+_EXIT_CASES = {
+    "special": (None, ("special", "--n", "2", "--points", "101"), 0),
+    "profiles": ("[profiles]\nalpha = 0.5\ngamma = 0.1\nn_max = 1\n", ("profiles",), 0),
+    # g0.csv is written, then the g_1 fixed point refuses |alpha*gamma| = 0.15
+    "profiles-error": ("[profiles]\nalpha = 0.5\ngamma = 0.3\nn_max = 1\n",
+                       ("profiles",), 1),
+    "simulate": (_TINY_SIMULATION, ("simulate",), 0),
+    "simulate-aborted": (_TINY_SIMULATION, ("simulate",), 1),
+    "heat": ("[heat]\nt_lo = 1.0\nt_hi = 100.0\nn_times = 3\n", ("heat",), 0),
+    "verify": (_SMALL_VERIFY + _RELAXED_VERIFY, ("verify",), 0),
+    # the default d1 tolerance and tail requirement fail at this scale
+    "verify-failed": (_SMALL_VERIFY, ("verify",), 1),
+    "verify-aborted": (_SMALL_VERIFY + _RELAXED_VERIFY, ("verify",), 1),
+    "bounds": ("[bounds]\nt_max = 50.0\nn_t = 12\n", ("bounds",), 0),
+    "semigroup": ("[semigroup]\nn_k = 51\n", ("semigroup",), 0),
+}
+
+
+@pytest.mark.parametrize("case", _EXIT_CASES)
+def test_cli_exit_code_and_outputs_follow_the_manifest(tmp_path, monkeypatch, case):
+    # the exit code is 0 exactly when the manifest's "passed" verdict is
+    # true, and the files in the output directory besides the manifest are
+    # the manifest's outputs, also when a run fails, aborts or raises
+    text, argv, expected = _EXIT_CASES[case]
+    if case.endswith("-aborted"):
+        step, steps = solver.Stepper.step, []
+
+        def failing_step(self, state):
+            steps.append(step(self, state))
+            if len(steps) == 3:
+                steps[-1].first.coeffs[:] = np.nan
+            return steps[-1]
+
+        monkeypatch.setattr(solver.Stepper, "step", failing_step)
+    config = []
+    if text is not None:
+        (tmp_path / "c.cfg").write_text(text)
+        config = ["-c", str(tmp_path / "c.cfg")]
+    out = tmp_path / "out"
+    code = main([*config, "-o", str(out), *argv])
+    manifest_name = f"manifest_{argv[0]}.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    verdicts = manifest["verdicts"]
+    assert code == (0 if verdicts.get("passed") is True else 1) == expected
+    written = sorted(p.name for p in out.iterdir() if p.name != manifest_name)
+    assert written == manifest["outputs"]
+    if case.endswith("-aborted"):
+        assert "passed" not in verdicts and written == []
+        assert verdicts["aborted"].startswith("non-finite spectrum at step 3 ")
+    if case.endswith("-failed"):
+        assert verdicts["passed"] is False and "error" not in verdicts
+    if case.endswith("-error"):
+        assert written == ["g0.csv"] and "error" in verdicts

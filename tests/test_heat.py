@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import (duhamel_march_table, fhat_on_largest_grid, heat_ifrk4,
-                     solve_inhom, un_reference_by_inverse_quadrature)
+from oracles import (SOURCE_SHAPES, duhamel_march_table, fhat_on_largest_grid,
+                     heat_ifrk4, solve_inhom, un_reference_by_inverse_quadrature)
 from ptails import heat, special, verify
 from ptails.heat import (HeatSourceSpec, convergence_check, make_source,
                          solve_inhom_modes, un_reference_hat)
@@ -21,7 +21,7 @@ def test_source_validation():
     with pytest.raises(ValueError):
         make_source(1, 3, "gaussian")
     with pytest.raises(ValueError):
-        HeatSourceSpec(0, 1, heat.gaussian_shape(), heat.gaussian_fhat())
+        HeatSourceSpec(0, 1, heat.gaussian_fhat())
 
 
 def test_mass_of_shapes():
@@ -44,7 +44,7 @@ def test_zero_mode_is_zero(gauss_spec):
 def test_quadrature_matches_time_stepping(gauss_spec):
     # cross-module oracle: diffusion-only stepping with the prescribed source
     g = Grid(2 ** 10, 60.0)
-    shape = gauss_spec.shape
+    shape = SOURCE_SHAPES["gaussian"]
 
     def forcing(x, t):
         return (1.0 + t) ** (0.5 - 1.5) * shape((x - 2 * t) / np.sqrt(1 + t))
@@ -130,13 +130,15 @@ def test_solve_inhom_other_sigmas_bounded():
         spec = make_source(1, sigma, "gaussian")
         f = solve_inhom(spec, g, [5.0])[0]
         assert np.isfinite(f.samples()).all()
-        assert norms(f).l2(0) < 10.0
+        assert norms(f).l2[0] < 10.0
 
 
 def test_numeric_fhat_matches_analytic():
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    # each named shape's sampled transform is the exact one make_source holds
     k = np.linspace(-4, 4, 101)
-    assert np.abs(fh(k) - np.exp(-k * k)).max() < 1e-9
+    for name, shape in SOURCE_SHAPES.items():
+        fh = heat._numeric_fhat(shape)
+        assert np.abs(fh(k) - make_source(1, 1, name).fhat(k)).max() < 1e-9
 
 
 def _sized_fhat(shape, monkeypatch):
@@ -161,7 +163,7 @@ def _difference_from_largest_grid(fhat, shape) -> float:
 
 @pytest.mark.parametrize("name", ["gaussian", "dgaussian"])
 def test_numeric_fhat_sized_by_spectrum_matches_largest_grid(name, monkeypatch):
-    shape = getattr(heat, f"{name}_shape")()
+    shape = SOURCE_SHAPES[name]
     fh, tried = _sized_fhat(shape, monkeypatch)
     assert tried == [2 ** 12]
     assert _difference_from_largest_grid(fh, shape) <= 1e-15
@@ -218,7 +220,7 @@ def _reference_duhamel(k, t, power, c_osc, fhat_fn):
 
 def test_duhamel_scalar_time_matches_reference_bitwise():
     k = np.concatenate([[0.0], np.linspace(0.003, 5.0, 700)])[::-1].copy()
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     for t in (0.7, 12.0, 300.0):
         got = heat._duhamel_integral(k, t, -0.5, -2.0, fh)
         assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
@@ -228,7 +230,7 @@ def test_duhamel_chunking_is_bitwise(monkeypatch):
     # panel sums are added in panel order whatever the chunk size, so one
     # panel per chunk, a ragged chunk and the default all give the same bits
     k = np.concatenate([[0.0], np.linspace(0.003, 5.0, 700)])[::-1].copy()
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     g = Grid(2 ** 13, 600.0)
     times = np.geomspace(2.5, 50.0, 46)
     k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
@@ -250,7 +252,7 @@ def test_bin_integral_temporaries_bounded_by_chunk():
     # at once would hold about 15 MB of temporaries
     kb = np.arange(6.5, 8.775, 2.0 * np.pi / 5000.0)
     assert 1700 < kb.size < 1900
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     heat._bin_integral(kb, 0.0, 50.0, -0.5, -2.0, fh)
     tracemalloc.start()
     try:
@@ -267,7 +269,7 @@ def test_duhamel_marched_matches_per_time_calls():
     times = np.geomspace(2.5, 50.0, 46)
     k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
     k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     rows = np.array(list(heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)))
     assert rows.shape == (times.size, k.size)
     for m, t in enumerate(times):
@@ -289,7 +291,7 @@ def test_streamed_march_matches_the_materialised_table():
     times = np.geomspace(2.5, 20.0, 16)
     k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
     k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     rows = heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)
     table = duhamel_march_table(k, times, -0.5, -2.0, fh, k_cut)
     streamed = np.array(list(rows))
@@ -304,7 +306,7 @@ def test_transient_sweep_holds_one_row():
     # index and last row kept between draws it held 2.7
     g = Grid(2 ** 13, 600.0)
     times = np.geomspace(2.5, 50.0, 200)
-    fh = heat._numeric_fhat(heat.gaussian_shape())
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -76,13 +76,6 @@ def test_hessian_constants_sum_square():
     assert (cp, cm, c3) == pytest.approx((1.0, 0.0, 0.0))
 
 
-def test_hessian_constants_finite_difference_route():
-    from ptails.nonlinearity import Nonlinearity
-    nl = Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a)
-    cp, cm, c3 = hessian_constants(nl)
-    assert (cp, cm, c3) == pytest.approx((0.25, -0.25, 0.5), abs=1e-5)
-
-
 def test_inadmissible_rejected():
     from ptails.nonlinearity import Nonlinearity
     bad = Nonlinearity(g=lambda a, b: a, f=lambda a, b: a,
@@ -137,10 +130,8 @@ def test_gn_derivatives_vs_finite_differences(zgrid):
     sp0 = CubicSpline(zgrid, gn.values)
     sp1 = CubicSpline(zgrid, gn.derivs[1])
     sp2 = CubicSpline(zgrid, gn.derivs[2])
-    sp3 = CubicSpline(zgrid, gn.derivs[3])
     assert np.abs(sp1(z) - (sp0(z + h) - sp0(z - h)) / (2 * h)).max() < 5e-5
     assert np.abs(sp2(z) - (sp1(z + h) - sp1(z - h)) / (2 * h)).max() < 5e-5
-    assert np.abs(sp3(z) - (sp2(z + h) - sp2(z - h)) / (2 * h)).max() < 2e-4
 
 
 def test_gn_tail_dichotomy(zgrid):

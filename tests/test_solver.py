@@ -200,7 +200,7 @@ def test_run_records_and_conserves():
     assert len(snapshots) == len(traj.times)
     assert traj.mass_a == [mass(s.first) for s in snapshots]
     assert traj.mass_b == [mass(s.second) for s in snapshots]
-    assert all(np.isfinite(norms(s.first).l2(0)) and np.isfinite(norms(s.second).l2(0))
+    assert all(np.isfinite(norms(s.first).l2[0]) and np.isfinite(norms(s.second).l2[0])
                for s in snapshots)
 
 
@@ -221,7 +221,7 @@ def test_weighted_l2_component_bounded():
                     n_snapshots=40)
     traj, snapshots = run_collecting(cfg, default_nonlinearity())
     t = np.asarray(traj.times)
-    w = (1.0 + t) ** 0.25 * np.array([np.hypot(norms(s.first).l2(0), norms(s.second).l2(0))
+    w = (1.0 + t) ** 0.25 * np.array([np.hypot(norms(s.first).l2[0], norms(s.second).l2[0])
                                       for s in snapshots])
     assert np.isfinite(w).all()
     late = w[t >= 10.0]
@@ -393,7 +393,8 @@ def test_factories_declare_whether_b_is_read():
     assert quadratic_nonlinearity(gab=1.0).reads_b
     assert quadratic_nonlinearity(gbb=1.0).reads_b
     assert quadratic_nonlinearity(fb=1.0).reads_b
-    assert Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a).reads_b
+    assert Nonlinearity(g=lambda a, b: a * a, f=lambda a, b: a,
+                        hessian=np.diag([2.0, 0.0])).reads_b
 
 
 def test_source_refuses_a_nonlinearity_that_misdeclares_b(grid):

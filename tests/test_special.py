@@ -35,7 +35,7 @@ def test_fn_out_of_range():
 def test_fn_multi_order_rows_equal_single_order_calls(n):
     # the orders share each panel's exponential; every row keeps the bits
     z = np.linspace(-30.0, 30.0, 241)
-    orders = (3, -1, 0, 4, 1, 2)
+    orders = (3, -1, 0, 1, 2)
     for zz, scaled in ((z, False), (np.abs(z), True), (-2.5, False), (4.0, True)):
         rows = fn_value(n, zz, orders, scaled=scaled)
         assert rows.shape == (len(orders),) + np.shape(zz)
@@ -43,7 +43,7 @@ def test_fn_multi_order_rows_equal_single_order_calls(n):
             assert row.tobytes() == np.asarray(
                 fn_value(n, zz, m, scaled=scaled)).tobytes()
     with pytest.raises(ValueError):
-        fn_value(n, z, (0, 1, 5))
+        fn_value(n, z, (0, 1, 4))
     with pytest.raises(ValueError):
         fn_value(n, z, (-2, 0))
 

@@ -169,8 +169,17 @@ def test_norm_report_contents(grid_small, rng):
     f = random_real_field(grid_small, rng)
     rep = norms(f)
     assert isinstance(rep, NormReport)
+    # the L2 norms of the field and its first two derivatives (Nyquist mode
+    # zeroed for the odd one) and the field's sup, bit for bit
+    g = grid_small
     for m in (0, 1, 2):
-        assert rep.lp[m][1] >= 0 and rep.lp[m][2] >= 0 and rep.lp[m]["inf"] >= 0
+        mult = (1j * g.k) ** m
+        if m == 1:
+            mult[g.nyquist_index] = 0.0
+        s = np.fft.ifft(f.coeffs * mult if m else f.coeffs, norm="forward").real
+        assert np.float64(rep.l2[m]).tobytes() == np.sqrt(np.sum(s * s) * g.dx).tobytes()
+        if m == 0:
+            assert np.float64(rep.sup).tobytes() == np.abs(s).max().tobytes()
     assert rep.sup_fourier >= 0
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -113,18 +114,24 @@ def test_tail_median_equals_np_median_bitwise(size):
 @pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
 def test_linear_reference_equals_three_table_form_bytewise(sides, t):
     # the rows built in place through one shared scratch array are the plain
-    # expressions' bits, and a side not in g0_hat is neither read nor formed
+    # expressions' bits, and each row reads only its own side's profile
+    # transform: the sides not in ``sides`` get a NaN transform, which must
+    # not reach the others' rows through the scratch array
     rng = np.random.default_rng(11)
     grid = Grid(2 ** 12, 400.0)
     initial = StateVector(random_real_field(grid, rng), random_real_field(grid, rng),
                           "physical")
-    g0_hat = {side: random_real_field(grid, rng).coeffs for side in sides}
+    g0_hat = {side: random_real_field(grid, rng).coeffs if side in sides
+              else np.full(grid.n_points, np.nan, dtype=complex) for side in "+-"}
     phases = frame_phases(grid.k, t)
     got = verify._linear_reference_coeffs(initial, t, g0_hat, phases)
     ref = linear_reference_three_tables(initial, t, g0_hat, phases)
-    assert got.keys() == ref.keys() == set(sides)
-    for side in sides:
-        assert got[side].tobytes() == ref[side].tobytes()
+    assert got.keys() == ref.keys() == {"+", "-"}
+    for side in "+-":
+        if side in sides:
+            assert got[side].tobytes() == ref[side].tobytes()
+        else:
+            assert np.isnan(got[side]).all()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 5.0, 250.0])
@@ -583,6 +590,23 @@ def test_tail_precedence_linear_inconclusive():
     _, acc, _ = _stream(cfg, zero_nonlinearity())
     rep = tail_precedence_check(acc)     # at the snapshot nearest t = 75
     assert not rep.conclusive        # both sides Gaussian: nothing to fit
+
+
+def test_tail_precedence_refuses_an_accumulator_not_fed_its_snapshot():
+    # the check reads the snapshot nearest t_final / 2, which a fresh
+    # accumulator, or one fed only the snapshots before it, has not kept
+    cfg = SimConfig(n_points=2 ** 9, half_length=80.0, t_final=10.0, n_snapshots=20)
+    initial = gaussian_initial_state(cfg)
+    acc = RemainderAccumulator(build_model_from_trajectory(initial, default_nonlinearity()),
+                               cfg)
+    times = snapshot_times(cfg)
+    t_tail = min(times, key=lambda t: abs(t - cfg.t_final / 2.0))
+    message = re.escape(f"not fed the snapshot at t = {t_tail},")
+    with pytest.raises(ValueError, match=message):
+        tail_precedence_check(acc)
+    acc.add(initial.symmetrized(), 0.0)
+    with pytest.raises(ValueError, match=message):
+        tail_precedence_check(acc)
 
 
 def test_g1_profile_algebraic_side_is_ahead(medium_model):
