@@ -19,9 +19,10 @@ The s-quadrature uses panels sized by three local scales: the oscillation
 wavelength, the diffusion window 1/k^2, and the algebraic factor's 1+s;
 modes are processed in |k| bins sharing one panel set.  A bin's panels are
 evaluated as one array expression per chunk of panels, so its temporaries
-stay below a fixed number of (mode, node) values however many panels it
-has; each panel's node sum is still taken on its own and the sums are
-added in panel order, which gives the same bits as one panel at a time.
+stay below 8,192 (mode, node) values (about 1 MB in all) however many
+panels it has, unless one panel alone has more; each panel's node sum is
+still taken on its own and the sums are added in panel order, which gives
+the same bits as one panel at a time, whatever the chunk.
 
 For an increasing series of times the integral is marched instead of
 restarted from s = 0: the value at t_m is the value at t_{m-1} damped by
@@ -57,7 +58,7 @@ _FHAT_POINTS = 2 ** 17
 _FHAT_TAIL = 1e-15
 _WINDOW_CAP = 42.0     # quadrature stops where e^{-k^2 (t-s)} < e^{-42}
 _NORM_PANELS = 64      # k panels of the continuum remainder norms
-_CHUNK = 1 << 15       # (mode, node) integrand values evaluated at once
+_CHUNK = 1 << 13       # (mode, node) integrand values evaluated at once
 
 
 @dataclass

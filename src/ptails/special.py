@@ -49,15 +49,27 @@ _Z_MAX = 300.0
 
 # P_m with g_m(w) = P_m(w) e^{-w^2/4}, g_{m+1} = g_m'; P_{-1} = -2 so that
 # g_{-1}' = g_0 = w e^{-w^2/4}.  fn_value's order m reads P_m to P_{m+3}, so
-# order 3 needs P_6.
-_POLYS: dict[int, np.polynomial.Polynomial] = {-1: np.polynomial.Polynomial([-2.0])}
-_POLYS[0] = np.polynomial.Polynomial([0.0, 1.0])
+# order 3 needs P_6.  Coefficients run from the constant term up; each step
+# forms P_m' - (w/2) P_m as numpy.polynomial's Polynomial arithmetic does,
+# the negated product first and the derivative added to its leading
+# entries, so the coefficients (their signed zeros too) are numpy's.
+_POLYS: dict[int, np.ndarray] = {-1: np.array([-2.0]), 0: np.array([0.0, 1.0])}
 for _m in range(0, 6):
-    _POLYS[_m + 1] = _POLYS[_m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * _POLYS[_m]
+    _c = _POLYS[_m]
+    _POLYS[_m + 1] = -np.convolve([0.0, 0.5], _c)
+    _POLYS[_m + 1][:_c.size - 1] += np.arange(1, _c.size) * _c[1:]
 
 _SING_CELL = 2.0          # [0, A] carries the singular weight
 _GRADE_LEVELS = 22        # geometric panels down to A 2^-22 ~ 5e-7
 _MASS_PANEL = 0.5         # panel width of the fn_mass quadrature
+# Points of z per fn_value quadrature block.  A block's (points x 24)
+# products with the node weights are OpenBLAS dgemv calls, which group rows
+# by eight; a row keeps its bits only where it keeps its position modulo that
+# grouping, so the block size must stay a multiple of 8 (blocks of 1, 7 or
+# 97 rows change the bits, blocks of 8 to 2048 do not).  numpy takes a
+# one-row product for a dot, not a dgemv, so a last block of one point is
+# joined to the block before it.
+_Z_BLOCK = 512
 
 
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -71,10 +83,56 @@ def erf(x):
     return np.asarray(_erf(x), dtype=float)[()]
 
 
+def _polyval(c, x):
+    """The polynomial with coefficients c (constant term first) at x by
+    Horner's rule, as ``numpy.polynomial.Polynomial`` evaluates it: its
+    domain map 0.0 + 1.0 x turns -0.0 into +0.0 before the recurrence."""
+    x = 0.0 + np.asarray(x)
+    y = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        y = ci + y * x
+    return y
+
+
+def _legval(x, c):
+    """The Legendre series c at x by Clenshaw's recurrence, written as
+    ``numpy.polynomial.legendre.legval`` writes it (len(c) >= 2)."""
+    c0, c1 = c[-2], c[-1]
+    nd = len(c)
+    for ci in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ci - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @cache
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]
+    (n >= 2), formed step for step as ``numpy.polynomial.legendre.leggauss``
+    forms them: the eigenvalues of the scaled companion matrix of P_n, one
+    Newton step, and weights from P_{n-1} and P_n' symmetrised and scaled to
+    sum to 2.  The companion matrix's last-column term vanishes for P_n."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    top = mat.reshape(-1)[1::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    dc = np.zeros(n)                  # P_n' in the Legendre basis
+    dc[n - 1::-2] = 2 * np.arange(n, 0, -2) - 1
+    dy = _legval(x, c)
+    df = _legval(x, dc)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 def panel_rule(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +182,11 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     scaled=True returns e^{z^2/4} f_n^{(order)}(z) without overflow (z >= 0
     intended), for weighted-sup (envelope) measurements.
 
+    The quadratures run over z in blocks of _Z_BLOCK points on one panel
+    set, which the smallest z of the whole call sets, so a call's
+    temporaries stay at one block's (points x 24 nodes) arrays however many
+    points it has, and each value has the bits of the unblocked evaluation.
+
     Accuracy: absolute error at the quadrature-roundoff level, which is
     ~2^n * 1e-16; for n <= 8 this is below 1e-10 on |z| <= 30, beyond which
     the relative error stays ~1e-12.
@@ -138,34 +201,50 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     if np.any(np.abs(z) > _Z_MAX):
         raise ValueError(f"|z| must be <= {_Z_MAX}")
     A = _SING_CELL
+    # Panels of the smooth-weight integral on [0, A], graded toward 0, whose
+    # weights carry xi^{beta+2}, and of the regular region [A, ximax], whose
+    # weights carry xi^{beta-1}; the Gaussian factor kills everything beyond
+    # ximax.
+    edges = A * 2.0 ** (-np.arange(0.0, float(_GRADE_LEVELS)))
+    singular = [(xi, ww * xi ** (beta + 2.0))
+                for xi, ww in zip(*panel_rule(edges[1:], edges[:-1], 24))]
+    ximax = max(A, float(-z.min()) + 16.0) + 16.0
+    edges = np.arange(A, ximax + 2.0, 2.0)
+    regular = [(xi, ww * xi ** (beta - 1.0))
+               for xi, ww in zip(*panel_rule(edges[:-1], edges[1:], 24))]
+    out = np.empty((len(orders), z.size))
+    start = 0
+    for stop in [*range(_Z_BLOCK, z.size - 1, _Z_BLOCK), z.size]:
+        _fn_block(out[:, start:stop], z[start:stop], beta, orders, scaled,
+                  singular, regular)
+        start = stop
+    if scalar:
+        out = out[:, 0]
+    return out if isinstance(order, tuple) else out[0]
+
+
+def _fn_block(out, z, beta, orders, scaled, singular, regular) -> None:
+    """fn_value's rows on one block of z, written into ``out`` (one row per
+    order), from the panels (nodes, weighted weights) of the two regions."""
+    A = _SING_CELL
     b0, b1, b2 = beta, beta + 1.0, beta + 2.0
     # Boundary terms of the three integrations by parts at xi = A.
     wA = A + z
     eA = np.exp(-A * A / 4.0 - A * z / 2.0) if scaled else np.exp(-wA * wA / 4.0)
-    out = np.array([
-        (_POLYS[m](wA) - _POLYS[m + 1](wA) * A / b1
-         + _POLYS[m + 2](wA) * A * A / (b1 * b2)) * eA * A ** beta / b0
-        for m in orders])
+    for row, m in zip(out, orders):
+        row[:] = (_polyval(_POLYS[m], wA) - _polyval(_POLYS[m + 1], wA) * A / b1
+                  + _polyval(_POLYS[m + 2], wA) * A * A / (b1 * b2)) * eA * A ** beta / b0
     # Remaining smooth-weight integral int_0^A P3-kernel xi^{beta+2}.
-    edges = A * 2.0 ** (-np.arange(0.0, float(_GRADE_LEVELS)))
-    acc = np.zeros_like(out)
-    for xi, ww in zip(*panel_rule(edges[1:], edges[:-1], 24)):
-        ww = ww * xi ** (beta + 2.0)
+    acc = np.zeros(out.shape)
+    for xi, ww in singular:
         w, e = _kern(xi, z, scaled)
         for row, m in zip(acc, orders):
-            row += (_POLYS[m + 3](w) * e) @ ww
+            row += (_polyval(_POLYS[m + 3], w) * e) @ ww
     out -= acc / (b0 * b1 * b2)
-    # Regular region [A, ximax]; the Gaussian factor kills everything beyond.
-    ximax = max(A, float(-z.min()) + 16.0) + 16.0
-    edges = np.arange(A, ximax + 2.0, 2.0)
-    for xi, ww in zip(*panel_rule(edges[:-1], edges[1:], 24)):
-        ww = ww * xi ** (beta - 1.0)
+    for xi, ww in regular:
         w, e = _kern(xi, z, scaled)
         for row, m in zip(out, orders):
-            row += (_POLYS[m](w) * e) @ ww
-    if scalar:
-        out = out[:, 0]
-    return out if isinstance(order, tuple) else out[0]
+            row += (_polyval(_POLYS[m], w) * e) @ ww
 
 
 def fn_mass(n: int, z_cut: float = 30.0) -> float:

@@ -45,7 +45,7 @@ def fn_oracle(n: int, z: float, order: int = 0) -> float:
     """Independent adaptive-quadrature route (QUADPACK QAWS on the singular
     cell, plain adaptive quadrature beyond); scalar z."""
     beta = _check_n(n)
-    P = _POLYS[order]
+    P = np.polynomial.Polynomial(_POLYS[order])
     g = lambda xi: P(xi + z) * np.exp(-((xi + z) ** 2) / 4.0)
     i1, _ = quad(g, 0.0, 1.0, weight="alg", wvar=(beta - 1.0, 0.0),
                  epsabs=1e-13, epsrel=1e-13, limit=200)

@@ -209,10 +209,11 @@ def test_config_keys_do_not_grow():
         f"or a removed one that CONFIG_KEYS does not reflect yet: {sorted(keys)}")
 
 
-# call -> the one module that may make it: the Gauss-Legendre rule and the
-# log-log fit live in ``special``, the symbol pair (C, S) in ``semigroup``,
-# the FFT pair in ``spectral`` (its out-taking transforms included)
-_PRIMITIVE_HOMES = {"leggauss": "special", "polyfit": "special",
+# call -> the one module that may make it: the Gauss-Legendre rule (whose
+# nodes are a companion matrix's eigenvalues) and the log-log fit live in
+# ``special``, the symbol pair (C, S) in ``semigroup``, the FFT pair in
+# ``spectral`` (its out-taking transforms included)
+_PRIMITIVE_HOMES = {"eigvalsh": "special", "polyfit": "special",
                     "propagator_cs": "semigroup", "fft": "spectral",
                     "ifft": "spectral"}
 
@@ -294,12 +295,13 @@ def test_benchmark_span_counters_find_their_arguments():
         assert params[index] == param, (modname, path, params)
 
 
-def test_command_loads_no_scipy_numpy_random_or_numpy_ma(tmp_path):
+def test_command_loads_no_scipy_numpy_random_ma_or_polynomial(tmp_path):
     # the package needs only numpy: loading any scipy module costs tens of MB
     # of resident memory (scipy.fft alone about 27 MB), numpy.random (with
-    # hashlib and OpenSSL's libcrypto) about 6 MB and numpy.ma about 1 MB,
-    # both loaded by numpy on first use.  Every subcommand runs, small, in a
-    # fresh interpreter, so no test's own import counts
+    # hashlib and OpenSSL's libcrypto) about 6 MB, numpy.ma about 1 MB and
+    # numpy.polynomial about 0.7 MB, each loaded by numpy on first use.
+    # Every subcommand runs, small, in a fresh interpreter, so no test's own
+    # import counts
     (tmp_path / "v.cfg").write_text(
         "[grid]\nn_points = 2048\nhalf_length = 250.0\n"
         "[simulate]\nt_final = 50.0\nsnapshots = 40\n"
@@ -319,7 +321,8 @@ def test_command_loads_no_scipy_numpy_random_or_numpy_ma(tmp_path):
                      ["-c", "g.cfg", "-o", "semigroup", "semigroup"]):
             assert cli.main(argv) == 0, argv
         print("loaded:", *(m for m in sys.modules if m.split(".")[0] == "scipy"
-                           or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])))
+                           or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"],
+                                                   ["numpy", "polynomial"])))
     """)
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -46,6 +48,68 @@ def test_fn_multi_order_rows_equal_single_order_calls(n):
         fn_value(n, z, (0, 1, 4))
     with pytest.raises(ValueError):
         fn_value(n, z, (-2, 0))
+
+
+def test_fn_blocking_is_bitwise(monkeypatch):
+    # every block sees the panels the whole call's smallest z sets (here in
+    # the last block), and each block keeps its rows' positions modulo 8 in
+    # the weight products, so blocks of 8 to 10^6 points give the same bits;
+    # 1,025 points leave a last block of one point for each block size
+    cases = []
+    for npts in (1025, 2001):
+        z = np.linspace(30.0, -40.0, npts)
+        cases += [(z, (0, 1, 2, 3), False), (z, -1, False),
+                  (np.abs(z), (3, 0), True)]
+    cases += [(-7.5, (0, 1), False), (2.0, 2, True)]
+    monkeypatch.setattr(special, "_Z_BLOCK", 10 ** 6)
+    whole = [fn_value(3, z, order, scaled=scaled) for z, order, scaled in cases]
+    for block in (8, 64, 512):
+        monkeypatch.setattr(special, "_Z_BLOCK", block)
+        for (z, order, scaled), ref in zip(cases, whole):
+            got = fn_value(3, z, order, scaled=scaled)
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (block, np.size(z))
+
+
+def _fn_peak(npts):
+    z = np.linspace(-30.0, 30.0, npts)
+    tracemalloc.start()
+    try:
+        fn_value(2, z, (0, 1, 2, 3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fn_temporaries_bounded_by_block():
+    # four times the points cost the larger output rows and at most one
+    # block's (points x 24 nodes) temporaries more, not four times the
+    # whole-call (points x 24) arrays
+    _fn_peak(2001)
+    growth = _fn_peak(8001) - _fn_peak(2001)
+    output_rows = 4 * (8001 - 2001) * 8
+    one_block = 4 * (special._Z_BLOCK + 1) * 24 * 8
+    assert growth <= output_rows + one_block, growth
+
+
+@pytest.mark.parametrize("n", [8, 16, 20, 24])
+def test_unit_rule_is_numpys_leggauss(n):
+    x, w = special._unit_rule(n)
+    nx, nw = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == nx.tobytes() and w.tobytes() == nw.tobytes()
+
+
+def test_polys_are_numpys_polynomials():
+    # P_{-1} = -2, P_0 = w, P_{m+1} = P_m' - (w/2) P_m, built and evaluated
+    # as numpy.polynomial builds and evaluates them, signed zeros included
+    x = np.array([-0.0, 0.0, 1e-300, -0.75, 2.5, -13.0, 41.0])
+    ref = {-1: np.polynomial.Polynomial([-2.0]), 0: np.polynomial.Polynomial([0.0, 1.0])}
+    for m in range(0, 6):
+        ref[m + 1] = ref[m].deriv() - np.polynomial.Polynomial([0.0, 0.5]) * ref[m]
+    assert sorted(special._POLYS) == list(range(-1, 7))
+    for m, poly in ref.items():
+        assert special._POLYS[m].tobytes() == poly.coef.tobytes(), m
+        assert special._polyval(special._POLYS[m], x).tobytes() == poly(x).tobytes(), m
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
