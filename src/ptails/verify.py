@@ -558,14 +558,16 @@ class RemainderAccumulator:
         self._keep(side, raw=np.sqrt(np.sum(r ** 2) * dx))
         np.subtract(r, samples_into(lin_hat, lin_hat).real, out=r)
         G = (1.0 + t) ** -0.75 * self._g1[side](z)
-        self._keep(side, rG=float(r @ G), GG=float(G @ G))
+        # numpy's own sums, not BLAS dots, whose rounding moves with the
+        # number of BLAS threads
+        self._keep(side, rG=float(np.sum(r * G)), GG=float(np.sum(G * G)))
         # r becomes r_lin - w, the N1 remainder
         np.subtract(r, samples_into(w, w).real, out=r)
         rr = np.sum(r ** 2)
         ik = 1j * self.grid.k
         dr = samples_into(np.multiply(ik, coeffs_into(r, u_hat), out=u_hat), u_hat).real
         self._keep(side, n1=np.sqrt(rr * dx), n1_d=np.sqrt(np.sum(dr ** 2) * dx),
-                   rwrw=rr, rwG=float(r @ G))
+                   rwrw=rr, rwG=float(np.sum(r * G)))
 
 
 def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> PipelineResult:

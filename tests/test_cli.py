@@ -546,6 +546,28 @@ _EXIT_CASES = {
 }
 
 
+def test_cli_verify_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # above 10^4 points OpenBLAS splits a dot product between its threads,
+    # which changes the rounding; the remainder pipeline's inner products
+    # are numpy sums, so one and two BLAS threads write the same files
+    (tmp_path / "v.cfg").write_text(
+        "[grid]\nn_points = 16384\nhalf_length = 1250.0\n"
+        "[simulate]\nt_final = 20.0\nsnapshots = 20\n" + _RELAXED_VERIFY)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(ptails.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "ptails", "-c", "v.cfg", "-o", threads,
+                        "verify"], cwd=tmp_path, env=env, capture_output=True,
+                       timeout=120)
+        manifest = json.loads((tmp_path / threads / "manifest_verify.json").read_text())
+        del manifest["wall_seconds"]
+        files = {p.name: p.read_bytes() for p in (tmp_path / threads).glob("*.csv")}
+        runs.append((manifest, files))
+    assert sorted(runs[0][1]) == ["decay_fits.csv", "remainder_norms.csv"]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("case", _EXIT_CASES)
 def test_cli_exit_code_and_outputs_follow_the_manifest(tmp_path, monkeypatch, case):
     # the exit code is 0 exactly when the manifest's "passed" verdict is
