@@ -63,12 +63,12 @@ _SING_CELL = 2.0          # [0, A] carries the singular weight
 _GRADE_LEVELS = 22        # geometric panels down to A 2^-22 ~ 5e-7
 _MASS_PANEL = 0.5         # panel width of the fn_mass quadrature
 # Points of z per fn_value quadrature block.  A block's (points x 24)
-# products with the node weights are OpenBLAS dgemv calls, which group rows
-# by eight; a row keeps its bits only where it keeps its position modulo that
-# grouping, so the block size must stay a multiple of 8 (blocks of 1, 7 or
-# 97 rows change the bits, blocks of 8 to 2048 do not).  numpy takes a
-# one-row product for a dot, not a dgemv, so a last block of one point is
-# joined to the block before it.
+# products with the node weights are OpenBLAS dgemv calls, which take rows
+# in groups and the rows of a last, partial group by another route, so every
+# block but the last must be a whole number of groups: a multiple of 8
+# (blocks of 8 to 2048 rows keep the bits of the unblocked product, blocks
+# of 2, 5, 7 or 97 rows do not).  numpy computes a one-row product as a dot,
+# by yet another route, so a last block of one point joins the one before.
 _Z_BLOCK = 512
 
 
@@ -113,11 +113,8 @@ def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     Newton step, and weights from P_{n-1} and P_n' symmetrised and scaled to
     sum to 2.  The companion matrix's last-column term vanishes for P_n."""
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    mat = np.zeros((n, n))
-    top = mat.reshape(-1)[1::n + 1]
-    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    mat.reshape(-1)[n::n + 1] = top
-    x = np.linalg.eigvalsh(mat)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     c = np.zeros(n + 1)
     c[n] = 1.0
     dc = np.zeros(n)                  # P_n' in the Legendre basis

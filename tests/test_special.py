@@ -52,9 +52,9 @@ def test_fn_multi_order_rows_equal_single_order_calls(n):
 
 def test_fn_blocking_is_bitwise(monkeypatch):
     # every block sees the panels the whole call's smallest z sets (here in
-    # the last block), and each block keeps its rows' positions modulo 8 in
-    # the weight products, so blocks of 8 to 10^6 points give the same bits;
-    # 1,025 points leave a last block of one point for each block size
+    # the last block), and every block but the last is a whole number of the
+    # weight products' row groups, so blocks of 8 to 10^6 points give the
+    # same bits; 1,025 points leave a last block of one point at each size
     cases = []
     for npts in (1025, 2001):
         z = np.linspace(30.0, -40.0, npts)
