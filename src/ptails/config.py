@@ -104,7 +104,9 @@ class RunManifest:
     def write(self, path: str | Path):
         """The manifest as JSON at ``path``, each output named relative to the
         manifest's directory, so that the file does not depend on where the
-        run was made."""
+        run was made.  ``wall_seconds`` is a number with exactly three
+        decimals, so that the file's length does not move with the digits of
+        the time (0.18 against 0.195)."""
         here = Path(path).parent
         payload = {
             "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -114,9 +116,13 @@ class RunManifest:
             "outputs": sorted(os.path.relpath(out, here) for out in self.outputs),
             "verdicts": self.verdicts,
             "warnings": self.warnings,
-            "wall_seconds": round(self.wall_seconds, 3),
+            "wall_seconds": None,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # json writes a float's shortest repr, so the number is put in by
+        # hand; only a top-level key starts a line with two spaces
+        text = json.dumps(payload, indent=2, sort_keys=True).replace(
+            '\n  "wall_seconds": null', f'\n  "wall_seconds": {self.wall_seconds:.3f}', 1)
+        Path(path).write_text(text + "\n")
 
 
 class Stopwatch:

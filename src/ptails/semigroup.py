@@ -92,11 +92,15 @@ def propagator_cs(k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator_entries(k: np.ndarray, t: float):
-    """The entries (C+kS, iS, C-kS) of e^{Lt}(k), stored complex: a real factor
-    would be cast to complex, through a buffer, in every product with a spectrum."""
+    """The entries (C+kS, iS, C-kS) of e^{Lt}(k): the diagonal ones real, iS
+    complex.  A product or sum with a spectrum casts a real entry to complex
+    with a +0 imaginary part, as ``.astype(complex)`` would, so it keeps its
+    bits; the cast goes through numpy's small iteration buffer, and storing
+    the two real entries as float64 halves their memory (1 MB less for the
+    solver's four tables at 2^15 points) at no measured cost in time."""
     k = np.asarray(k, dtype=float)
     C, S = propagator_cs(k, t)
-    return (C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex)
+    return C + k * S, 1j * S, C - k * S
 
 
 @dataclass(frozen=True)

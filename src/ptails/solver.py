@@ -1,15 +1,16 @@
 """Pseudospectral simulation of the viscous p-system via Duhamel time stepping.
 
 The linear part is applied exactly through the closed-form semigroup symbol,
-whose entries C+kS, iS and C-kS are tabulated once per step size; only the
-nonlinear source h(a,b) = g(a,b) + f(a,b) b_x is integrated by the
-integrating-factor RK4 (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214).
-Quadratic/cubic products are dealiased by 2/3 truncation, and Hermitian
-symmetry of the spectra is re-enforced every step, so physical fields stay
-real and both masses are conserved to rounding.  Snapshots are read in the
-characteristic frame through ``to_characteristic_frame``, whose phase
-multipliers ``frame_phases`` gives, so a consumer that needs them twice
-forms them once.
+whose entries C+kS, iS and C-kS are tabulated once per step size (the two
+real ones as float64); only the nonlinear source
+h(a,b) = g(a,b) + f(a,b) b_x is integrated by the integrating-factor RK4
+(Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214).  Quadratic/cubic
+products are dealiased by 2/3 truncation (the source's cut modes are set to
+zero), and Hermitian symmetry of the spectra is re-enforced every step, so
+physical fields stay real and both masses are conserved to rounding.
+Snapshots are read in the characteristic frame through
+``to_characteristic_frame``, whose phase multipliers ``frame_phases`` gives,
+so a consumer that needs them twice forms them once.
 
 A step works on a fixed set of work arrays: ``Stepper.step`` allocates
 ``_STEP_ARRAYS`` spectrum-sized arrays per call, and it, ``source`` and
@@ -30,7 +31,8 @@ state it keeps only the symmetrized copy it starts from.
 One source evaluation costs three transforms: inverse transforms of ``a`` and
 ``b_x`` and one forward transform of ``h``.  The samples of ``b`` are
 transformed only for a nonlinearity that reads them (``Nonlinearity.reads_b``),
-and the ``ik`` factor and the dealias mask are one precomputed multiplier.
+the ``ik`` factor is precomputed, and the 2/3 rule's cut modes, one
+contiguous run in FFT order, are zeroed through one slice.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ class Stepper:
     """Precomputed propagator tables and the pseudospectral source term.
 
     The symbol entries ``C+kS``, ``iS`` and ``C-kS`` are built once per step
-    size, and ``ik`` and its dealiased product ``ik * mask`` once per grid.
-    The source forces only the second equation: ``source`` writes only its
-    second component, and ``_apply`` and ``step`` skip the terms the zero
-    first one would give.  The system is autonomous, so no stage needs the
-    time.
+    size, and ``ik`` and the slice ``cut`` of the modes the 2/3 rule cuts
+    once per grid.  The source forces only the second equation: ``source``
+    writes only its second component, and ``_apply`` and ``step`` skip the
+    terms the zero first one would give.  The system is autonomous, so no
+    stage needs the time.
     """
 
     def __init__(self, grid: Grid, dt: float, nl: Nonlinearity):
@@ -139,8 +141,10 @@ class Stepper:
         self.nl = nl
         k = grid.k
         self.ik = 1j * k
-        dealias = np.abs(k) <= DEALIAS_FRACTION * float(np.abs(k).max())
-        self.ik_dealias = self.ik * dealias
+        # |k| falls from the Nyquist mode outwards in FFT order, so the cut
+        # modes are one run of indices around it
+        cut = np.flatnonzero(np.abs(k) > DEALIAS_FRACTION * float(np.abs(k).max()))
+        self.cut = slice(cut[0], cut[-1] + 1) if cut.size else slice(0)
         self._tables = {tag: propagator_entries(k, tt)
                         for tag, tt in (("half", dt / 2.0), ("full", dt))}
 
@@ -170,7 +174,8 @@ class Stepper:
         b = samples_into(pair[1], work[1]).real if nl.reads_b else None
         bx = samples_into(np.multiply(self.ik, pair[1], out=work[0]), work[0]).real
         coeffs_into(nl.source(a, b, bx), out)
-        np.multiply(out, self.ik_dealias, out=out)
+        np.multiply(out, self.ik, out=out)
+        out[self.cut] = 0.0
 
     def step(self, state: StateVector) -> StateVector:
         """The integrating-factor RK4 step.  The terms e2k1, ek2 and ek3 of

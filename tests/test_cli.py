@@ -17,7 +17,7 @@ import ptails
 from conftest import run_collecting
 from ptails import cli, solver
 from ptails.cli import main
-from ptails.config import ConfigError, _Sections, parse_config
+from ptails.config import ConfigError, RunManifest, _Sections, parse_config
 from ptails.nonlinearity import default_nonlinearity
 from ptails.solver import SimConfig, snapshot_times
 from ptails.spectral import mass, norms
@@ -133,6 +133,25 @@ def test_cli_bounds_deterministic(tmp_path):
     m1, m2 = (json.loads((out / "manifest_bounds.json").read_text()) for out in (out1, out2))
     del m1["wall_seconds"], m2["wall_seconds"]
     assert m1 == m2
+
+
+def test_manifest_length_does_not_move_with_the_wall_time(tmp_path):
+    # wall_seconds is written with three decimals (0.180, not 0.18), so two
+    # manifests that differ only in wall time have the same byte length; it
+    # still loads as a float, and a nested key of the same name is untouched
+    sizes = set()
+    for seconds in (0.18, 0.195, 0.2, 0.0, 0.1234567):
+        manifest = RunManifest("bounds", {"bounds": {"wall_seconds": None}},
+                               verdicts={"passed": True}, wall_seconds=seconds)
+        path = tmp_path / "manifest_bounds.json"
+        manifest.write(path)
+        text = path.read_text()
+        loaded = json.loads(text)
+        assert type(loaded["wall_seconds"]) is float
+        assert loaded["wall_seconds"] == round(seconds, 3)
+        assert loaded["config"] == {"bounds": {"wall_seconds": None}}
+        sizes.add(len(path.read_bytes()))
+    assert len(sizes) == 1, sizes
 
 
 def test_cli_simulate_manifest_lists_every_output(tmp_path):

@@ -47,7 +47,7 @@ def test_matrix_exponential_oracle(k, t):
 def test_propagator_entries_are_the_matrix_entries(k):
     for t in (0.0, 0.3, 5.0):
         P, Q, R = propagator_entries(np.array([k]), t)
-        assert P.dtype == Q.dtype == R.dtype == complex
+        assert P.dtype == R.dtype == np.float64 and Q.dtype == np.complex128
         E = eval_eLt(k, t)
         np.testing.assert_array_equal([P[0], Q[0], Q[0], R[0]],
                                       [E[0, 0], E[0, 1], E[1, 0], E[1, 1]])

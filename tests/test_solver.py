@@ -8,11 +8,11 @@ from oracles import apply_eLt, from_characteristic_frame
 from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import propagator_cs, propagator_entries
-from ptails.solver import (DEALIAS_FRACTION, SimConfig, Stepper, _snapshot_steps,
-                           gaussian_initial_state, run, snapshot_times,
-                           frame_phases, to_characteristic_frame)
-from ptails.spectral import (Grid, SpectralField, StateVector, mass, norms,
-                             samples_of, transform_forward)
+from ptails.solver import (DEALIAS_FRACTION, SimConfig, Stepper, _schedule,
+                           _snapshot_steps, gaussian_initial_state, run,
+                           snapshot_times, frame_phases, to_characteristic_frame)
+from ptails.spectral import (Grid, SpectralField, StateVector, coeffs_into, mass,
+                             norms, samples_into, samples_of, transform_forward)
 
 
 def small_state(grid, amp=0.05, frac=0.3):
@@ -257,14 +257,78 @@ def test_weighted_norm_growth_at_most_exponential():
 
 
 def test_stepper_tables_are_the_propagator_entries():
-    # byte for byte, and equal to the entries formed from the (C, S) pair
+    # byte for byte, and equal to the entries formed from the (C, S) pair:
+    # C +- kS as float64, iS complex
     st = Stepper(Grid(512, 80.0), 0.07, default_nonlinearity())
     k = st.grid.k
     for tag, t in (("half", st.dt / 2.0), ("full", st.dt)):
         C, S = propagator_cs(k, t)
-        formed = ((C + k * S).astype(complex), 1j * S, (C - k * S).astype(complex))
+        formed = (C + k * S, 1j * S, C - k * S)
         for table, entry, direct in zip(st._tables[tag], propagator_entries(k, t), formed):
             assert table.tobytes() == entry.tobytes() == direct.tobytes()
+        assert [e.dtype for e in st._tables[tag]] == [np.float64, np.complex128,
+                                                     np.float64]
+
+
+class _ComplexTableStepper(Stepper):
+    """The stepper as it was with complex diagonal tables (C +- kS cast with
+    ``.astype(complex)``) and the dealiasing folded into an ``ik * mask``
+    multiplier."""
+
+    def __init__(self, grid, dt, nl):
+        super().__init__(grid, dt, nl)
+        self._tables = {tag: tuple(e.astype(complex) for e in table)
+                        for tag, table in self._tables.items()}
+        k = grid.k
+        self.ik_dealias = self.ik * (np.abs(k) <= DEALIAS_FRACTION * float(np.abs(k).max()))
+
+    def source(self, pair, out, work):
+        nl = self.nl
+        a = samples_into(pair[0], out).real
+        b = samples_into(pair[1], work[1]).real if nl.reads_b else None
+        bx = samples_into(np.multiply(self.ik, pair[1], out=work[0]), work[0]).real
+        coeffs_into(nl.source(a, b, bx), out)
+        np.multiply(out, self.ik_dealias, out=out)
+
+
+def test_stepper_matches_complex_tables_bytewise_on_the_flagship_grid():
+    # real diagonal tables and a zeroed cut band change no byte of the state,
+    # signed zeros included (np.array_equal would count -0.0 as +0.0, and the
+    # cut band is where a zero's sign could move): the flagship's 2^15 points,
+    # L = 2500 and the step size of its t_final = 50 run, default nonlinearity
+    cfg = SimConfig(n_points=2 ** 15, half_length=2500.0, t_final=50.0)
+    dt, n_steps, _ = _schedule(cfg)
+    assert n_steps == 656
+    nl = default_nonlinearity()
+    st = Stepper(cfg.grid(), dt, nl)
+    old = _ComplexTableStepper(cfg.grid(), dt, nl)
+    s = r = gaussian_initial_state(cfg).symmetrized()
+    for _ in range(20):
+        s, r = st.step(s), old.step(r)
+        assert s.first.coeffs.tobytes() == r.first.coeffs.tobytes()
+        assert s.second.coeffs.tobytes() == r.second.coeffs.tobytes()
+
+
+def test_stepper_holds_four_real_and_three_complex_spectra():
+    # the four diagonal tables are float64; the two iS tables and ik complex
+    g = Grid(2 ** 12, 400.0)
+    st = Stepper(g, 0.05, default_nonlinearity())
+    arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+    arrays += [e for table in st._tables.values() for e in table]
+    assert all(a.shape == (g.n_points,) for a in arrays)
+    assert sorted(a.dtype.name for a in arrays) == ["complex128"] * 3 + ["float64"] * 4
+    assert sum(a.nbytes for a in arrays) == (4 * 8 + 3 * 16) * g.n_points
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 2 ** 12, 2 ** 15])
+def test_stepper_cut_slice_is_the_two_thirds_rule(n):
+    # the one slice the source zeroes holds exactly the modes the 2/3 rule cuts
+    g = Grid(n, 80.0)
+    k = g.k
+    st = Stepper(g, 0.05, default_nonlinearity())
+    cut = np.zeros(n, dtype=bool)
+    cut[st.cut] = True
+    np.testing.assert_array_equal(cut, ~(np.abs(k) <= DEALIAS_FRACTION * np.abs(k).max()))
 
 
 class _ReferenceStepper:
@@ -330,8 +394,8 @@ class _ReferenceStepper:
                                          ("IF-RK4", "psystem-reads-b")])
 def test_stepper_matches_reference_formulas_bitwise(scheme, case):
     # precomputed symbols, the skipped zero source component, the skipped
-    # transform of an unread b, the out-taking transform pair and the folded
-    # ik-dealias multiplier change no bit
+    # transform of an unread b, the out-taking transform pair and the zeroed
+    # cut band change no bit
     g = Grid(2 ** 12, 400.0)
     if case == "psystem-reads-b":
         nl = quadratic_nonlinearity(gaa=1.0, gbb=0.5, fa=1.0, fb=-0.5)
