@@ -17,7 +17,14 @@ whose transform is  ik e^{-k^2(1+t)} |k|^{-2^{-n}}
 
 The s-quadrature uses panels sized by three local scales: the oscillation
 wavelength, the diffusion window 1/k^2, and the algebraic factor's 1+s;
-modes are processed in |k| bins sharing one panel set.  A bin's panels are
+modes are processed in |k| bins sharing one panel set.  At a panel's node
+s = mid + half x the exponential e^{-k^2 (t-s) + i c k s} is the product of
+a panel factor e^{-k^2 (t-mid) + i c k mid}, one per (panel, mode), and a
+width factor e^{(k^2 + i c k) half x}, one per distinct half-width, which a
+run of equal-width panels shares; (1+s)^power is folded into the node
+weights.  The panels, and so the window the quadrature integrates, are
+those of the direct form.  The diffusion step keeps half <= 3/k_hi^2, so
+|k^2 half x| <= 3 and neither factor can overflow.  A bin's panels are
 evaluated as one array expression per chunk of panels, so its temporaries
 stay below 8,192 (mode, node) values (about 1 MB in all) however many
 panels it has, unless one panel alone has more; each panel's node sum is
@@ -172,27 +179,46 @@ def _bin_integral(kb: np.ndarray, s_floor: float, t: float, power: float,
 
     The panels' integrands are evaluated a chunk of panels at a time, at most
     _CHUNK (mode, node) values per chunk unless one panel alone has more.
-    Each panel's 16-node sum is its own matrix-vector product and the sums
-    are added in panel order, so the result does not depend on the chunk.
+    The width factors e^{(k^2 + i c k) half x_j} are formed once per distinct
+    half-width of the chunk; half <= 3/k_hi^2 (the diffusion step) keeps
+    the real parts of their exponents within [-3, 3].  The panel factor
+    e^{-k^2 (t-mid) + i c k mid} multiplies each panel's 16-node sum; its
+    real part is formed as -k^2 (t - mid), which does not cancel where k^2 t
+    is large.  Each panel's sum is its own matrix-vector product and the
+    sums are added in panel order, so the result does not depend on the
+    chunk.
     """
     k_hi = kb[-1]
     edges = _panel_edges(t, k_hi, 0.4, abs(c_osc) * k_hi, s_floor)
     s, w = special.panel_rule(edges[:-1], edges[1:], 16)        # (panels, 16)
-    w = w[:, :, None].astype(complex)                           # (panels, 16, 1)
-    alg = ((1.0 + s) ** power)[:, None, :]
+    x = special._unit_rule(16)[0]
+    half = (edges[1:] - edges[:-1]) / 2                         # as panel_rule
+    mid = (edges[1:] + edges[:-1]) / 2
+    aw = ((1.0 + s) ** power * w)[:, :, None]                   # (panels, 16, 1)
     root = np.sqrt(1.0 + s)[:, None, :]
     kk = kb[None, :, None]                                      # (1, modes, 1)
-    neg_k2 = -kk ** 2
-    ick = 1j * c_osc * kk
+    rate = (kb * kb + 1j * c_osc * kb)[None, :, None]           # k^2 + i c k
+    neg_k2, ck = -kb * kb, c_osc * kb
     per_chunk = max(1, _CHUNK // (kb.size * s.shape[1]))
     acc = np.zeros(kb.size, dtype=complex)
     for p in range(0, s.shape[0], per_chunk):
-        sc = s[p:p + per_chunk, None, :]
-        damp = np.exp(neg_k2 * (t - sc))
-        osc = np.exp(ick * sc)
+        hc = half[p:p + per_chunk]
+        mc = mid[p:p + per_chunk, None]
+        # the chunk's distinct half-widths, ascending
+        hs = np.sort(hc)
+        hs = hs[np.concatenate(([True], hs[1:] != hs[:-1]))]
         fh = fhat_fn(kk * root[p:p + per_chunk])
-        sums = np.matmul(damp * osc * alg[p:p + per_chunk] * fh, w[p:p + per_chunk])
-        for row in sums[:, :, 0]:
+        e_off = np.exp(rate * (hs[:, None, None] * x))          # (widths, modes, 16)
+        sums = np.matmul(fh * e_off[np.searchsorted(hs, hc)], aw[p:p + per_chunk])
+        del fh, e_off       # not held while the next chunk is evaluated
+        e_mid = np.empty((mc.shape[0], kb.size), dtype=complex)
+        e_mid.real = neg_k2 * (t - mc)
+        e_mid.imag = ck * mc
+        np.exp(e_mid, out=e_mid)                                # (panels, modes)
+        # complex products out of place: numpy rounds an in-place product
+        # of one element differently from one of several, which would tie
+        # the bits to the chunk
+        for row in e_mid * sums[:, :, 0]:
             acc += row
     return acc
 
@@ -308,9 +334,11 @@ def _continuum_norms(spec: HeatSourceSpec, t: float):
     kmax = 8.0 / np.sqrt(1.0 + t) + 0.5
     k_resc_max = np.sqrt(500.0 / (1.0 + t))   # beyond this the weight overflows
     edges = np.linspace(0.0, kmax, _NORM_PANELS + 1)
+    nodes, weights = special.panel_rule(edges[:-1], edges[1:], 16)
+    unh = spec.mass * un_reference_hat(spec.n, spec.sigma, nodes.ravel(), t)
     tot0 = tot1 = cmax = 0.0
-    for kk, ww in zip(*special.panel_rule(edges[:-1], edges[1:], 16)):
-        diff = _remainder(spec, kk, t)
+    for kk, ww, un in zip(nodes, weights, unh.reshape(nodes.shape)):
+        diff = np.abs(solve_inhom_modes(spec, kk, t) - un)
         tot0 += float(np.sum(ww * diff ** 2))
         tot1 += float(np.sum(ww * (kk * diff) ** 2))
         if t > 0:

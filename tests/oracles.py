@@ -304,12 +304,68 @@ def fhat_on_largest_grid(shape):
                                (np.fft.fft(-1j * g.x * f) * phase)[order])
 
 
+def panel_edges_by_formula(t: float, k_hi: float, c_osc: float,
+                            s_floor: float) -> list:
+    """The panel edges of a magnitude bin written out in full: marching down
+    from s = t under the oscillation, diffusion and algebraic-factor scales,
+    clipped to the diffusion window e^{-k_hi^2 (t-s)} >= e^{-42}."""
+    s_lo = max(s_floor, t - 42.0 / max(k_hi * k_hi, 1e-300))
+    edges = [t]
+    s = t
+    while s > s_lo + 1e-14 * max(1.0, t):
+        s -= min(1.2 * np.pi / max(abs(c_osc) * k_hi, 1e-300),
+                 6.0 / max(k_hi * k_hi, 1e-300), 0.4 * (1.0 + s), s - s_lo)
+        edges.append(s)
+    edges[-1] = s_lo
+    return edges[::-1]
+
+
+def bin_integral_by_direct_exponentials(kb: np.ndarray, s_floor: float, t: float,
+                                        power: float, c_osc: float,
+                                        fhat_fn) -> np.ndarray:
+    """int_{s_floor}^t of the Duhamel integrand for one magnitude bin, one
+    panel at a time, with the damping e^{-k^2 (t-s)} and the phase
+    e^{i c_osc k s} taken as two exponentials at every (mode, node): the
+    direct form that ``heat._bin_integral`` factors, on the same panels."""
+    edges = panel_edges_by_formula(t, kb[-1], c_osc, s_floor)
+    acc = np.zeros(kb.size, dtype=complex)
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = (b - a) / 2 * _GL16 + (b + a) / 2
+        w = (b - a) / 2 * _GW16
+        damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
+        osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
+        fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
+        acc += (damp * osc * ((1.0 + s) ** power)[None, :] * fh) @ w
+    return acc
+
+
+def duhamel_by_direct_exponentials(k: np.ndarray, t: float, power: float,
+                                   c_osc: float, fhat_fn) -> np.ndarray:
+    """The single-time Duhamel quadrature of ``heat._duhamel_integral`` with
+    direct exponentials: magnitude bins of factor 1.35, each integrated over
+    its diffusion window by ``bin_integral_by_direct_exponentials``; the
+    modes k <= 0 are zero."""
+    out = np.zeros(k.size, dtype=complex)
+    pos = np.flatnonzero(k > 0)
+    order = pos[np.argsort(k[pos])]
+    sorted_k = k[order]
+    i = 0
+    while i < sorted_k.size:
+        j = int(np.searchsorted(sorted_k, sorted_k[i] * 1.35, side="right"))
+        out[order[i:j]] = bin_integral_by_direct_exponentials(
+            sorted_k[i:j], 0.0, t, power, c_osc, fhat_fn)
+        i = j
+    return out
+
+
 def duhamel_march_table(k: np.ndarray, times: np.ndarray, power: float,
-                        c_osc: float, fhat_fn, k_cut: np.ndarray) -> np.ndarray:
+                        c_osc: float, fhat_fn, k_cut: np.ndarray,
+                        bin_integral=_bin_integral) -> np.ndarray:
     """The marched Duhamel rows of ``heat._duhamel_integral`` as one
     (times, modes) table, filled in full before it is returned: the
-    materialised march that the streamed one replaced, on the same bins and
-    panel quadrature (``heat._ascending_bins``, ``heat._bin_integral``)."""
+    materialised march that the streamed one replaced, on the same bins
+    (``heat._ascending_bins``) and, by default, the same panel quadrature
+    (``heat._bin_integral``)."""
     order, sorted_k, bins = _ascending_bins(k)
     rows = np.zeros((times.size, k.size), dtype=complex)
     acc = [np.zeros(j - i, dtype=complex) for i, j in bins]
@@ -322,7 +378,7 @@ def duhamel_march_table(k: np.ndarray, times: np.ndarray, power: float,
                 break
             kb = sorted_k[i:j]
             acc[b] = (acc[b][:j - i] * np.exp(-kb * kb * (tm - t_prev))
-                      + _bin_integral(kb, t_prev, tm, power, c_osc, fhat_fn))
+                      + bin_integral(kb, t_prev, tm, power, c_osc, fhat_fn))
             rows[m, order[i:j]] = acc[b]
         t_prev = tm
     return rows

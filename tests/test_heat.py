@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import (SOURCE_SHAPES, duhamel_march_table, fhat_on_largest_grid,
-                     heat_ifrk4, solve_inhom, un_reference_by_inverse_quadrature)
+from oracles import (SOURCE_SHAPES, bin_integral_by_direct_exponentials,
+                     duhamel_by_direct_exponentials, duhamel_march_table,
+                     fhat_on_largest_grid, heat_ifrk4, panel_edges_by_formula,
+                     solve_inhom, un_reference_by_inverse_quadrature)
 from ptails import heat, special, verify
 from ptails.heat import (HeatSourceSpec, convergence_check, make_source,
                          solve_inhom_modes, un_reference_hat)
@@ -180,41 +182,32 @@ def test_numeric_fhat_doubles_for_a_narrow_shape(monkeypatch):
 
 def _reference_duhamel(k, t, power, c_osc, fhat_fn):
     """The single-time Duhamel quadrature written out in full, as the
-    reference for the scalar path: magnitude bins of factor 1.35, panels
-    marching down from s = t under the oscillation, diffusion and
-    algebraic-factor scales, clipped to the diffusion window."""
+    bitwise reference for the scalar path: magnitude bins of factor 1.35 on
+    the panels of ``panel_edges_by_formula``, and on each panel the
+    exponential e^{-k^2 (t-s) + i c k s} at s = mid + half x taken as the
+    panel's factor e^{-k^2 (t-mid) + i c k mid} times the width's factor
+    e^{(k^2 + i c k) half x}, with (1+s)^power folded into the weights."""
     gl, gw = np.polynomial.legendre.leggauss(16)
     out = np.zeros(k.size, dtype=complex)
-    pos = k > 0
-    kp = k[pos]
-    res = np.zeros(kp.size, dtype=complex)
-    order = np.argsort(kp)
-    sorted_k = kp[order]
+    pos = np.flatnonzero(k > 0)
+    order = pos[np.argsort(k[pos])]
+    sorted_k = k[order]
     i = 0
     while i < sorted_k.size:
         j = int(np.searchsorted(sorted_k, sorted_k[i] * 1.35, side="right"))
         kb = sorted_k[i:j]
-        k_hi = kb[-1]
-        s_lo = max(0.0, t - 42.0 / max(k_hi * k_hi, 1e-300))
-        edges = [t]
-        s = t
-        while s > s_lo + 1e-14 * max(1.0, t):
-            s -= min(1.2 * np.pi / max(abs(c_osc) * k_hi, 1e-300),
-                     6.0 / max(k_hi * k_hi, 1e-300), 0.4 * (1.0 + s), s - s_lo)
-            edges.append(s)
-        edges[-1] = s_lo
-        edges = edges[::-1]
+        rate = kb * kb + 1j * c_osc * kb
+        edges = panel_edges_by_formula(t, kb[-1], c_osc, 0.0)
         acc = np.zeros(kb.size, dtype=complex)
         for a, b in zip(edges[:-1], edges[1:]):
-            s = (b - a) / 2 * gl + (b + a) / 2
-            w = (b - a) / 2 * gw
-            damp = np.exp(-kb[:, None] ** 2 * (t - s[None, :]))
-            osc = np.exp(1j * c_osc * kb[:, None] * s[None, :])
+            half, mid = (b - a) / 2, (b + a) / 2
+            s = half * gl + mid
+            e_mid = np.exp(-kb * kb * (t - mid) + 1j * (c_osc * kb * mid))
+            e_off = np.exp(rate[:, None] * (half * gl)[None, :])
             fh = fhat_fn(kb[:, None] * np.sqrt(1.0 + s[None, :]))
-            acc += (damp * osc * ((1.0 + s) ** power)[None, :] * fh) @ w
-        res[order[i:j]] = acc
+            acc += e_mid * ((fh * e_off) @ ((1.0 + s) ** power * (half * gw)))
+        out[order[i:j]] = acc
         i = j
-    out[pos] = res
     return out
 
 
@@ -244,6 +237,71 @@ def test_duhamel_chunking_is_bitwise(monkeypatch):
             assert np.array_equal(got, _reference_duhamel(k, t, -0.5, -2.0, fh))
         assert np.array_equal(
             list(heat._duhamel_integral(km, times, -0.5, -2.0, fh, k_cut=k_cut)), marched)
+
+
+def _worst_row_error(got, ref) -> float:
+    """Largest |got - ref| of each row relative to that row's largest |ref|,
+    over the rows."""
+    got, ref = np.atleast_2d(got), np.atleast_2d(ref)
+    assert np.isfinite(got).all()
+    return max(float(np.abs(g - r).max() / np.abs(r).max()) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("case", [(1, 1, "gaussian"), (2, 1, "gaussian"),
+                                  (1, -1, "dgaussian")])
+def test_factored_integrand_matches_direct_exponentials(case):
+    # the three heat sources of the benchmark, on the modes the continuum
+    # norms integrate (k <= 8/sqrt(1+t) + 0.5) at three decades of t
+    spec = make_source(*case)
+    power, c_osc = spec.beta - 1.0, -2.0 * spec.sigma
+    for t in (10.0, 100.0, 1000.0):
+        k = np.linspace(0.002, 8.0 / np.sqrt(1.0 + t) + 0.5, 301)
+        got = heat._duhamel_integral(k, t, power, c_osc, spec.fhat)
+        ref = duhamel_by_direct_exponentials(k, t, power, c_osc, spec.fhat)
+        assert _worst_row_error(got, ref) <= 1e-12, (case, t)
+
+
+def test_factored_marched_rows_match_direct_exponentials():
+    # the transient sweep's marched rows on the 2^13-point grid
+    g = Grid(2 ** 13, 600.0)
+    times = np.geomspace(2.5, 50.0, 46)
+    k_cut = 8.5 / np.sqrt(1.0 + times) + 0.3
+    k = g.k[(g.k >= 0) & (g.k <= k_cut[0])]
+    fh = heat._numeric_fhat(SOURCE_SHAPES["gaussian"])
+    rows = np.array(list(heat._duhamel_integral(k, times, -0.5, -2.0, fh, k_cut=k_cut)))
+    ref = duhamel_march_table(k, times, -0.5, -2.0, fh, k_cut,
+                              bin_integral=bin_integral_by_direct_exponentials)
+    assert _worst_row_error(rows, ref) <= 1e-12
+
+
+def test_factored_exponentials_stay_in_range():
+    # every panel has half-width <= 3/k_hi^2 (the diffusion step), so the
+    # width factor e^{(k^2 + i c k) half x} has modulus <= e^3, and the panel
+    # factor's real part -k^2 (t - mid) is never positive.  A high bin and a
+    # tiny mode at t = 1e5: an overflowed factor would give inf, or nan
+    # against a transform that has underflowed to zero
+    spec = make_source(1, 1, "gaussian")
+    power, c_osc = spec.beta - 1.0, -2.0 * spec.sigma
+    t = 1e5
+    high = np.linspace(20.0, 27.0, 50)
+    tiny = np.array([1e-3])
+    for kb in (high, tiny):
+        got = heat._bin_integral(kb, 0.0, t, power, c_osc, spec.fhat)
+        ref = bin_integral_by_direct_exponentials(kb, 0.0, t, power, c_osc, spec.fhat)
+        assert np.isfinite(got).all()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a transform that does not vanish up there: the phase c k s at s ~ t
+    # carries a rounding error of about |c| k t eps radians in either form,
+    # 1.2e-9 here, so the two forms agree to that and not to 1e-12
+    flat = lambda z: 1.0 / (1.0 + 1e-8 * z * z)
+    got = heat._bin_integral(high, 0.0, t, power, c_osc, flat)
+    ref = bin_integral_by_direct_exponentials(high, 0.0, t, power, c_osc, flat)
+    assert np.isfinite(got).all() and np.abs(ref).min() > 0.0
+    phase_eps = abs(c_osc) * high[-1] * t * np.finfo(float).eps
+    assert _worst_row_error(got, ref) <= 2.0 * phase_eps
+    got = heat._bin_integral(tiny, 0.0, t, power, c_osc, flat)
+    ref = bin_integral_by_direct_exponentials(tiny, 0.0, t, power, c_osc, flat)
+    assert _worst_row_error(got, ref) <= 1e-12
 
 
 def test_bin_integral_temporaries_bounded_by_chunk():
