@@ -340,15 +340,16 @@ def _keep_freed_heap() -> None:
     """Keep freed memory in the process heap instead of handing it back to
     the system after every free.
 
-    A solver step allocates and frees eleven spectrum-sized arrays: its
-    nine work arrays and the new state's two.  Under glibc's default
-    dynamic thresholds the top of the heap can be trimmed and faulted in
-    again on every step.  When a step still allocated some forty, a 656-step
-    verify on 2^15 points took 3.9 million minor page faults, and 4e4 with
-    the settings here.  Arrays up to 4 MB come from the heap, and its top is trimmed only
-    beyond 64 MB free.  It does nothing off Linux or without a C-library
-    mallopt.  Only the ``ptails`` command gets this setting: library callers
-    of ``solver.run`` keep their process's allocator policy.
+    A solver step allocates nine spectrum-sized work arrays and returns two
+    of them, ``s0`` and ``s1``, as the new state, so it frees seven, and the
+    state it replaces frees two more.  Under glibc's default dynamic
+    thresholds the top of the heap can be trimmed and faulted in again on
+    every step.  When a step still allocated some forty, a 656-step verify
+    on 2^15 points took 3.9 million minor page faults, and 4e4 with the
+    settings here.  Arrays up to 4 MB come from the heap, and its top is
+    trimmed only beyond 64 MB free.  It does nothing off Linux or without a
+    C-library mallopt.  Only the ``ptails`` command gets this setting:
+    library callers of ``solver.run`` keep their process's allocator policy.
     """
     if not sys.platform.startswith("linux"):
         return

@@ -53,11 +53,9 @@ __all__ = [
     "solve_inhom_modes",
     "un_reference_hat",
     "convergence_check",
-    "pointwise_bound_constant",
     "ConvergenceReport",
 ]
 
-_ALLOWED_SIGMA = (-2, -1, 0, 1, 2)
 # grid of the sampled-shape transform (k step pi/480) and its sizing rule
 _FHAT_HALF_LENGTH = 480.0
 _FHAT_MIN_POINTS = 2 ** 12
@@ -71,15 +69,16 @@ _CHUNK = 1 << 13       # (mode, node) integrand values evaluated at once
 @dataclass
 class HeatSourceSpec:
     """Source specification: order n, translation index sigma and the
-    exact transform fhat of the source's profile."""
+    exact transform fhat of the source's profile.  sigma is +1 or -1, the
+    values for which the limit profile u_n is defined."""
 
     n: int
     sigma: int
     fhat: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.sigma not in _ALLOWED_SIGMA:
-            raise ValueError(f"sigma must be one of {_ALLOWED_SIGMA}")
+        if self.sigma not in (-1, 1):
+            raise ValueError(f"sigma must be -1 or 1, got {self.sigma}")
         if not (special.N_MIN <= self.n <= special.N_MAX):
             raise ValueError("n out of range")
         self._mass = float(np.real(np.atleast_1d(self.fhat(np.zeros(1)))[0]))
@@ -314,13 +313,6 @@ class ConvergenceReport:
         return self.stabilized and np.isfinite(self.weighted_sup)
 
 
-def _remainder(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarray:
-    """|uhat - M uhat_n| on the modes k >= 0 at time t."""
-    uh = solve_inhom_modes(spec, k, t)
-    unh = spec.mass * un_reference_hat(spec.n, spec.sigma, k, t)
-    return np.abs(uh - unh)
-
-
 def _rescaled_excess(k: np.ndarray, diff: np.ndarray, t: float) -> float:
     """max over k > 0 of (diff e^{k^2 (1+t)} - t^{-1/2}) / k: the smallest C
     with diff <= (C k + t^{-1/2}) e^{-k^2 (1+t)} on these modes, where diff
@@ -354,8 +346,6 @@ def convergence_check(spec: HeatSourceSpec, t_grid) -> ConvergenceReport:
     time grid; pass requires the running sup to stabilize (the last decade
     contributes < 5% growth).  The grid must be strictly increasing and
     reach below its last decade, or there is no earlier sup to compare."""
-    if abs(spec.sigma) != 1:
-        raise ValueError("convergence_check requires |sigma| = 1")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("convergence_check needs a strictly increasing time grid")
@@ -383,21 +373,3 @@ def convergence_check(spec: HeatSourceSpec, t_grid) -> ConvergenceReport:
         stabilized=stabilized, slope_l2=slope, measured_C=float(cc),
     )
 
-
-def pointwise_bound_constant(spec: HeatSourceSpec, k_grid, t_grid) -> float:
-    """Measured C(n) in |uhat - M uhat_n| <= (C|k| + t^{-1/2}) e^{-k^2(1+t)}.
-
-    Modes with k^2 (1+t) > 500 are excluded: the rescaling weight overflows
-    there while the rescaled quantity itself is inf * 0 in double precision.
-    """
-    cmax = 0.0
-    k_grid = np.asarray(k_grid, dtype=float)
-    k_grid = k_grid[k_grid > 0]
-    for t in np.asarray(t_grid, dtype=float):
-        if t <= 0:
-            continue
-        kk = k_grid[k_grid ** 2 * (1.0 + t) <= 500.0]
-        if kk.size == 0:
-            continue
-        cmax = max(cmax, _rescaled_excess(kk, _remainder(spec, kk, t), t))
-    return max(cmax, 0.0)

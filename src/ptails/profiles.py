@@ -198,7 +198,6 @@ class FixedPointInfo:
     iterations: int
     final_delta: float
     contraction_factor: float
-    converged: bool
 
 
 def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
@@ -270,7 +269,6 @@ def gn_fixed_point(n: int, alpha: float, gamma: float, z_grid: np.ndarray,
         iterations=len(deltas),
         final_delta=deltas[-1] if deltas else 0.0,
         contraction_factor=float(contraction),
-        converged=converged,
     )
     if not converged:
         raise RuntimeError(

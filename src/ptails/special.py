@@ -157,27 +157,20 @@ def _check_n(n: int) -> float:
     return 0.5 ** n
 
 
-def _kern(xi, z, scaled):
+def _kern(xi, z):
     """The node-by-point grid w = xi + z and its Gaussian factor, which every
     derivative order's polynomial multiplies."""
     w = xi[None, :] + z[:, None]
-    if scaled:
-        expo = -xi[None, :] ** 2 / 4.0 - xi[None, :] * z[:, None] / 2.0
-    else:
-        expo = -w * w / 4.0
-    return w, np.exp(expo)
+    return w, np.exp(-w * w / 4.0)
 
 
-def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
-             scaled: bool = False) -> np.ndarray:
+def fn_value(n: int, z, order: int | tuple[int, ...] = 0) -> np.ndarray:
     """f_n^{(order)}(z), vectorized over z.
 
     order = -1 gives the antiderivative F with F' = f_n and F(+inf) = 0.
     A tuple of orders returns one row per order, each equal bit for bit to
     the single-order call: the exponential of every quadrature panel is
     computed once and shared by the orders' polynomials.
-    scaled=True returns e^{z^2/4} f_n^{(order)}(z) without overflow (z >= 0
-    intended), for weighted-sup (envelope) measurements.
 
     The quadratures run over z in blocks of _Z_BLOCK points on one panel
     set, which the smallest z of the whole call sets, so a call's
@@ -212,34 +205,33 @@ def fn_value(n: int, z, order: int | tuple[int, ...] = 0,
     out = np.empty((len(orders), z.size))
     start = 0
     for stop in [*range(_Z_BLOCK, z.size - 1, _Z_BLOCK), z.size]:
-        _fn_block(out[:, start:stop], z[start:stop], beta, orders, scaled,
-                  singular, regular)
+        _fn_block(out[:, start:stop], z[start:stop], beta, orders, singular, regular)
         start = stop
     if scalar:
         out = out[:, 0]
     return out if isinstance(order, tuple) else out[0]
 
 
-def _fn_block(out, z, beta, orders, scaled, singular, regular) -> None:
+def _fn_block(out, z, beta, orders, singular, regular) -> None:
     """fn_value's rows on one block of z, written into ``out`` (one row per
     order), from the panels (nodes, weighted weights) of the two regions."""
     A = _SING_CELL
     b0, b1, b2 = beta, beta + 1.0, beta + 2.0
     # Boundary terms of the three integrations by parts at xi = A.
     wA = A + z
-    eA = np.exp(-A * A / 4.0 - A * z / 2.0) if scaled else np.exp(-wA * wA / 4.0)
+    eA = np.exp(-wA * wA / 4.0)
     for row, m in zip(out, orders):
         row[:] = (_polyval(_POLYS[m], wA) - _polyval(_POLYS[m + 1], wA) * A / b1
                   + _polyval(_POLYS[m + 2], wA) * A * A / (b1 * b2)) * eA * A ** beta / b0
     # Remaining smooth-weight integral int_0^A P3-kernel xi^{beta+2}.
     acc = np.zeros(out.shape)
     for xi, ww in singular:
-        w, e = _kern(xi, z, scaled)
+        w, e = _kern(xi, z)
         for row, m in zip(acc, orders):
             row += (_polyval(_POLYS[m + 3], w) * e) @ ww
     out -= acc / (b0 * b1 * b2)
     for xi, ww in regular:
-        w, e = _kern(xi, z, scaled)
+        w, e = _kern(xi, z)
         for row, m in zip(out, orders):
             row += (_polyval(_POLYS[m], w) * e) @ ww
 

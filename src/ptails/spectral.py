@@ -204,29 +204,25 @@ def mass(fld: SpectralField) -> float:
 @dataclass(frozen=True)
 class NormReport:
     """Instantaneous norms of a field: the L2 norms of the field and its
-    first two derivatives, the field's sup, the sup of its continuum Fourier
-    transform, and its x^2-weighted L2 norm."""
+    first two derivatives, the field's sup and the sup of its continuum
+    Fourier transform."""
 
     l2: tuple           # ||D^m f||_2 for m = 0, 1, 2
     sup: float          # ||f||_inf over the samples
     sup_fourier: float
-    weighted_l2: float  # || x^2 f ||_2 on the truncated domain
 
 
 def norms(fld: SpectralField) -> NormReport:
-    g = fld.grid
-    dx = g.dx
+    dx = fld.grid.dx
     s0 = fld.samples()
     l2 = []
     for m in range(3):
         s = derivative(fld, m).samples() if m else s0
         l2.append(float(np.sqrt(np.sum(s * s) * dx)))
-    w = g.x ** 2 * s0
     return NormReport(
         l2=tuple(l2),
         sup=float(np.abs(s0).max()),
         sup_fourier=float(np.abs(fld.fhat()).max()),
-        weighted_l2=float(np.sqrt(np.sum(w * w) * dx)),
     )
 
 

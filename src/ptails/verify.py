@@ -126,15 +126,16 @@ class DecayFitReport:
 def fit_decay(times, values, quantity: str, target: float, tolerance: float,
               two_sided: bool) -> DecayFitReport:
     """Log-log slope of `values` against (1+t) over the supplied samples,
-    which must span at least one decade in (1+t)."""
+    which must span at least one decade in (1+t).  A refusal names the
+    quantity."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < 4:
-        raise ValueError("need at least 4 samples for a slope fit")
+        raise ValueError(f"{quantity}: need at least 4 samples for a slope fit")
     if (1.0 + t[-1]) / (1.0 + t[0]) < 10.0:
-        raise ValueError("fit window shorter than one decade in (1+t)")
+        raise ValueError(f"{quantity}: fit window shorter than one decade in (1+t)")
     if np.any(v <= 0):
-        raise ValueError("slope fit requires positive values")
+        raise ValueError(f"{quantity}: slope fit requires positive values")
     slope, resid = special.loglog_fit(1.0 + t, v)
     return DecayFitReport(quantity=quantity, t_lo=float(t[0]), t_hi=float(t[-1]),
                           slope=slope, residual=resid, target=target,
@@ -479,7 +480,6 @@ class RemainderAccumulator:
             np.abs(np.asarray(self.snapshot_times) - config.t_final / 2.0)))
         self.n_fed = 0
         self._initial = None           # the first snapshot fed
-        self.peak = 0.0                # largest coefficient amplitude in the window
         self.mass_error = 0.0
         # side -> name -> one value per window snapshot: raw (the N0_raw
         # norm), rG = <r_lin, G>, GG = ||G||^2, n1 and n1_d (norms),
@@ -533,8 +533,6 @@ class RemainderAccumulator:
                 f"mass of the characteristic field drifts from the matched value "
                 f"by {self.mass_error:.3e} (> {MASS_TOLERANCE:g})"
             )
-        self.peak = max(self.peak, float(np.abs(state.first.coeffs).max()
-                                         + np.abs(state.second.coeffs).max()))
         phases = frame_phases(self.grid.k, t)
         lin = _linear_reference_coeffs(self._initial, t, self._g0_hat, phases)
         uv = to_characteristic_frame(state, phases)
@@ -578,7 +576,8 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
     Produces, per side, reports named '<side>_N0_raw', '<side>_N0',
     '<side>_N1' and '<side>_N1_D' with targets -(3/4 - 2^{-(N+2)}) for the
     L2 fits and -(5/4 - 2^{-(N+2)}) for the derivative fit, each within
-    ``SLOPE_TOLERANCE``.
+    ``SLOPE_TOLERANCE``.  A series with nothing to fit, such as the zero
+    remainders of zero data, is refused by ``fit_decay``, which names it.
     """
     if fed.n_fed != len(traj.times):
         raise ValueError(f"the accumulator was fed {fed.n_fed} of "
@@ -591,19 +590,8 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
     targets = {"N0_raw": (n0_target, False), "N0": (n0_target, True),
                "N1": (-(0.75 - co.epsilon), False),
                "N1_D": (-(1.25 - co.epsilon), False)}
-    # identically-zero trajectories have nothing to fit: report trivially
-    trivial = fed.peak < 1e-14
     reports, d1_fit, series, fallback = [], {}, {}, {}
     for side in "+-":
-        if trivial:
-            for tag, (target, two) in targets.items():
-                reports.append(DecayFitReport(
-                    quantity=f"{side}_{tag}", t_lo=float(times[0]),
-                    t_hi=float(times[-1]), slope=target, residual=0.0,
-                    target=target, tolerance=SLOPE_TOLERANCE, two_sided=two))
-            d1_fit[side] = 0.0
-            fallback[side] = False
-            continue
         s = {name: np.asarray(vals) for name, vals in fed.scalars[side].items()}
         d1_hat, _ = fit_d1(times, s["rG"] / s["GG"])
         d1_fit[side] = d1_hat
@@ -620,7 +608,7 @@ def remainder_pipeline(traj: TrajectoryRecord, fed: RemainderAccumulator) -> Pip
                                      SLOPE_TOLERANCE, two))
     return PipelineResult(
         reports=reports, d1_fit=d1_fit, d1_analytic={"+": co.d[0][0], "-": co.d[0][1]},
-        series=series, mass_error=0.0 if trivial else fed.mass_error,
+        series=series, mass_error=fed.mass_error,
         d1_fit_window_fallback=fallback)
 
 

@@ -11,7 +11,8 @@ The package loads only numpy.  The scipy modules these routes and the tests
 use (``scipy.integrate`` for QUADPACK, ``scipy.interpolate`` for splines,
 ``scipy.linalg`` for the matrix exponential, ``scipy.special`` for ``erf``
 and ``gamma``, ``scipy.fft`` for the transform pair the package replaced)
-are loaded by the tests alone.
+and mpmath (the 40-digit series of f_n at large z) are loaded by the tests
+alone.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
 from ptails.heat import (HeatSourceSpec, _ascending_bins, _bin_integral,
-                         _duhamel_integral, solve_inhom_modes, un_reference_hat)
+                         _duhamel_integral, _rescaled_excess, solve_inhom_modes,
+                         un_reference_hat)
 from ptails.profiles import ExpansionModel
 from ptails.semigroup import BRANCH_THRESHOLD, _cs_series, propagator_cs
 from ptails.solver import frame_phases
@@ -53,6 +56,27 @@ def fn_oracle(n: int, z: float, order: int = 0) -> float:
     i2, _ = quad(lambda xi: g(xi) * xi ** (beta - 1.0), 1.0, hi,
                  epsabs=1e-13, epsrel=1e-13, limit=400)
     return i1 + i2
+
+
+def fn_large_z(n: int, z: float) -> float:
+    """f_n(z) for large z > 0 from the expansion of e^{-xi^2/4} under the
+    integral, summed in 40-digit arithmetic:
+
+        f_n(z) = e^{-z^2/4} sum_{j < 25} (-1/4)^j / j!
+                 [Gamma(2j+beta+1) (2/z)^{2j+beta+1} + z Gamma(2j+beta) (2/z)^{2j+beta}].
+
+    The series is asymptotic; at z >= 30 its 25th term is below 1e-34 of
+    the sum."""
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(0.5) ** n
+        z = mpmath.mpf(z)
+        c = 2 / z
+        total = mpmath.fsum(
+            (-0.25) ** j / mpmath.factorial(j)
+            * (mpmath.gamma(2 * j + beta + 1) * c ** (2 * j + beta + 1)
+               + z * mpmath.gamma(2 * j + beta) * c ** (2 * j + beta))
+            for j in range(25))
+        return float(mpmath.exp(-z * z / 4) * total)
 
 
 def fn_mass_per_panel(n: int, z_cut: float = 30.0) -> float:
@@ -119,16 +143,12 @@ class EnvelopeDescriptor:
         return np.exp(self.log_rho(z))
 
 
-def envelope_check(z: np.ndarray, abs_values: np.ndarray | None,
-                   envelope: EnvelopeDescriptor, c_max: float,
-                   log_abs_values: np.ndarray | None = None) -> tuple[bool, float]:
+def envelope_check(z: np.ndarray, abs_values: np.ndarray,
+                   envelope: EnvelopeDescriptor, c_max: float) -> tuple[bool, float]:
     """Measured sup of rho(z) |v(z)| over the grid and whether it is <= c_max.
-
-    Pass log_abs_values for quantities whose plain values underflow under the
-    e^{z^2/4} weight; the product is then formed in log space.
-    """
-    if log_abs_values is None:
-        log_abs_values = np.where(abs_values > 0, np.log(np.maximum(abs_values, 1e-300)), -np.inf)
+    The product is formed in log space, so the e^{z^2/4} weight cannot
+    overflow."""
+    log_abs_values = np.where(abs_values > 0, np.log(np.maximum(abs_values, 1e-300)), -np.inf)
     tot = envelope.log_rho(z) + log_abs_values
     measured = float(np.exp(tot.max()))
     return measured <= c_max, measured
@@ -197,6 +217,12 @@ def symmetrized_by_formula(c: np.ndarray) -> np.ndarray:
     np.multiply(0.5, tail, out=tail)
     sym[n // 2] = sym[n // 2].real
     return sym
+
+
+def x2_weighted_l2(fld: SpectralField) -> float:
+    """||x^2 f||_2 of a field's samples on the truncated domain."""
+    w = fld.grid.x ** 2 * fld.samples()
+    return float(np.sqrt(np.sum(w * w) * fld.grid.dx))
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +427,32 @@ def solve_inhom(spec: HeatSourceSpec, grid: Grid, t_grid) -> list[SpectralField]
         uhat = np.where(pos, uhat, np.conj(uhat[conj_idx]))
         out.append(field_from_continuum_fhat(grid, uhat).symmetrized())
     return out
+
+
+def _remainder(spec: HeatSourceSpec, k: np.ndarray, t: float) -> np.ndarray:
+    """|uhat - M uhat_n| on the modes k >= 0 at time t."""
+    uh = solve_inhom_modes(spec, k, t)
+    unh = spec.mass * un_reference_hat(spec.n, spec.sigma, k, t)
+    return np.abs(uh - unh)
+
+
+def pointwise_bound_constant(spec: HeatSourceSpec, k_grid, t_grid) -> float:
+    """Measured C(n) in |uhat - M uhat_n| <= (C|k| + t^{-1/2}) e^{-k^2(1+t)}.
+
+    Modes with k^2 (1+t) > 500 are excluded: the rescaling weight overflows
+    there while the rescaled quantity itself is inf * 0 in double precision.
+    """
+    cmax = 0.0
+    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = k_grid[k_grid > 0]
+    for t in np.asarray(t_grid, dtype=float):
+        if t <= 0:
+            continue
+        kk = k_grid[k_grid ** 2 * (1.0 + t) <= 500.0]
+        if kk.size == 0:
+            continue
+        cmax = max(cmax, _rescaled_excess(kk, _remainder(spec, kk, t), t))
+    return max(cmax, 0.0)
 
 
 def un_reference_by_inverse_quadrature(n: int, sigma: int, x: np.ndarray,

@@ -15,7 +15,7 @@ import pytest
 
 import ptails
 from conftest import run_collecting
-from ptails import cli, solver
+from ptails import cli, solver, verify
 from ptails.cli import main
 from ptails.config import ConfigError, RunManifest, _Sections, parse_config
 from ptails.nonlinearity import default_nonlinearity
@@ -328,6 +328,18 @@ def test_cli_heat_refuses_a_grid_that_cannot_show_stabilisation(tmp_path, capsys
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_cli_heat_refuses_a_sigma_without_a_limit_profile(tmp_path, capsys):
+    # the source is built before any work, so nothing is written
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("[heat]\nsigma = 0\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "heat"]) == 1
+    manifest = json.loads((tmp_path / "manifest_heat.json").read_text())
+    assert manifest["verdicts"] == {"passed": False,
+                                    "error": "sigma must be -1 or 1, got 0"}
+    assert manifest["outputs"] == []
+    assert "error: sigma must be -1 or 1, got 0" in capsys.readouterr().err
+
+
 def test_cli_warns_about_a_section_no_subcommand_reads(tmp_path):
     code, found = _warnings_of(tmp_path, "[bounds]\nt_max = 50.0\nn_t = 12\n"
                                          "[simulat]\nt_final = 5.0\n", "bounds")
@@ -488,6 +500,28 @@ def test_cli_verify_refuses_a_drifting_run(tmp_path, monkeypatch):
     assert verdicts["passed"] is False
     assert verdicts["error"].startswith(
         "mass of the characteristic field drifts from the matched value by ")
+    assert not (tmp_path / "decay_fits.csv").exists()
+
+
+def test_cli_verify_refuses_zero_data(tmp_path, monkeypatch):
+    # zero data leave zero remainders with no slope to fit: the run exits 1
+    # and its error names the first such series
+    built = []
+    build = verify.build_model_from_trajectory
+
+    def keep(initial, nl):
+        built.append(build(initial, nl))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "build_model_from_trajectory", keep)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[grid]\nn_points = 1024\nhalf_length = 450.0\n"
+                   "[simulate]\nt_final = 150.0\nepsilon0 = 0.0\nsnapshots = 40\n")
+    assert main(["-c", str(cfg), "-o", str(tmp_path), "verify"]) == 1
+    verdicts = json.loads((tmp_path / "manifest_verify.json").read_text())["verdicts"]
+    assert verdicts["passed"] is False
+    assert verdicts["error"] == "+_N0_raw: slope fit requires positive values"
+    assert built[0].coeffs.d[0] == (0.0, 0.0)
     assert not (tmp_path / "decay_fits.csv").exists()
 
 

@@ -88,7 +88,7 @@ def test_gn_gamma_zero_returns_fn(zgrid):
     gn, rn, info = gn_fixed_point(1, 0.5, 0.0, zgrid, sign="+")
     assert np.abs(rn.values).max() == 0.0
     assert np.abs(gn.values - special.fn_value(1, -zgrid)).max() < 1e-14
-    assert info.converged
+    assert info.iterations == 0
 
 
 def test_gn_contraction_regime_guard(zgrid):
@@ -101,7 +101,7 @@ def test_gn_fixed_point_residual_and_mass(zgrid, sign):
     alpha, gam = 0.5, 0.1
     g0 = g0_profile(alpha, gam, zgrid)
     gn, rn, info = gn_fixed_point(1, alpha, gam, zgrid, sign)
-    assert info.converged and info.iterations <= 50
+    assert info.iterations <= 50
     assert gn_equation_residual(gn, g0, 1, gam) < 1e-8
     assert abs(gn_total_mass(gn, 1)) < 1e-6
     assert abs(profile_mass(rn)) < 1e-6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field, run_collecting
-from oracles import apply_eLt, from_characteristic_frame
+from oracles import apply_eLt, from_characteristic_frame, x2_weighted_l2
 from ptails.nonlinearity import (Nonlinearity, default_nonlinearity,
                                  quadratic_nonlinearity, zero_nonlinearity)
 from ptails.semigroup import propagator_cs, propagator_entries
@@ -245,7 +245,7 @@ def test_weighted_norm_growth_at_most_exponential():
                     n_snapshots=20)
     traj, snapshots = run_collecting(cfg, default_nonlinearity())
     t = np.asarray(traj.times)
-    logN = np.log([0.5 * (norms(s.first).weighted_l2 ** 2 + norms(s.second).weighted_l2 ** 2)
+    logN = np.log([0.5 * (x2_weighted_l2(s.first) ** 2 + x2_weighted_l2(s.second) ** 2)
                    for s in snapshots])
     sel = t >= 5.0
     ts, ln = t[sel], logN[sel]

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import gamma
 
 from oracles import (EnvelopeDescriptor, Jn_infinity_extrapolated,
-                     envelope_check, eval_Jn, fn_mass_per_panel, fn_oracle,
-                     fn_profile, ode_residual)
+                     envelope_check, eval_Jn, fn_large_z, fn_mass_per_panel,
+                     fn_oracle, fn_profile, ode_residual)
 from ptails import special
 from ptails.special import (Jn_infinity, fn_mass, fn_value, hermite_interpolant,
                             lcal_apply, tail_exponent_fit)
@@ -38,12 +38,11 @@ def test_fn_multi_order_rows_equal_single_order_calls(n):
     # the orders share each panel's exponential; every row keeps the bits
     z = np.linspace(-30.0, 30.0, 241)
     orders = (3, -1, 0, 1, 2)
-    for zz, scaled in ((z, False), (np.abs(z), True), (-2.5, False), (4.0, True)):
-        rows = fn_value(n, zz, orders, scaled=scaled)
+    for zz in (z, -2.5, 4.0):
+        rows = fn_value(n, zz, orders)
         assert rows.shape == (len(orders),) + np.shape(zz)
         for row, m in zip(rows, orders):
-            assert row.tobytes() == np.asarray(
-                fn_value(n, zz, m, scaled=scaled)).tobytes()
+            assert row.tobytes() == np.asarray(fn_value(n, zz, m)).tobytes()
     with pytest.raises(ValueError):
         fn_value(n, z, (0, 1, 4))
     with pytest.raises(ValueError):
@@ -58,15 +57,14 @@ def test_fn_blocking_is_bitwise(monkeypatch):
     cases = []
     for npts in (1025, 2001):
         z = np.linspace(30.0, -40.0, npts)
-        cases += [(z, (0, 1, 2, 3), False), (z, -1, False),
-                  (np.abs(z), (3, 0), True)]
-    cases += [(-7.5, (0, 1), False), (2.0, 2, True)]
+        cases += [(z, (0, 1, 2, 3)), (z, -1), (np.abs(z), (3, 0))]
+    cases += [(-7.5, (0, 1)), (2.0, 2)]
     monkeypatch.setattr(special, "_Z_BLOCK", 10 ** 6)
-    whole = [fn_value(3, z, order, scaled=scaled) for z, order, scaled in cases]
+    whole = [fn_value(3, z, order) for z, order in cases]
     for block in (8, 64, 512):
         monkeypatch.setattr(special, "_Z_BLOCK", block)
-        for (z, order, scaled), ref in zip(cases, whole):
-            got = fn_value(3, z, order, scaled=scaled)
+        for (z, order), ref in zip(cases, whole):
+            got = fn_value(3, z, order)
             assert np.shape(got) == np.shape(ref)
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (block, np.size(z))
 
@@ -195,15 +193,20 @@ def test_large_n_limit_rescaled_profile():
     assert diff.max() <= 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_fn_gaussian_tail_matches_large_z_series(n):
+    # the Gaussian side the envelope tests weight by e^{z^2/4}, against the
+    # series from expanding e^{-xi^2/4} under the integral
+    for z in (30.0, 40.0):
+        ref = fn_large_z(n, z)
+        assert abs(fn_value(n, z) - ref) <= 1e-13 * abs(ref)
+
+
 def test_envelope_family_m0():
     # weighted sup of f_1 under rho_{beta-1, 2-beta} stays finite
     z = np.linspace(-40, 40, 1601)
     env = EnvelopeDescriptor(-0.5, 1.5)
-    logv = np.empty_like(z)
-    pos = z >= 0
-    logv[pos] = np.log(np.abs(fn_value(1, z[pos], scaled=True)) + 1e-300) - z[pos] ** 2 / 4
-    logv[~pos] = np.log(np.abs(fn_value(1, z[~pos])) + 1e-300)
-    ok, measured = envelope_check(z, None, env, c_max=1e3, log_abs_values=logv)
+    ok, measured = envelope_check(z, np.abs(fn_value(1, z)), env, c_max=1e3)
     assert ok and 0.1 < measured < 1e3
 
 
@@ -216,15 +219,11 @@ def test_envelope_zero_profile():
 def test_envelope_constants_grow_at_most_geometrically():
     # the per-n constants of the weighted bounds grow no faster than ~2^n
     z = np.linspace(-30, 30, 1201)
-    pos = z >= 0
     cs = []
     for n in range(1, 7):
         beta = 0.5 ** n
         env = EnvelopeDescriptor(beta - 1.0, 2.0 - beta)
-        logv = np.empty_like(z)
-        logv[pos] = np.log(np.abs(fn_value(n, z[pos], scaled=True)) + 1e-300) - z[pos] ** 2 / 4
-        logv[~pos] = np.log(np.abs(fn_value(n, z[~pos])) + 1e-300)
-        cs.append(envelope_check(z, None, env, np.inf, log_abs_values=logv)[1])
+        cs.append(envelope_check(z, np.abs(fn_value(n, z)), env, np.inf)[1])
     slope = np.polyfit(np.arange(1, 7), np.log2(cs), 1)[0]
     assert slope <= 1.1
 

@@ -38,6 +38,16 @@ def test_fit_decay_window_guard():
         fit_decay(t, np.ones_like(t), "q", -1.0, 0.1, two_sided=True)
 
 
+@pytest.mark.parametrize("t,v,message", [
+    (np.geomspace(1, 100, 3), np.ones(3), "need at least 4 samples"),
+    (np.linspace(10, 40, 10), np.ones(10), "fit window shorter than one decade"),
+    (np.geomspace(1, 100, 10), np.zeros(10), "slope fit requires positive values"),
+], ids=["few-samples", "short-window", "zero-values"])
+def test_fit_decay_refusal_names_the_quantity(t, v, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"+_N1: {message}")):
+        fit_decay(t, v, "+_N1", -1.0, 0.1, two_sided=False)
+
+
 def test_fit_decay_one_sided():
     t = np.geomspace(1, 100, 12)
     v = (1 + t) ** -1.0
@@ -560,17 +570,6 @@ def test_tail_precedence_nonlinear(medium_fed):
     assert rep.conclusive
     assert rep.ahead_is_algebraic
     assert rep.behind_is_gaussian
-
-
-def test_pipeline_zero_data_trivially_passes():
-    cfg = SimConfig(n_points=2 ** 10, half_length=450.0, t_final=150.0,
-                    epsilon0=0.0, n_snapshots=40)
-    model, acc, traj = _stream(cfg, default_nonlinearity())
-    res = remainder_pipeline(traj, acc)
-    assert all(r.passed for r in res.reports)
-    assert res.d1_fit["+"] == 0.0
-    assert model.coeffs.d[0] == (0.0, 0.0)
-    assert res.mass_error == 0.0
 
 
 def test_d1_fit_stable_under_discretization_refinement():
